@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from . import beam as beam_mod
 from . import condprob as condprob_mod
 from . import measurement, permstats, rotations, spin_algebra
-from .errors import SpinstatError
+from .errors import SpinstatError, StateFileError
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .kets import Ket, index_of_m, spin_values
 
@@ -107,11 +107,17 @@ def fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
+def positive_int_arg(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def angle_arg(text: str) -> Fraction:
     try:
         return measurement.parse_pi_angle(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
 
 
 def angle_list_arg(text: str) -> list[Fraction]:
@@ -129,8 +135,9 @@ def parse_state_sections(text: str) -> list[Ket]:
     ``dims d1 d2 ...``; the remaining lines are ``label amplitude`` pairs,
     the label being comma-joined per-slot tokens (``+``/``-`` for
     two-dimensional slots, projection fractions otherwise) and the
-    amplitude an exact scalar such as ``-1/2*sqrt(2)``.  ``#`` starts a
-    comment.
+    amplitude an exact scalar such as ``-1/2*sqrt(2)`` or
+    ``1/6*sqrt(3) - 1/6*sqrt(6)``.  ``#`` starts a comment.  A malformed
+    line raises :class:`~spinstat.errors.StateFileError`.
     """
     kets = []
     sections: list[list[str]] = [[]]
@@ -144,29 +151,37 @@ def parse_state_sections(text: str) -> list[Ket]:
     for lines in sections:
         if not lines:
             continue
-        dims: tuple[int, ...] | None = None
-        if lines[0].startswith("dims"):
-            dims = tuple(int(tok) for tok in lines[0].split()[1:])
-            lines = lines[1:]
-        amps: dict[tuple[int, ...], ExactScalar] = {}
-        for line in lines:
-            label_text, _, amp_text = line.partition(" ")
-            tokens = label_text.split(",")
-            if dims is None:
-                if not all(t in "+-" for t in tokens):
-                    raise ValueError(
-                        "sections with projection labels need a 'dims' header"
-                    )
-                dims = (2,) * len(tokens)
-            label = []
-            for token, dim in zip(tokens, dims):
-                if token == "+" and dim == 2:
-                    label.append(0)
-                elif token == "-" and dim == 2:
-                    label.append(1)
-                else:
-                    label.append(index_of_m(dim, Fraction(token)))
-            amps[tuple(label)] = parse_scalar(amp_text)
+        line = lines[0]
+        try:
+            dims: tuple[int, ...] | None = None
+            if line.startswith("dims"):
+                dims = tuple(int(tok) for tok in line.split()[1:])
+                lines = lines[1:]
+            amps: dict[tuple[int, ...], ExactScalar] = {}
+            for line in lines:
+                label_text, _, amp_text = line.partition(" ")
+                tokens = label_text.split(",")
+                if dims is None:
+                    if not all(t in "+-" for t in tokens):
+                        raise ValueError(
+                            "sections with projection labels need a 'dims' header"
+                        )
+                    dims = (2,) * len(tokens)
+                if len(tokens) != len(dims):
+                    raise ValueError(f"label needs {len(dims)} comma-joined tokens")
+                label = []
+                for token, dim in zip(tokens, dims):
+                    if token == "+" and dim == 2:
+                        label.append(0)
+                    elif token == "-" and dim == 2:
+                        label.append(1)
+                    else:
+                        label.append(index_of_m(dim, Fraction(token)))
+                if tuple(label) in amps:
+                    raise ValueError(f"label {label_text} repeated in one section")
+                amps[tuple(label)] = parse_scalar(amp_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StateFileError(f"{line!r}: {exc}") from exc
         kets.append(Ket(dims, amps))
     return kets
 
@@ -439,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-isc", action="store_true")
     p.add_argument("--decompose", action="store_true", help="two-level components (spin_j_singlet)")
     p.add_argument("--c", type=fraction_arg, default=Fraction(1, 2), help="rotation rate")
-    p.add_argument("--grid", type=int, default=360)
+    p.add_argument("--grid", type=positive_int_arg, default=360)
     p.add_argument("--tol", type=float, default=1e-12)
     _add_common(p)
     p.set_defaults(handler=cmd_state)
@@ -448,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", type=angle_list_arg, default=None, help="e.g. pi/3,pi/3,2pi/3")
     p.add_argument("--formula", choices=("half", "full"), default="half")
     p.add_argument("--search", action="store_true", help="scan the angle grid")
-    p.add_argument("--denominator", type=int, default=12, help="grid step pi/denominator")
+    p.add_argument("--denominator", type=positive_int_arg, default=12, help="grid step pi/denominator")
     _add_common(p)
     p.set_defaults(handler=cmd_bell)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ShapeError, UndefinedConditionalError
+from .errors import InvalidValueError, ShapeError, UndefinedConditionalError
 from .exact import Rational
 from .rotations import check_spin
 from .spin_algebra import CoupledState, cg_decompose
@@ -32,9 +32,9 @@ class SpinDistribution:
         if set(probs) != set(values):
             raise ShapeError(f"need one probability for each of {values}")
         if any(p < 0 for p in probs.values()):
-            raise ValueError("probabilities must be nonnegative")
+            raise InvalidValueError("probabilities must be nonnegative")
         if sum(probs.values()) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs.values())}, not 1")
+            raise InvalidValueError(f"probabilities sum to {sum(probs.values())}, not 1")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "probabilities", probs)
 

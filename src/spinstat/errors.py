@@ -32,7 +32,7 @@ class NotPermutableError(SpinstatError):
 
 
 class IncompatibleRadicandsError(SpinstatError):
-    """Exact sum of scalars with different radicands is not representable."""
+    """An exact operation needs a single ``q*sqrt(r)`` term or a rational value."""
 
     code = "incompatible-radicands"
 
@@ -73,5 +73,13 @@ class InvalidSpinError(SpinstatError):
     code = "invalid-spin"
 
 
-class RadicandFallbackWarning(UserWarning):
-    """An exact inner product fell back to floating point."""
+class InvalidValueError(SpinstatError, ValueError):
+    """An input value is outside the domain of the operation."""
+
+    code = "invalid-value"
+
+
+class StateFileError(SpinstatError, ValueError):
+    """A state spec file is malformed."""
+
+    code = "state-file"

@@ -1,10 +1,10 @@
-"""Exact scalars of the form q*sqrt(r).
+"""Exact real numbers ``q1*sqrt(r1) + q2*sqrt(r2) + ...``, closed under +, - and *.
 
-``q`` is a rational number and ``r`` a squarefree nonnegative integer, so
-products are always representable and sums are representable exactly when
-the radicands agree.  This covers every coefficient that appears in the
-two-particle states, Clebsch-Gordan tables, and probability identities
-implemented by the rest of the package.
+Each ``q`` is rational and the ``r`` are distinct squarefree positive
+integers, whose square roots are linearly independent over the rationals
+(Besicovitch, J. London Math. Soc. 1940): the sorted terms are a canonical
+form and ``==`` is exact.  This covers every coefficient of the states,
+Clebsch-Gordan tables, and probability identities in the rest of the package.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import IncompatibleRadicandsError
 
 Rational = int | Fraction
+Terms = tuple[tuple[int, Fraction], ...]
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -44,30 +45,36 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square, rest * m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ExactScalar:
-    """A real number ``coefficient * sqrt(radicand)`` in canonical form.
+    """A real number ``sum(q * sqrt(r) for r, q in terms)`` in canonical form.
 
-    The constructor normalizes: square factors of the radicand are pulled
-    into the rational coefficient, and zero is always stored as ``(0, 1)``.
-    Instances are immutable and hashable.
+    ``ExactScalar(q, r)`` is the single term ``q*sqrt(r)``, with the square
+    factors of ``r`` pulled into ``q``.  ``terms`` holds the nonzero
+    coefficients by ascending squarefree radicand; zero has no terms.
+    Instances are immutable and hashable.  ``coefficient``, ``radicand``,
+    ``squared``, ``inverse`` and ``abs`` raise on a sum of several terms.
     """
 
-    coefficient: Fraction
-    radicand: int = 1
+    terms: Terms
 
-    def __post_init__(self) -> None:
-        coef = Fraction(self.coefficient)
-        rad = int(self.radicand)
+    def __init__(self, coefficient: Rational, radicand: int = 1) -> None:
+        coef = Fraction(coefficient)
+        rad = int(radicand)
         if rad < 0:
             raise ValueError("radicand must be nonnegative")
-        if coef == 0 or rad == 0:
-            coef, rad = Fraction(0), 1
-        else:
+        terms: Terms = ()
+        if coef != 0 and rad != 0:
             square, rad = squarefree_decompose(rad)
-            coef *= square
-        object.__setattr__(self, "coefficient", coef)
-        object.__setattr__(self, "radicand", rad)
+            terms = ((rad, coef * square),)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _of(cls, coefficients: dict[int, Fraction]) -> "ExactScalar":
+        """The sum of ``q*sqrt(r)`` over ``{r: q}`` with ``r`` squarefree."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "terms", tuple(sorted((r, q) for r, q in coefficients.items() if q)))
+        return new
 
     @classmethod
     def sqrt(cls, value: Rational) -> "ExactScalar":
@@ -77,16 +84,33 @@ class ExactScalar:
             raise ValueError("cannot take a real square root of a negative")
         return cls(Fraction(1, v.denominator), v.numerator * v.denominator)
 
+    def _single(self, what: str) -> tuple[int, Fraction]:
+        if len(self.terms) > 1:
+            raise IncompatibleRadicandsError(f"{what} needs a single q*sqrt(r) term, got {self}")
+        return self.terms[0] if self.terms else (1, Fraction(0))
+
+    @property
+    def coefficient(self) -> Fraction:
+        """``q`` of a single term ``q*sqrt(r)``."""
+        return self._single("coefficient")[1]
+
+    @property
+    def radicand(self) -> int:
+        """``r`` of a single term ``q*sqrt(r)``."""
+        return self._single("radicand")[0]
+
     @property
     def is_zero(self) -> bool:
-        return self.coefficient == 0
+        return not self.terms
 
     @property
     def is_rational(self) -> bool:
-        return self.radicand == 1
+        return all(r == 1 for r, _ in self.terms)
 
     def squared(self) -> Fraction:
-        return self.coefficient * self.coefficient * self.radicand
+        """``q*q*r`` for a single term ``q*sqrt(r)``."""
+        rad, coef = self._single("squared()")
+        return coef * coef * rad
 
     def conjugate(self) -> "ExactScalar":
         return self
@@ -94,38 +118,43 @@ class ExactScalar:
     def inverse(self) -> "ExactScalar":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return ExactScalar(1 / (self.coefficient * self.radicand), self.radicand)
+        rad, coef = self._single("inverse()")
+        return ExactScalar._of({rad: 1 / (coef * rad)})
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
+        if not other.terms:
             return self
-        if self.radicand != other.radicand:
-            raise IncompatibleRadicandsError(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms exactly"
-            )
-        return ExactScalar(self.coefficient + other.coefficient, self.radicand)
+        total = dict(self.terms)
+        for r, q in other.terms:
+            total[r] = total.get(r, 0) + q
+        return ExactScalar._of(total)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.coefficient, self.radicand)
+        return ExactScalar._of({r: -q for r, q in self.terms})
 
     def __abs__(self) -> "ExactScalar":
-        return ExactScalar(abs(self.coefficient), self.radicand)
+        rad, coef = self._single("abs()")
+        return ExactScalar._of({rad: abs(coef)})
 
     def __mul__(self, other: "ExactScalar | Rational") -> "ExactScalar":
-        if isinstance(other, ExactScalar):
-            return ExactScalar(
-                self.coefficient * other.coefficient, self.radicand * other.radicand
-            )
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.coefficient * other, self.radicand)
-        return NotImplemented
+            return ExactScalar._of({r: q * other for r, q in self.terms})
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        product: dict[int, Fraction] = {}
+        for r1, q1 in self.terms:
+            for r2, q2 in other.terms:
+                # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)), squarefree again.
+                g = math.gcd(r1, r2)
+                r = (r1 // g) * (r2 // g)
+                q = q1 * q2 if g == 1 else q1 * q2 * g
+                product[r] = product[r] + q if r in product else q
+        return ExactScalar._of(product)
 
     __rmul__ = __mul__
 
@@ -133,20 +162,21 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.coefficient / other, self.radicand)
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __float__(self) -> float:
-        return float(self.coefficient) * math.sqrt(self.radicand)
+        return math.fsum(float(q) * math.sqrt(r) for r, q in self.terms)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.terms)
 
     def __str__(self) -> str:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"ExactScalar({self.coefficient!r}, {self.radicand})"
+        terms = self.terms or ((1, Fraction(0)),)
+        return " + ".join(f"ExactScalar({q!r}, {r})" for r, q in terms)
 
 
 ZERO = ExactScalar(0)
@@ -154,31 +184,38 @@ ONE = ExactScalar(1)
 
 
 def format_scalar(s: ExactScalar) -> str:
-    """Canonical text form: ``-1/2*sqrt(2)``, ``2/3``, ``sqrt(5)``, ``0``."""
-    if s.is_rational:
-        return str(s.coefficient)
-    if s.coefficient == 1:
-        return f"sqrt({s.radicand})"
-    if s.coefficient == -1:
-        return f"-sqrt({s.radicand})"
-    return f"{s.coefficient}*sqrt({s.radicand})"
+    """Canonical text form: ``-1/2*sqrt(2)``, ``2/3``, ``sqrt(5)``, ``0``.
+
+    Several terms are written in ascending radicand order, joined by `` + ``
+    or `` - ``: ``1/6*sqrt(3) - 1/6*sqrt(6)``.
+    """
+    terms = []
+    for r, q in s.terms:
+        size = abs(q)
+        body = str(size) if r == 1 else f"sqrt({r})" if size == 1 else f"{size}*sqrt({r})"
+        terms.append(f"-{body}" if q < 0 else body)
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
-_SCALAR_RE = re.compile(
-    r"""^\s*(?P<sign>[+-]?)\s*
-        (?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?
-        (?:sqrt\(\s*(?P<rad>\d+)\s*\))?\s*$""",
-    re.VERBOSE,
-)
+_TERM_RE = re.compile(r"(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?(?:sqrt\(\s*(?P<rad>\d+)\s*\))?")
+_SIGN_RE = re.compile(r"\s*([+-])\s*")
 
 
 def parse_scalar(text: str) -> ExactScalar:
-    """Parse the canonical text form back into an :class:`ExactScalar`."""
-    m = _SCALAR_RE.match(text)
-    if not m or (m.group("coef") is None and m.group("rad") is None):
+    """Parse the text form of :func:`format_scalar` back into an :class:`ExactScalar`.
+
+    Terms ``q``, ``q*sqrt(r)`` or ``sqrt(r)`` are joined by ``+`` or ``-``,
+    and the first may carry a sign.
+    """
+    pieces = _SIGN_RE.split(text.strip())
+    pieces = pieces[1:] if pieces[0] == "" else ["+", *pieces]
+    if not pieces:
         raise ValueError(f"cannot parse exact scalar: {text!r}")
-    coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-    if m.group("sign") == "-":
-        coef = -coef
-    rad = int(m.group("rad")) if m.group("rad") else 1
-    return ExactScalar(coef, rad)
+    total = ZERO
+    for sign, body in zip(pieces[::2], pieces[1::2]):
+        m = _TERM_RE.fullmatch(body)
+        if not m or (m["coef"] is None and m["rad"] is None):
+            raise ValueError(f"cannot parse exact scalar: {text!r}")
+        coef = Fraction(m["coef"] or 1)
+        total = total + ExactScalar(-coef if sign == "-" else coef, int(m["rad"] or 1))
+    return total

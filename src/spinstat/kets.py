@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -19,12 +18,13 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    IncompatibleRadicandsError,
+    InvalidValueError,
     ModeMismatchError,
     NotPermutableError,
-    RadicandFallbackWarning,
     ShapeError,
 )
-from .exact import ExactScalar, Rational
+from .exact import ZERO, ExactScalar, Rational
 
 Label = tuple[int, ...]
 Scalar = ExactScalar | complex
@@ -220,18 +220,19 @@ class Ket:
 
     __rmul__ = __mul__
 
-    def norm_squared(self) -> Fraction | float:
+    def norm_squared(self) -> Fraction | ExactScalar | float:
+        """Squared norm; exact kets give a ``Fraction``, or an ``ExactScalar`` if irrational."""
         if self.mode == EXACT:
-            total = Fraction(0)
-            for amp in self.amplitudes.values():
-                total += amp.squared()  # type: ignore[union-attr]
-            return total
+            total = sum((a * a for a in self.amplitudes.values()), ZERO)  # type: ignore[misc]
+            return total if len(total.terms) > 1 else total.coefficient
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     def normalized(self) -> "Ket":
         n2 = self.norm_squared()
         if not n2:
-            raise ValueError("cannot normalize the zero ket")
+            raise InvalidValueError("cannot normalize the zero ket")
+        if isinstance(n2, ExactScalar):
+            raise IncompatibleRadicandsError(f"squared norm {n2} is irrational; no exact normalization")
         if self.mode == EXACT:
             return self.scale(ExactScalar.sqrt(Fraction(1) / n2))
         return self.scale(1.0 / math.sqrt(n2))
@@ -261,7 +262,11 @@ class Ket:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = [f"{self.amplitudes[l]}|{','.join(map(str, l))}>" for l in self.support()]
+        parts = []
+        for label in self.support():
+            amp = self.amplitudes[label]
+            text = f"({amp})" if isinstance(amp, ExactScalar) and len(amp.terms) > 1 else str(amp)
+            parts.append(f"{text}|{','.join(map(str, label))}>")
         return " + ".join(parts)
 
 
@@ -279,39 +284,16 @@ def tensor_product(a: Ket, b: Ket) -> Ket:
 def inner_product(a: Ket, b: Ket) -> Scalar:
     """Inner product, conjugate-linear in ``a`` and linear in ``b``.
 
-    In exact mode, terms are accumulated per radicand, so the result is
-    exact whenever the final value is representable even if intermediate
-    partial sums would not be.  If several radicand classes survive, the
-    value is returned as a float and :class:`RadicandFallbackWarning` is
-    emitted.
+    Exact kets give an exact :class:`~spinstat.exact.ExactScalar`; float kets
+    and two zero kets give a ``complex``.
     """
     if a.dims != b.dims:
         raise ShapeError(f"dims {a.dims} != {b.dims}")
-    mode = join_modes(a.mode, b.mode)
-    if mode == EXACT:
-        buckets: dict[int, Fraction] = {}
-        for label, va in a.amplitudes.items():
-            vb = b.amplitudes.get(label)
-            if vb is None:
-                continue
-            term = va * vb  # real scalars; conjugation is the identity
-            buckets[term.radicand] = buckets.get(term.radicand, Fraction(0)) + term.coefficient
-        live = [(r, c) for r, c in buckets.items() if c != 0]
-        if not live:
-            return ExactScalar(0)
-        if len(live) == 1:
-            return ExactScalar(live[0][1], live[0][0])
-        warnings.warn(
-            "inner product mixes incompatible radicands; returning a float",
-            RadicandFallbackWarning,
-            stacklevel=2,
-        )
-        return complex(sum(float(c) * math.sqrt(r) for r, c in live))
-    total = 0j
+    total: Scalar = ZERO if join_modes(a.mode, b.mode) == EXACT else 0j
     for label, va in a.amplitudes.items():
         vb = b.amplitudes.get(label)
         if vb is not None:
-            total += va.conjugate() * vb  # type: ignore[union-attr]
+            total = total + va.conjugate() * vb  # type: ignore[operator]
     return total
 
 

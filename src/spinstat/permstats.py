@@ -15,12 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import (
-    CapacityError,
-    IncompatibleRadicandsError,
-    ShapeError,
-    SizeLimitError,
-)
+from .errors import CapacityError, InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar
 from .kets import EXACT, FLOAT, Ket, Label, Permutation, Scalar, join_modes, permute_slots
 
@@ -72,49 +67,25 @@ def _permutation_sum(
 ) -> Ket:
     """Sum of ``c_sigma * |psi_sigma(0)> ⊗ ... ⊗ |psi_sigma(n-1)>`` terms.
 
-    Exact amplitudes are accumulated per radicand so that unrepresentable
-    intermediate sums only fail if the final amplitude itself is
-    unrepresentable.
+    Exact coefficients multiply float states as complex numbers.
     """
     n = len(states)
     dims = states[0].dims * n
-    mode = _check_states(states)
-    if mode == EXACT:
-        buckets: dict[Label, dict[int, Fraction]] = {}
-        for perm, coef in coefficient.items():
-            assert isinstance(coef, ExactScalar)
-            if coef.is_zero:
-                continue
-            chosen = [states[perm(i)] for i in range(n)]
-            for combo in itertools.product(*(s.amplitudes.items() for s in chosen)):
-                label = tuple(l[0] for l, _ in combo)
-                amp = coef
-                for _, v in combo:
-                    amp = amp * v
-                per_label = buckets.setdefault(label, {})
-                per_label[amp.radicand] = (
-                    per_label.get(amp.radicand, Fraction(0)) + amp.coefficient
-                )
-        amps: dict[Label, Scalar] = {}
-        for label, per_label in buckets.items():
-            live = [(r, c) for r, c in per_label.items() if c != 0]
-            if len(live) > 1:
-                raise IncompatibleRadicandsError(
-                    f"amplitude at {label} mixes radicands {[r for r, _ in live]}"
-                )
-            if live:
-                amps[label] = ExactScalar(live[0][1], live[0][0])
-        return Ket(dims, amps)
-    famps: dict[Label, complex] = {}
+    exact = _check_states(states) == EXACT
+    amps: dict[Label, Scalar] = {}
     for perm, coef in coefficient.items():
+        if not exact:
+            coef = complex(coef)
+        if not coef:
+            continue
         chosen = [states[perm(i)] for i in range(n)]
         for combo in itertools.product(*(s.amplitudes.items() for s in chosen)):
             label = tuple(l[0] for l, _ in combo)
-            value = complex(coef) if not isinstance(coef, ExactScalar) else float(coef)
+            amp = coef
             for _, v in combo:
-                value *= v
-            famps[label] = famps.get(label, 0j) + value
-    return Ket(dims, famps)
+                amp = amp * v
+            amps[label] = amps[label] + amp if label in amps else amp
+    return Ket(dims, amps)
 
 
 def antisymmetrize(states: Sequence[Ket]) -> Ket:
@@ -142,7 +113,7 @@ def symmetrize(states: Sequence[Ket]) -> Ket:
     coefficient = {p: weight for p in Permutation.all_of(n)}
     out = _permutation_sum(states, coefficient)
     if out.is_zero:
-        raise ValueError("symmetrization collapsed to the zero ket")
+        raise InvalidValueError("symmetrization collapsed to the zero ket")
     return out.normalized()
 
 
@@ -174,7 +145,7 @@ class PermutationExpansion:
             raise ShapeError(f"need one coefficient per permutation of {n} slots")
         total = sum(c.squared() for c in coeffs.values())
         if total != 1:
-            raise ValueError(f"squared coefficients sum to {total}, not 1")
+            raise InvalidValueError(f"squared coefficients sum to {total}, not 1")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -246,7 +217,7 @@ def classify_statistics(expansion: PermutationExpansion) -> StatisticsClass:
     """
     ket = expansion.realize()
     if ket.is_zero:
-        raise ValueError("expansion realizes the zero ket; statistics undefined")
+        raise InvalidValueError("expansion realizes the zero ket; statistics undefined")
     n = expansion.n_particles
     exact = ket.mode != FLOAT
     flips = preserves = 0
@@ -296,10 +267,10 @@ def ground_state_energy(
 ) -> Fraction | float | int:
     """Fill doubly degenerate levels from the bottom and total the energy."""
     if particle_count < 0:
-        raise ValueError("particle count must be nonnegative")
+        raise InvalidValueError("particle count must be nonnegative")
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly ascending")
+        raise InvalidValueError("levels must be strictly ascending")
     if particle_count > 2 * len(levels):
         raise CapacityError(
             f"{particle_count} particles exceed capacity {2 * len(levels)}"

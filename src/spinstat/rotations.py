@@ -147,25 +147,10 @@ def _generator_annihilates(ket: Ket) -> bool:
 
     The generator of R(c*theta) ⊗ R(c*theta) in theta is c*(J⊗I + I⊗J) with
     J|+> = -|->, J|-> = |+>; a state is invariant at every angle iff the
-    generator annihilates it.  Contributions are accumulated per radicand,
-    which keeps the cancellation test exact for any exact ket.
+    generator annihilates it.  Spinor conjugation of one slot is -J on that
+    slot, so the test is an exact ket sum.
     """
-    buckets: dict[tuple[tuple[int, int], int], Fraction] = {}
-
-    def add(label: tuple[int, int], amp: ExactScalar) -> None:
-        key = (label, amp.radicand)
-        buckets[key] = buckets.get(key, Fraction(0)) + amp.coefficient
-
-    for label, amp in ket.amplitudes.items():
-        assert isinstance(amp, ExactScalar)
-        for slot in (0, 1):
-            if label[slot] == 0:
-                target = label[:slot] + (1,) + label[slot + 1 :]
-                add(target, -amp)  # type: ignore[arg-type]
-            else:
-                target = label[:slot] + (0,) + label[slot + 1 :]
-                add(target, amp)  # type: ignore[arg-type]
-    return all(v == 0 for v in buckets.values())
+    return (conjugate_spinor_slot(ket, 0) + conjugate_spinor_slot(ket, 1)).is_zero
 
 
 def _max_grid_deviation(ket: Ket, c: Rational | float, angles: list[float]) -> float:

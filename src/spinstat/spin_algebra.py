@@ -20,7 +20,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeLimitError
+from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
 from .kets import Ket
 from .rotations import check_spin
@@ -210,7 +210,7 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     out ``i``, and so on around the cycle.
     """
     if n < 1:
-        raise ValueError("scale n must be a positive integer")
+        raise InvalidValueError("scale n must be a positive integer")
     j = check_spin(j)
     ops = angular_momentum_matrices(j)
     sx = ops.lx.scale(n)
@@ -285,7 +285,7 @@ class CoupledState:
     def normalized(self) -> "CoupledState":
         n2 = self.norm_squared()
         if n2 == 0:
-            raise ValueError("cannot normalize an empty state")
+            raise InvalidValueError("cannot normalize an empty state")
         scale = ExactScalar.sqrt(Fraction(1) / n2)
         return CoupledState(
             self.s,

@@ -88,6 +88,58 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+BAD_INPUTS = {
+    "negative-atoms": (["beam", "--atoms", "-1"], None, 1),
+    "negative-count": (["perm", "energy", "--levels", "1,2", "--count", "-1"], None, 1),
+    "descending-levels": (["perm", "energy", "--levels", "2,1", "--count", "1"], None, 1),
+    "prior-sum": (["condprob", "--prior", "1/2,1/2,1/2"], None, 1),
+    "zero-scale": (["algebra", "--n", "0", "--j", "1"], None, 1),
+    "zero-angle-denominator": (["bell", "--gaps", "pi/0,pi,pi"], None, 2),
+    "zero-grid": (["state", "singlet", "--check-invariance", "--grid", "0"], None, 2),
+    "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
+    "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", 1),
+    "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", 1),
+    "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", 1),
+    "zero-amplitude-denominator": (["perm", "antisymmetrize", "--states"], "+ 1/0\n", 1),
+    "irrational-norm": (
+        ["perm", "symmetrize", "--states"],
+        "+ 1/2*sqrt(2)\n- 1/2*sqrt(2)\n\n+ 1/3*sqrt(3)\n- 1/3*sqrt(6)\n",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, state_text, expected", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, state_text, expected):
+    if state_text is not None:
+        path = tmp_path / "states.txt"
+        path.write_text(state_text)
+        argv = [*argv, str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected
+    if code == 1:
+        envelope = json.loads(capsys.readouterr().out)
+        jsonschema.validate(envelope, load_schema())
+        assert envelope["error"]["code"] in {"invalid-value", "state-file", "incompatible-radicands"}
+
+
+def test_state_file_takes_printed_amplitudes(tmp_path):
+    path = tmp_path / "states.txt"
+    path.write_text("+ 1/2*sqrt(2)\n- 1/2*sqrt(2)\n\n+ 1/3*sqrt(3)\n- 1/3*sqrt(6)\n")
+    code, output = run_cli(["perm", "antisymmetrize", "--states", str(path)])
+    assert code == 0
+    amplitudes = json.loads(output)["payload"]["amplitudes"]
+    assert amplitudes["+,-"]["exact"] == "-1/6*sqrt(3) + 1/6*sqrt(6)"
+    assert amplitudes["-,+"]["exact"] == "1/6*sqrt(3) - 1/6*sqrt(6)"
+    path.write_text("".join(f"{label} {entry['exact']}\n" for label, entry in amplitudes.items()))
+    (ket,) = parse_state_sections(path.read_text())
+    assert ket.amplitude((0, 1)) == parse_scalar("1/6*sqrt(6) - 1/6*sqrt(3)")
+    assert ket.amplitude((1, 0)) == -ket.amplitude((0, 1))
+
+
 def test_exact_fraction_strings_round_trip():
     _, output = run_cli(GOLDEN_COMMANDS["bell_reference"])
     payload = json.loads(output)["payload"]

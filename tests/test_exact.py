@@ -3,9 +3,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstat.errors import IncompatibleRadicandsError
-from spinstat.exact import ExactScalar, format_scalar, parse_scalar, squarefree_decompose
+from spinstat.exact import (
+    ONE,
+    ZERO,
+    ExactScalar,
+    format_scalar,
+    parse_scalar,
+    squarefree_decompose,
+)
+
+# Sums of up to four q*sqrt(r) terms; most draws have several radicands.
+single_terms = st.builds(
+    ExactScalar,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(min_value=0, max_value=40),
+)
+scalars = st.lists(single_terms, max_size=4).map(lambda terms: sum(terms, ZERO))
+
+
+def size(x: ExactScalar) -> float:
+    """Sum of the absolute values of the terms: the scale of float rounding."""
+    return sum(abs(float(q)) * math.sqrt(r) for r, q in x.terms)
 
 
 @pytest.mark.parametrize(
@@ -35,14 +57,37 @@ def test_sqrt_of_rationals():
         ExactScalar.sqrt(-1)
 
 
-def test_addition_requires_matching_radicand():
+def test_addition_across_radicands_is_exact():
     a = ExactScalar(Fraction(1, 2), 2)
     b = ExactScalar(Fraction(1, 3), 2)
     assert a + b == ExactScalar(Fraction(5, 6), 2)
     assert a - a == ExactScalar(0)
     assert a + ExactScalar(0) == a
-    with pytest.raises(IncompatibleRadicandsError):
-        a + ExactScalar(1, 3)
+    mixed = a + ExactScalar(1, 3)
+    assert mixed.terms == ((2, Fraction(1, 2)), (3, Fraction(1)))
+    assert mixed == ExactScalar(1, 3) + a
+    assert mixed - a == ExactScalar(1, 3)
+    assert float(mixed) == pytest.approx(math.sqrt(2) / 2 + math.sqrt(3))
+    # sqrt(2)*sqrt(3) = sqrt(6), and the cross terms of a square stay exact.
+    assert mixed * mixed == ExactScalar(Fraction(7, 2)) + ExactScalar(1, 6)
+    assert len({mixed, ExactScalar(1, 3) + a}) == 1
+
+
+def test_single_term_operations_refuse_several_terms():
+    mixed = ExactScalar(1, 2) - ExactScalar(1, 3)
+    for op in (
+        lambda: mixed.coefficient,
+        lambda: mixed.radicand,
+        mixed.squared,
+        mixed.inverse,
+        lambda: abs(mixed),
+        lambda: ExactScalar(1) / mixed,
+    ):
+        with pytest.raises(IncompatibleRadicandsError):
+            op()
+    assert mixed / 2 == ExactScalar(Fraction(1, 2), 2) - ExactScalar(Fraction(1, 2), 3)
+    assert mixed / ExactScalar(1, 6) == ExactScalar(Fraction(1, 3), 3) - ExactScalar(Fraction(1, 2), 2)
+    assert abs(ExactScalar(-2, 3)) == ExactScalar(2, 3)
 
 
 def test_multiplication_merges_radicands():
@@ -88,7 +133,10 @@ def test_float_conversion_accuracy():
 
 @pytest.mark.parametrize(
     "text",
-    ["0", "1", "-1", "2/3", "-5/7", "sqrt(2)", "-sqrt(3)", "1/2*sqrt(2)", "-3/4*sqrt(30)"],
+    [
+        "0", "1", "-1", "2/3", "-5/7", "sqrt(2)", "-sqrt(3)", "1/2*sqrt(2)", "-3/4*sqrt(30)",
+        "1/6*sqrt(3) - 1/6*sqrt(6)", "-1/2 + sqrt(2) - 2*sqrt(5)",
+    ],
 )
 def test_format_parse_round_trip(text):
     value = parse_scalar(text)
@@ -97,6 +145,43 @@ def test_format_parse_round_trip(text):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "sqrt()", "two", "1/2*sqrt(-3)", "1//2"]:
+    for bad in ["", "sqrt()", "two", "1/2*sqrt(-3)", "1//2", "1/0", "--1", "1 +", "sqrt(2) sqrt(3)"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+@settings(deadline=None)
+@given(scalars, scalars, scalars)
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a + (-a) == ZERO
+    assert hash(a * b) == hash(b * a)
+
+
+@settings(deadline=None)
+@given(scalars)
+def test_subtraction_cancels_and_form_is_canonical(a):
+    assert a - a == ZERO
+    assert not (a - a)
+    radicands = [r for r, _ in a.terms]
+    assert radicands == sorted(set(radicands))
+    assert all(q != 0 and squarefree_decompose(r) == (1, r) for r, q in a.terms)
+
+
+@settings(deadline=None)
+@given(scalars, scalars)
+def test_products_agree_with_floats(a, b):
+    assert abs(float(a * b) - float(a) * float(b)) <= 1e-12 * (1 + size(a) * size(b))
+
+
+@settings(deadline=None)
+@given(scalars)
+def test_text_form_round_trips(a):
+    text = format_scalar(a)
+    assert parse_scalar(text) == a
+    assert "+ -" not in text and "- -" not in text

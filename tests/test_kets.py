@@ -7,12 +7,12 @@ import pytest
 
 from conftest import random_exact_ket, random_float_ket
 from spinstat.errors import (
+    IncompatibleRadicandsError,
     ModeMismatchError,
     NotPermutableError,
-    RadicandFallbackWarning,
     ShapeError,
 )
-from spinstat.exact import ExactScalar
+from spinstat.exact import ExactScalar, parse_scalar
 from spinstat.kets import (
     Ket,
     Operator,
@@ -72,13 +72,27 @@ def test_inner_product_shape_error():
         inner_product(Ket.basis((2,), (0,)), make_state("singlet"))
 
 
-def test_inner_product_radicand_fallback_warns():
+def test_inner_product_across_radicands_is_exact():
     a = Ket((2,), {(0,): ExactScalar(1, 2), (1,): ExactScalar(1, 3)})
     b = Ket((2,), {(0,): ExactScalar(1), (1,): ExactScalar(1)})
-    with pytest.warns(RadicandFallbackWarning):
-        value = inner_product(a, b)
-    assert isinstance(value, complex)
-    assert value.real == pytest.approx(math.sqrt(2) + math.sqrt(3))
+    assert inner_product(a, b) == ExactScalar(1, 2) + ExactScalar(1, 3)
+    # (|+>+|->)/sqrt(2) against |+>/sqrt(3) + sqrt(2)|->/sqrt(3)
+    even = Ket((2,), {(0,): SQ2, (1,): SQ2})
+    tilted = Ket((2,), {(0,): ExactScalar.sqrt(Fraction(1, 3)), (1,): ExactScalar.sqrt(Fraction(2, 3))})
+    value = inner_product(even, tilted)
+    assert value == parse_scalar("1/3*sqrt(3) + 1/6*sqrt(6)")
+    assert str(value) == "1/3*sqrt(3) + 1/6*sqrt(6)"
+    assert float(value) == pytest.approx(math.sqrt(1 / 6) + math.sqrt(1 / 3))
+    total = even + tilted
+    assert total.amplitude((0,)) == SQ2 + ExactScalar.sqrt(Fraction(1, 3))
+    assert total.amplitude((1,)) == SQ2 + ExactScalar.sqrt(Fraction(2, 3))
+    assert total - tilted == even
+    assert str(total) == "(1/2*sqrt(2) + 1/3*sqrt(3))|0> + (1/2*sqrt(2) + 1/3*sqrt(6))|1>"
+    # |total|^2 = 2 + 2<even|tilted> is irrational: no exact normalization.
+    assert total.norm_squared() == ExactScalar(2) + value * 2
+    assert not total.is_normalized()
+    with pytest.raises(IncompatibleRadicandsError):
+        total.normalized()
 
 
 def test_inner_product_conjugate_symmetry(rng):
