@@ -19,7 +19,6 @@ from .errors import SpinstatError
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .kets import (
     Ket,
-    Operator,
     Permutation,
     inner_product,
     permute_slots,
@@ -31,7 +30,6 @@ from .measurement import (
     WignerReport,
     bell_inequality,
     joint_distribution,
-    outcome_projector,
     parse_pi_angle,
     search_violations,
     wigner_argument,
@@ -78,7 +76,6 @@ __all__ = [
     "CoupledState",
     "ExactScalar",
     "Ket",
-    "Operator",
     "Permutation",
     "PermutationExpansion",
     "ProbabilityTable",
@@ -107,7 +104,6 @@ __all__ = [
     "joint_distribution",
     "ladder_apply",
     "make_state",
-    "outcome_projector",
     "parse_pi_angle",
     "parse_scalar",
     "permute_slots",

@@ -23,6 +23,10 @@ DEFAULT_CRITICAL = 5.991
 
 SPIN_VALUES = (1, 0, -1)
 
+#: Draws made at once.  Chunked ``random()`` calls continue one Philox stream,
+#: so the counts do not depend on it; it bounds the memory of a large beam.
+DRAW_CHUNK = 1 << 20
+
 HYPOTHESES = {
     "uniform": SpinDistribution.uniform,
     "paper": SpinDistribution.half_weighted,
@@ -50,6 +54,8 @@ class BeamConfig:
     def __post_init__(self) -> None:
         if self.n_atoms < 0:
             raise InvalidValueError("atom count must be nonnegative")
+        if not 0 <= self.seed < 2**128:
+            raise InvalidValueError("seed must be in [0, 2**128), the Philox key range")
         hypothesis_distribution(self.hypothesis)  # validates the name
 
     def distribution(self) -> SpinDistribution:
@@ -82,10 +88,11 @@ def simulate_beam(config: BeamConfig) -> BeamResult:
     dist = config.distribution()
     edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    draws = rng.random(config.n_atoms)
-    cells = np.searchsorted(edges, draws, side="left")
-    counts = {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
-    return BeamResult(config, counts)
+    cells = np.zeros(len(SPIN_VALUES), dtype=np.int64)
+    for start in range(0, config.n_atoms, DRAW_CHUNK):
+        draws = rng.random(min(DRAW_CHUNK, config.n_atoms - start))
+        cells += np.bincount(np.searchsorted(edges, draws, side="left"), minlength=cells.size)
+    return BeamResult(config, dict(zip(SPIN_VALUES, cells.tolist())))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from . import beam as beam_mod
 from . import condprob as condprob_mod
 from . import measurement, permstats, rotations, spin_algebra
-from .errors import SpinstatError, StateFileError
+from .errors import InvalidValueError, SpinstatError, StateFileError
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .kets import Ket, index_of_m, spin_values
 
@@ -116,7 +116,7 @@ def positive_int_arg(text: str) -> int:
 def angle_arg(text: str) -> Fraction:
     try:
         return measurement.parse_pi_angle(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
 
 
@@ -188,7 +188,10 @@ def parse_state_sections(text: str) -> list[Ket]:
 
 def _read_states(path: str) -> list[Ket]:
     with open(path, encoding="utf-8") as fh:
-        return parse_state_sections(fh.read())
+        states = parse_state_sections(fh.read())
+    if not states:
+        raise StateFileError(f"{path}: no states")
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,8 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
             "max_deviation": isc.max_deviation,
         }
     if args.decompose:
+        if args.j is None:
+            raise InvalidValueError("--decompose needs --j")
         decomposition = rotations.decompose_spin_j_singlet(args.j)
         checks["decomposition"] = {
             "pairs": [

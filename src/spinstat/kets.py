@@ -243,6 +243,13 @@ class Ket:
             return n2 == 1
         return abs(n2 - 1.0) < tol
 
+    def to_array(self) -> np.ndarray:
+        """Dense complex amplitudes of shape ``dims``, indexed by label."""
+        psi = np.zeros(self.dims, dtype=complex)
+        for label, amp in self.amplitudes.items():
+            psi[label] = complex(amp)
+        return psi
+
     def to_float(self) -> "Ket":
         if self.mode != EXACT:
             return self
@@ -311,77 +318,6 @@ def permute_slots(ket: Ket, perm: Permutation) -> Ket:
         tuple(label[inv.image[i]] for i in range(perm.size)): amp
         for label, amp in ket.amplitudes.items()
     }
-    return Ket(ket.dims, amps)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A dense square matrix acting on one or more slots (float arithmetic)."""
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        size = math.prod(dims)
-        if matrix.shape != (size, size):
-            raise ShapeError(f"matrix shape {matrix.shape} does not match dims {dims}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "dims", dims)
-
-    def tensor(self, other: "Operator") -> "Operator":
-        return Operator(np.kron(self.matrix, other.matrix), self.dims + other.dims)
-
-    def apply(self, ket: Ket) -> Ket:
-        """Apply to a whole ket whose dims match this operator's dims."""
-        if ket.dims != self.dims:
-            raise ShapeError(f"operator dims {self.dims} != ket dims {ket.dims}")
-        kf = ket.to_float()
-        vec = np.zeros(math.prod(self.dims), dtype=complex)
-        for label, amp in kf.amplitudes.items():
-            vec[_flat_index(self.dims, label)] = amp
-        out = self.matrix @ vec
-        amps = {
-            _unflatten_index(self.dims, i): out[i]
-            for i in range(out.size)
-            if abs(out[i]) > 1e-15
-        }
-        return Ket(self.dims, amps)
-
-
-def _flat_index(dims: tuple[int, ...], label: Label) -> int:
-    idx = 0
-    for d, i in zip(dims, label):
-        idx = idx * d + i
-    return idx
-
-
-def _unflatten_index(dims: tuple[int, ...], idx: int) -> Label:
-    out = []
-    for d in reversed(dims):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
-
-
-def apply_to_slot(ket: Ket, matrix: np.ndarray, slot: int) -> Ket:
-    """Apply a single-slot matrix to one slot of a float-mode ket."""
-    kf = ket.to_float()
-    d = ket.dims[slot]
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (d, d):
-        raise ShapeError(f"matrix shape {matrix.shape} does not fit slot dimension {d}")
-    amps: dict[Label, complex] = {}
-    for label, amp in kf.amplitudes.items():
-        col = label[slot]
-        for row in range(d):
-            entry = matrix[row, col]
-            if entry == 0:
-                continue
-            target = label[:slot] + (row,) + label[slot + 1 :]
-            amps[target] = amps.get(target, 0j) + entry * amp
     return Ket(ket.dims, amps)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .exact import Rational
-from .kets import Ket, Operator
-from .rotations import HALF
+from .kets import Ket
+from .rotations import HALF, rotation_matrix
 
 Angle = Fraction | float  # Fraction means a rational multiple of pi
 Outcome = tuple[str, ...]
@@ -37,6 +37,8 @@ def parse_pi_angle(text: str) -> Fraction:
     if not m:
         raise ValueError(f"cannot parse angle {text!r}; use forms like pi/3, 2pi/3, 0")
     sign, num, den = m.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"angle {text!r} divides by zero")
     value = Fraction(int(num) if num else 1, int(den) if den else 1)
     return -value if sign == "-" else value
 
@@ -77,17 +79,6 @@ def exact_sin_squared(multiple: Fraction) -> Fraction | None:
     """sin^2(multiple*pi) as an exact fraction when representable."""
     c = rational_cos_pi(2 * multiple)
     return None if c is None else (1 - c) / 2
-
-
-def outcome_projector(theta: float, outcome: str, c: Rational | float = HALF) -> Operator:
-    """Rank-1 projector onto the rotated basis vector for ``+`` or ``-``."""
-    if outcome not in ("+", "-"):
-        raise ValueError(f"outcome must be '+' or '-', got {outcome!r}")
-    a = float(c) * theta
-    v = np.array([math.cos(a), math.sin(a)]) if outcome == "+" else np.array(
-        [-math.sin(a), math.cos(a)]
-    )
-    return Operator(np.outer(v, v), (2,))
 
 
 @dataclass(frozen=True)
@@ -139,23 +130,13 @@ def joint_distribution(
         raise ShapeError(
             f"{len(angles)} angles for {ket.n_particles} particles"
         )
-    kf = ket.to_float()
-    cf = float(c)
-    bases = []
-    for angle in angles:
-        a = cf * angle_to_radians(angle)
-        bases.append(((math.cos(a), math.sin(a)), (-math.sin(a), math.cos(a))))
-    table: dict[Outcome, float] = {}
-    for choice in itertools.product((0, 1), repeat=ket.n_particles):
-        amp = 0j
-        for label, v in kf.amplitudes.items():
-            w = v
-            for slot, out in enumerate(choice):
-                w *= bases[slot][out][label[slot]]
-            amp += w
-        outcome = tuple("+" if o == 0 else "-" for o in choice)
-        table[outcome] = abs(amp) ** 2
-    return ProbabilityTable(table)
+    n = ket.n_particles
+    r = rotation_matrix([angle_to_radians(a) for a in angles], c)
+    # Slot s is contracted with its own matrix: amp[o...] = Σ Π_s r[s, o_s, l_s] psi[l...].
+    operands = [x for s in range(n) for x in (r[s], [n + s, s])]
+    amp = np.einsum(*operands, ket.to_array(), list(range(n)), list(range(n, 2 * n)))
+    probs = (np.abs(amp) ** 2).ravel().tolist()
+    return ProbabilityTable(dict(zip(itertools.product("+-", repeat=n), probs)))
 
 
 BellMode = Literal["half", "full"]

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from spinstat.beam import (
+    DRAW_CHUNK,
+    SPIN_VALUES,
     BeamConfig,
     BeamResult,
     chi_square_discriminate,
@@ -28,6 +31,17 @@ def test_simulation_is_deterministic():
     assert first.counts == second.counts
     other_seed = simulate_beam(BeamConfig(5000, "paper", seed=987654321))
     assert other_seed.counts != first.counts
+
+
+@pytest.mark.parametrize("hypothesis, seed", [("paper", 7), ("uniform", 123)])
+def test_chunked_draws_match_one_shot_draws(hypothesis, seed):
+    n = DRAW_CHUNK + 12345
+    dist = hypothesis_distribution(hypothesis)
+    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    cells = np.searchsorted(edges, draws, side="left")
+    expected = {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
+    assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected
 
 
 def test_empty_beam():

@@ -3,17 +3,20 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstat.cli import main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
-from spinstat.rotations import make_state
+from spinstat.rotations import STATE_TAGS, make_state
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -96,7 +99,11 @@ BAD_INPUTS = {
     "zero-scale": (["algebra", "--n", "0", "--j", "1"], None, 1),
     "zero-angle-denominator": (["bell", "--gaps", "pi/0,pi,pi"], None, 2),
     "zero-grid": (["state", "singlet", "--check-invariance", "--grid", "0"], None, 2),
+    "zero-rate": (["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, 1),
+    "decompose-without-j": (["state", "singlet", "--decompose"], None, 1),
+    "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, 1),
     "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
+    "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", 1),
     "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", 1),
     "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", 1),
     "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", 1),
@@ -242,3 +249,164 @@ def test_module_entry_point_runs():
     assert completed.returncode == 0
     envelope = json.loads(completed.stdout)
     assert envelope["command"] == "state"
+
+
+def test_cli_import_leaves_scipy_out():
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, spinstat.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=str(Path(__file__).parent.parent),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI contract: every argv and state file ends with exit code 0,
+# 1 or 2, and exit 0 or 1 prints an envelope.  Sizes stay small: at most 4
+# states, --atoms <= 10^4, --denominator <= 12, spins <= 4.
+
+FRACTIONS = ("0", "1", "-1", "1/2", "3/2", "2", "5/2", "3", "4", "1/3", "-1/2", "1/0", "x", "")
+ANGLES = ("0", "pi", "pi/3", "2pi/3", "-pi/4", "7pi/12", "pi/0", "1.5", "x")
+INTS = ("-1", "0", "1", "2", "3", "12", "x")
+
+
+def _lists(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def _flags(draw, options):
+    """A random subset of ``options``: flag -> value strategy, or ``None`` for a switch."""
+    argv = []
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+COMMON = {
+    "--format": st.sampled_from(("json", "csv")),
+    "--mode": st.sampled_from(("exact", "float")),
+    "--seed": st.sampled_from(INTS),
+}
+
+PERM_OPS = ("antisymmetrize", "symmetrize", "classify", "signature", "energy", "other")
+LABEL_TOKENS = ("+", "-", "0", "1", "-1", "1/2", "-1/2", "3/2", "x")
+AMPLITUDES = (
+    "1", "-1", "1/2", "1/2*sqrt(2)", "-1/3*sqrt(3)", "1/6*sqrt(3) - 1/6*sqrt(6)", "0", "1/0", "x", ""
+)
+
+
+@st.composite
+def _state_text(draw):
+    sections = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines = []
+        if draw(st.booleans()):
+            dims = draw(st.lists(st.sampled_from(("1", "2", "3", "0", "x")), max_size=3))
+            lines.append(" ".join(["dims", *dims]))
+        for _ in range(draw(st.integers(0, 3))):
+            label = ",".join(draw(st.lists(st.sampled_from(LABEL_TOKENS), min_size=1, max_size=3)))
+            lines.append(f"{label} {draw(st.sampled_from(AMPLITUDES))}".rstrip())
+        if draw(st.booleans()):
+            lines.append("# comment")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"
+
+
+SUBCOMMANDS = {
+    "state": (
+        st.sampled_from((*STATE_TAGS, "nonsense")).map(lambda tag: [tag]),
+        {
+            "--j": st.sampled_from(FRACTIONS),
+            "--check-invariance": None,
+            "--check-isc": None,
+            "--decompose": None,
+            "--c": st.sampled_from(FRACTIONS),
+            "--grid": st.sampled_from(("1", "4", "36", "0", "x")),
+            "--tol": st.sampled_from(("1e-12", "0", "1", "nan")),
+        },
+    ),
+    "bell": (
+        st.just([]),
+        {
+            "--gaps": _lists(ANGLES),
+            "--formula": st.sampled_from(("half", "full", "other")),
+            "--search": None,
+            "--denominator": st.sampled_from(("1", "3", "6", "12", "0", "x")),
+        },
+    ),
+    "wigner": (
+        st.just([]),
+        {
+            "--angles": _lists(ANGLES),
+            "--variant": st.sampled_from(("same-state", "singlet-inclusive", "other")),
+            "--formula": st.sampled_from(("half", "full")),
+        },
+    ),
+    "perm": (
+        st.sampled_from(PERM_OPS).map(lambda op: [op]),
+        {
+            "--states": st.just("{states}"),
+            "--construction": st.sampled_from(("fd", "be", "mixed")),
+            "--levels": _lists(FRACTIONS),
+            "--count": st.sampled_from(INTS),
+        },
+    ),
+    "cg": (
+        st.just([]),
+        {"--j1": st.sampled_from(FRACTIONS), "--j2": st.sampled_from(FRACTIONS), "--photon": None},
+    ),
+    "algebra": (st.just([]), {"--n": st.sampled_from(INTS), "--j": st.sampled_from(FRACTIONS)}),
+    "condprob": (
+        st.just([]),
+        {
+            "--prior": _lists(FRACTIONS),
+            "--total": st.sampled_from(INTS),
+            "--compare-cg": None,
+            "--s": st.sampled_from(INTS),
+        },
+    ),
+    "beam": (
+        st.just([]),
+        {
+            "--atoms": st.sampled_from(("-1", "0", "1", "10", "100", "10000", "x")),
+            "--hypothesis": st.sampled_from(("uniform", "paper", "other")),
+            "--test-null": st.sampled_from(("uniform", "paper", "other")),
+            "--critical": st.sampled_from(("5.991", "0", "-1", "x")),
+        },
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    positional, options = SUBCOMMANDS[command]
+    return [command, *draw(positional), *draw(_flags({**options, **COMMON}))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv(), state_text=_state_text())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv, state_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "states.txt"
+        path.write_text(state_text)
+        argv = [str(path) if arg == "{states}" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        return
+    if "csv" in argv:
+        assert out.getvalue().startswith("key,value\n")
+        return
+    envelope = json.loads(out.getvalue())
+    jsonschema.validate(envelope, load_schema())
+    assert ("error" in envelope) == (code == 1)

@@ -2,7 +2,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import random_exact_ket, random_float_ket
@@ -15,7 +14,6 @@ from spinstat.errors import (
 from spinstat.exact import ExactScalar, parse_scalar
 from spinstat.kets import (
     Ket,
-    Operator,
     Permutation,
     inner_product,
     permute_slots,
@@ -172,11 +170,3 @@ def test_scaling_follows_the_ket_mode():
     assert floaty.mode == "float"
     assert floaty.amplitude((0, 1)) == pytest.approx(math.sqrt(2))
 
-
-def test_operator_apply_and_tensor():
-    flip = Operator(np.array([[0, 1], [1, 0]]), (2,))
-    both = flip.tensor(flip)
-    out = both.apply(make_state("singlet"))
-    assert out.isclose(-make_state("singlet").to_float())
-    with pytest.raises(ShapeError):
-        Operator(np.eye(3), (2,))

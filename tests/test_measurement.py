@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from spinstat.measurement import (
     exact_sin_squared,
     format_pi_angle,
     joint_distribution,
-    outcome_projector,
     parse_pi_angle,
     rational_cos_pi,
     search_violations,
@@ -34,6 +34,8 @@ def test_parse_and_format_pi_angles():
     assert format_pi_angle(Fraction(0)) == "0"
     with pytest.raises(ValueError):
         parse_pi_angle("1.5")
+    with pytest.raises(ValueError):
+        parse_pi_angle("pi/0")
 
 
 def test_rational_cosine_table():
@@ -45,16 +47,6 @@ def test_rational_cosine_table():
     assert exact_sin_squared(Fraction(1, 3)) == Fraction(3, 4)
     assert exact_sin_squared(Fraction(1, 6)) == Fraction(1, 4)
     assert exact_sin_squared(Fraction(1, 12)) is None
-
-
-def test_outcome_projector_examples():
-    assert np.allclose(outcome_projector(0.0, "+").matrix, np.diag([1, 0]))
-    assert np.allclose(outcome_projector(0.0, "-").matrix, np.diag([0, 1]))
-    theta = math.pi / 3
-    total = outcome_projector(theta, "+").matrix + outcome_projector(theta, "-").matrix
-    assert np.allclose(total, np.eye(2), atol=1e-15)
-    p = outcome_projector(theta, "+").matrix
-    assert np.allclose(p @ p, p, atol=1e-15)
 
 
 def test_joint_distribution_singlet_equal_angles():
@@ -102,6 +94,24 @@ def test_joint_distribution_shape_guards():
         joint_distribution(make_state("singlet"), (0.0,))
     with pytest.raises(ShapeError):
         joint_distribution(Ket.basis((3, 3), (0, 0)), (0.0, 0.0))
+
+
+def test_three_particle_tables_match_a_kron_oracle(rng):
+    for _ in range(50):
+        ket = random_float_ket(rng, (2, 2, 2), support=5).normalized()
+        angles = [Fraction(rng.randrange(24), 12), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
+        rng.shuffle(angles)
+        c = rng.choice([HALF, 1])
+        rotations = []
+        for angle in angles:
+            a = float(c) * (float(angle) * math.pi if isinstance(angle, Fraction) else angle)
+            rotations.append(np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]))
+        labels = itertools.product(range(2), repeat=3)
+        vec = np.array([complex(ket.amplitude(label)) for label in labels])
+        probs = np.abs(np.kron(np.kron(rotations[0], rotations[1]), rotations[2]) @ vec) ** 2
+        table = joint_distribution(ket, angles, c=c)
+        for outcome, p in zip(itertools.product("+-", repeat=3), probs):
+            assert table.probability(outcome) == pytest.approx(p, abs=1e-13)
 
 
 def test_tables_sum_to_one_on_random_states(rng):

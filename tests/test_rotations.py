@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_float_ket
-from spinstat.errors import InvalidSpinError, ShapeError, UnknownTagError
+from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, UnknownTagError
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, index_of_m, inner_product
 from spinstat.rotations import (
@@ -73,19 +73,24 @@ def test_unknown_tag_and_bad_spin():
 
 
 def test_rotation_matrix_examples():
-    assert np.allclose(rotation_matrix(0.0, 1).matrix, np.eye(2))
+    assert np.allclose(rotation_matrix(0.0, 1), np.eye(2))
     assert np.allclose(
-        rotation_matrix(math.pi, HALF).matrix, np.array([[0, 1], [-1, 0]]), atol=1e-15
+        rotation_matrix(math.pi, HALF), np.array([[0, 1], [-1, 0]]), atol=1e-15
     )
-    assert np.allclose(rotation_matrix(math.pi, 1).matrix, -np.eye(2), atol=1e-15)
+    assert np.allclose(rotation_matrix(math.pi, 1), -np.eye(2), atol=1e-15)
 
 
 @pytest.mark.parametrize("c", [HALF, 1, 2, Fraction(3, 2)])
 def test_rotation_matrix_orthogonal_unit_determinant(c):
     for theta in grid_angles(36):
-        r = rotation_matrix(theta, c).matrix.real
+        r = rotation_matrix(theta, c)
         assert np.max(np.abs(r.T @ r - np.eye(2))) < 1e-14
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+    angles = np.array(grid_angles(36)).reshape(8, 5)
+    stack = rotation_matrix(angles, c)
+    assert stack.shape == (8, 5, 2, 2)
+    for index in np.ndindex(angles.shape):
+        assert np.array_equal(stack[index], rotation_matrix(angles[index], c))
 
 
 def test_invariance_of_catalog():
@@ -102,6 +107,51 @@ def test_invariance_in_float_mode():
     assert ok.invariant and ok.max_deviation < 1e-12
     bad = is_rotationally_invariant(make_state("triplet_zero").to_float())
     assert not bad.invariant
+
+
+def _kron_rotated(ket, c, angles):
+    """Oracle: the flat amplitudes, and np.kron(R, R) @ vec at each angle in turn."""
+    vec = np.array([complex(ket.amplitude(label)) for label in [(0, 0), (0, 1), (1, 0), (1, 1)]])
+    out = []
+    for theta in angles:
+        a = float(c) * theta
+        r = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+        out.append(np.kron(r, r) @ vec)
+    return vec, out
+
+
+@pytest.mark.parametrize("c", [HALF, 1])
+def test_grid_checks_match_a_kron_oracle(rng, c):
+    angles = grid_angles(90)
+    kets = [random_float_ket(rng, (2, 2)).normalized() for _ in range(8)]
+    for ket in kets + [make_state("singlet").to_float(), make_state("improper_singlet").to_float()]:
+        vec, rotated = _kron_rotated(ket, c, angles)
+        worst = max(np.linalg.norm(v - vec) for v in rotated)
+        invariance = is_rotationally_invariant(ket, c=c, grid=90)
+        assert invariance.max_deviation == pytest.approx(worst, abs=1e-13)
+
+        deviations = []
+        for v in rotated:
+            pp, pm, mp, mm = np.abs(v) ** 2
+            same = max(abs(pp - 0.5), abs(mm - 0.5), pm, mp)
+            opposite = max(abs(pm - 0.5), abs(mp - 0.5), pp, mm)
+            deviations.append(min(same, opposite))
+        worst = max(deviations)
+        result = is_isc(ket, c=c, grid=90)
+        assert result.max_deviation == pytest.approx(worst, abs=1e-13)
+        if worst < 1e-12:
+            assert result.isc and result.witness_angle is None
+        else:
+            assert not result.isc
+            first = next(t for t, d in zip(angles, deviations) if d >= worst - 1e-9)
+            assert result.witness_angle == first
+
+
+def test_zero_rate_is_rejected():
+    # At c = 0 every rotation is the identity, so any state would pass.
+    for check in (is_rotationally_invariant, is_isc):
+        with pytest.raises(InvalidValueError):
+            check(make_state("improper_singlet"), c=0)
 
 
 def test_invariance_shape_guard():
