@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .condprob import SpinDistribution
 from .errors import InsufficientSampleError, InvalidValueError, UnknownTagError
 
@@ -85,6 +83,8 @@ class BeamResult:
 
 def simulate_beam(config: BeamConfig) -> BeamResult:
     """Draw ``n_atoms`` independent spin readings under the hypothesis."""
+    import numpy as np
+
     dist = config.distribution()
     edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
     rng = np.random.Generator(np.random.Philox(key=config.seed))

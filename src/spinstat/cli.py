@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -93,7 +94,7 @@ def emit(envelope: dict[str, Any], fmt: str) -> None:
             value = value.replace('"', '""')
             sys.stdout.write(f'{key},"{value}"\n')
     else:
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,16 @@ def positive_int_arg(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return int(text)
+
+
+def positive_float_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
 
 
 def angle_arg(text: str) -> Fraction:
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decompose", action="store_true", help="two-level components (spin_j_singlet)")
     p.add_argument("--c", type=fraction_arg, default=Fraction(1, 2), help="rotation rate")
     p.add_argument("--grid", type=positive_int_arg, default=360)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=positive_float_arg, default=1e-12)
     _add_common(p)
     p.set_defaults(handler=cmd_state)
 
@@ -513,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--hypothesis", choices=("uniform", "paper"), default="paper")
     p.add_argument("--test-null", choices=("uniform", "paper"), default=None)
-    p.add_argument("--critical", type=float, default=beam_mod.DEFAULT_CRITICAL)
+    p.add_argument("--critical", type=positive_float_arg, default=beam_mod.DEFAULT_CRITICAL)
     _add_common(p)
     p.set_defaults(handler=cmd_beam)
 

@@ -13,9 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import (
     IncompatibleRadicandsError,
@@ -25,6 +23,11 @@ from .errors import (
     ShapeError,
 )
 from .exact import ZERO, ExactScalar, Rational
+
+# Functions that compute with arrays import numpy themselves, so exact
+# callers, and most CLI subcommands, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 Label = tuple[int, ...]
 Scalar = ExactScalar | complex
@@ -245,6 +248,8 @@ class Ket:
 
     def to_array(self) -> np.ndarray:
         """Dense complex amplitudes of shape ``dims``, indexed by label."""
+        import numpy as np
+
         psi = np.zeros(self.dims, dtype=complex)
         for label, amp in self.amplitudes.items():
             psi[label] = complex(amp)

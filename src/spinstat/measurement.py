@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ShapeError
 from .exact import Rational
 from .kets import Ket
@@ -124,6 +122,8 @@ def joint_distribution(
     c: Rational | float = HALF,
 ) -> ProbabilityTable:
     """Joint outcome distribution when slot ``i`` is read along ``angles[i]``."""
+    import numpy as np
+
     if any(d != 2 for d in ket.dims):
         raise ShapeError(f"measurement needs spin-1/2 slots, got dims {ket.dims}")
     if len(angles) != ket.n_particles:

@@ -15,15 +15,19 @@ joint outcome distribution sits on two complementary cells of weight 1/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSpinError, InvalidValueError, ShapeError, UnknownTagError
 from .exact import ExactScalar, Rational
 from .kets import FLOAT, Ket, index_of_m
+
+# Functions that compute with arrays import numpy themselves, so exact
+# callers, and most CLI subcommands, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF = Fraction(1, 2)
 
@@ -31,12 +35,17 @@ HALF = Fraction(1, 2)
 #: period mismatches that a uniform grid can step over.
 EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
 
+#: Above this rate the float angle ``c * theta`` overflows within one turn.
+_MAX_FLOAT_RATE = sys.float_info.max / (2 * math.pi)
+
 
 def rotation_matrix(theta: float | np.ndarray, c: Rational | float = HALF) -> np.ndarray:
     """Single-slot rotation matrix at polar angle ``theta``.
 
     An array of angles gives a stack of matrices of shape ``(..., 2, 2)``.
     """
+    import numpy as np
+
     a = float(c) * np.asarray(theta, dtype=float)
     cos, sin = np.cos(a), np.sin(a)
     # Filling one array is a few times faster than nested np.stack, which
@@ -167,11 +176,17 @@ def _generator_annihilates(ket: Ket) -> bool:
 
 def _paired_rotation(ket: Ket, c: Rational | float, angles: list[float]) -> np.ndarray:
     """``(R ⊗ R)|psi>`` at every angle, as an array of shape ``(len(angles), 2, 2)``."""
+    import numpy as np
+
+    if abs(c) > _MAX_FLOAT_RATE:
+        raise InvalidValueError("rotation rate c is too large for float angles")
     r = rotation_matrix(angles, c)
     return np.einsum("gij,gkl,jl->gik", r, r, ket.to_array())
 
 
 def _max_grid_deviation(ket: Ket, c: Rational | float, angles: list[float]) -> float:
+    import numpy as np
+
     rotated = _paired_rotation(ket, c, angles)
     return float(np.linalg.norm(rotated - ket.to_array(), axis=(1, 2)).max())
 
@@ -197,7 +212,7 @@ def is_rotationally_invariant(
 
 #: The two valid outcome patterns of a perfectly correlated pair: both
 #: readings the same, or both opposite, each with probability 1/2.
-_ISC_PATTERNS = np.array([[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]])
+_ISC_PATTERNS = (((0.5, 0.0), (0.0, 0.5)), ((0.0, 0.5), (0.5, 0.0)))
 
 
 class IscResult(NamedTuple):
@@ -219,10 +234,12 @@ def is_isc(
     On failure the angle with the largest deviation from the nearer valid
     pattern is reported as a witness.
     """
+    import numpy as np
+
     _check_pair_and_rate(ket, c)
     angles = grid_angles(grid)
     p = np.abs(_paired_rotation(ket, c, angles)) ** 2
-    deviation = np.abs(p[:, None] - _ISC_PATTERNS).max(axis=(2, 3)).min(axis=1)
+    deviation = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)
     worst = float(deviation.max())
     if worst < tol:
         return IscResult(True, None, worst)

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Mapping, Sequence
 
 from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
 from .kets import Ket
 from .rotations import check_spin
+
+# Functions that compute with arrays import numpy themselves, so exact
+# callers, and most CLI subcommands, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_COUPLED_SPIN = Fraction(3)
 
@@ -120,6 +123,8 @@ class ExactMatrix:
         return max((abs(float(e)) for row in self.rows for e in row), default=0.0)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(e) for e in row] for row in self.rows])
 
 
@@ -212,6 +217,8 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     if n < 1:
         raise InvalidValueError("scale n must be a positive integer")
     j = check_spin(j)
+    if j > MAX_COUPLED_SPIN:
+        raise SizeLimitError(f"the algebra check supports spins up to {MAX_COUPLED_SPIN}")
     ops = angular_momentum_matrices(j)
     sx = ops.lx.scale(n)
     sy_imag = ops.ly_imag.scale(n)
@@ -436,6 +443,8 @@ def coupled_operators(
 
     Float companions to the exact tables, for residual checks.
     """
+    import numpy as np
+
     a = angular_momentum_matrices(j1).to_numpy()
     b = angular_momentum_matrices(j2).to_numpy()
     d1 = a["lz"].shape[0]

@@ -91,27 +91,35 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# Each case expects exit 2 (a usage error) or exit 1 with the named error code.
 BAD_INPUTS = {
-    "negative-atoms": (["beam", "--atoms", "-1"], None, 1),
-    "negative-count": (["perm", "energy", "--levels", "1,2", "--count", "-1"], None, 1),
-    "descending-levels": (["perm", "energy", "--levels", "2,1", "--count", "1"], None, 1),
-    "prior-sum": (["condprob", "--prior", "1/2,1/2,1/2"], None, 1),
-    "zero-scale": (["algebra", "--n", "0", "--j", "1"], None, 1),
+    "negative-atoms": (["beam", "--atoms", "-1"], None, "invalid-value"),
+    "negative-count": (["perm", "energy", "--levels", "1,2", "--count", "-1"], None, "invalid-value"),
+    "descending-levels": (["perm", "energy", "--levels", "2,1", "--count", "1"], None, "invalid-value"),
+    "prior-sum": (["condprob", "--prior", "1/2,1/2,1/2"], None, "invalid-value"),
+    "zero-scale": (["algebra", "--n", "0", "--j", "1"], None, "invalid-value"),
+    "algebra-spin-above-limit": (["algebra", "--n", "1", "--j", "20"], None, "size-limit"),
     "zero-angle-denominator": (["bell", "--gaps", "pi/0,pi,pi"], None, 2),
     "zero-grid": (["state", "singlet", "--check-invariance", "--grid", "0"], None, 2),
-    "zero-rate": (["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, 1),
-    "decompose-without-j": (["state", "singlet", "--decompose"], None, 1),
-    "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, 1),
+    "negative-tol": (["state", "singlet", "--check-isc", "--tol", "-1"], None, 2),
+    "zero-rate": (
+        ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
+    ),
+    "overflowing-rate": (["state", "improper_singlet", "--check-isc", "--c", "1e308"], None, "invalid-value"),
+    "decompose-without-j": (["state", "singlet", "--decompose"], None, "invalid-value"),
+    "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, "invalid-value"),
+    "critical-nan": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "nan"], None, 2),
+    "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
     "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
-    "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", 1),
-    "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", 1),
-    "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", 1),
-    "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", 1),
-    "zero-amplitude-denominator": (["perm", "antisymmetrize", "--states"], "+ 1/0\n", 1),
+    "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", "state-file"),
+    "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", "state-file"),
+    "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", "state-file"),
+    "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", "state-file"),
+    "zero-amplitude-denominator": (["perm", "antisymmetrize", "--states"], "+ 1/0\n", "state-file"),
     "irrational-norm": (
         ["perm", "symmetrize", "--states"],
         "+ 1/2*sqrt(2)\n- 1/2*sqrt(2)\n\n+ 1/3*sqrt(3)\n- 1/3*sqrt(6)\n",
-        1,
+        "incompatible-radicands",
     ),
 }
 
@@ -126,11 +134,11 @@ def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, sta
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    assert code == expected
+    assert code == (2 if expected == 2 else 1)
     if code == 1:
         envelope = json.loads(capsys.readouterr().out)
         jsonschema.validate(envelope, load_schema())
-        assert envelope["error"]["code"] in {"invalid-value", "state-file", "incompatible-radicands"}
+        assert envelope["error"]["code"] == expected
 
 
 def test_state_file_takes_printed_amplitudes(tmp_path):
@@ -253,13 +261,49 @@ def test_module_entry_point_runs():
 
 def test_cli_import_leaves_scipy_out():
     completed = subprocess.run(
-        [sys.executable, "-c", "import sys, spinstat.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, spinstat.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
         capture_output=True,
         text=True,
         cwd=str(Path(__file__).parent.parent),
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    assert completed.stdout.split() == ["False", "False"]
+
+
+# Exact commands must run without numpy; the array commands are positive
+# controls, so the check cannot pass by never seeing numpy at all.
+COLD_COMMANDS = {
+    **{
+        name: (argv, 0, False)
+        for name, argv in GOLDEN_COMMANDS.items()
+        if name not in ("state_singlet", "beam_seeded")
+    },
+    "cg_3x3_csv": (["cg", "--j1", "3", "--j2", "3", "--format", "csv"], 0, False),
+    "perm_energy_capacity": (["perm", "energy", "--levels", "1,2", "--count", "5"], 1, False),
+    "state_singlet_invariance": (["state", "singlet", "--check-invariance"], 0, False),
+    "state_singlet_isc": (["state", "singlet", "--check-isc"], 0, True),
+    "beam_atoms_10": (["beam", "--atoms", "10"], 0, True),
+}
+
+MODULES_AFTER_MAIN = """
+import contextlib, io, sys
+from spinstat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code, loads_numpy", COLD_COMMANDS.values(), ids=COLD_COMMANDS)
+def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
+    completed = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(Path(__file__).parent.parent),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == [str(exit_code), str(loads_numpy), "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +370,7 @@ SUBCOMMANDS = {
             "--decompose": None,
             "--c": st.sampled_from(FRACTIONS),
             "--grid": st.sampled_from(("1", "4", "36", "0", "x")),
-            "--tol": st.sampled_from(("1e-12", "0", "1", "nan")),
+            "--tol": st.sampled_from(("1e-12", "0", "1", "-1", "nan")),
         },
     ),
     "bell": (
@@ -375,7 +419,7 @@ SUBCOMMANDS = {
             "--atoms": st.sampled_from(("-1", "0", "1", "10", "100", "10000", "x")),
             "--hypothesis": st.sampled_from(("uniform", "paper", "other")),
             "--test-null": st.sampled_from(("uniform", "paper", "other")),
-            "--critical": st.sampled_from(("5.991", "0", "-1", "x")),
+            "--critical": st.sampled_from(("5.991", "0", "-1", "nan", "inf", "x")),
         },
     ),
 }
@@ -386,6 +430,10 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     positional, options = SUBCOMMANDS[command]
     return [command, *draw(positional), *draw(_flags({**options, **COMMON}))]
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,6 +455,6 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv, state_text):
     if "csv" in argv:
         assert out.getvalue().startswith("key,value\n")
         return
-    envelope = json.loads(out.getvalue())
+    envelope = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     jsonschema.validate(envelope, load_schema())
     assert ("error" in envelope) == (code == 1)

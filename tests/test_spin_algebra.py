@@ -230,3 +230,6 @@ def test_cg_tables_match_sympy_racah_formula(j1, j2):
 def test_size_guard():
     with pytest.raises(SizeLimitError):
         cg_decompose(4, 1)
+    assert verify_rescaled_algebra(1, 3).holds
+    with pytest.raises(SizeLimitError):
+        verify_rescaled_algebra(1, Fraction(7, 2))
