@@ -13,14 +13,19 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import beam as beam_mod
-from . import condprob as condprob_mod
-from . import measurement, permstats, rotations, spin_algebra
+# Each handler imports the modules it computes with, so a cold process loads
+# only what its subcommand reaches.  rotations stays here: the state parser
+# takes its STATE_TAGS as choices.
+from . import rotations
 from .errors import InvalidValueError, SpinstatError, StateFileError
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .kets import Ket, index_of_m, spin_values
+
+if TYPE_CHECKING:
+    from .measurement import BellEvaluation
+    from .spin_algebra import CoupledState
 
 SCHEMA_VERSION = "1.0"
 
@@ -34,14 +39,17 @@ FLOAT = "float"
 
 def scalar_payload(value: Any, mode: str) -> Any:
     """Serialize exact values as {"exact": ..., "value": ...} pairs."""
-    if isinstance(value, ExactScalar):
+    if isinstance(value, (ExactScalar, Fraction)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isinf(number):
+            raise InvalidValueError("an exact result is too large to print as a float")
         if mode == FLOAT:
-            return float(value)
-        return {"exact": format_scalar(value), "value": float(value)}
-    if isinstance(value, Fraction):
-        if mode == FLOAT:
-            return float(value)
-        return {"exact": str(value), "value": float(value)}
+            return number
+        exact = format_scalar(value) if isinstance(value, ExactScalar) else str(value)
+        return {"exact": exact, "value": number}
     if isinstance(value, complex):
         return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
     return value
@@ -63,7 +71,7 @@ def ket_payload(ket: Ket, mode: str) -> dict[str, Any]:
     return {"dims": list(ket.dims), "amplitudes": amplitudes}
 
 
-def coupled_payload(state: spin_algebra.CoupledState, mode: str) -> dict[str, Any]:
+def coupled_payload(state: CoupledState, mode: str) -> dict[str, Any]:
     return {
         "s": str(state.s),
         "m": str(state.m),
@@ -125,6 +133,8 @@ def positive_float_arg(text: str) -> float:
 
 
 def angle_arg(text: str) -> Fraction:
+    from . import measurement
+
     try:
         return measurement.parse_pi_angle(text)
     except ValueError as exc:
@@ -252,7 +262,9 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
     return payload
 
 
-def _bell_payload(ev: measurement.BellEvaluation, mode: str) -> dict[str, Any]:
+def _bell_payload(ev: BellEvaluation, mode: str) -> dict[str, Any]:
+    from . import measurement
+
     return {
         "gaps": [measurement.format_pi_angle(g) for g in (ev.theta_ij, ev.theta_jk, ev.theta_ki)],
         "formula": ev.mode,
@@ -265,6 +277,8 @@ def _bell_payload(ev: measurement.BellEvaluation, mode: str) -> dict[str, Any]:
 
 
 def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
+    from . import measurement
+
     if args.search:
         violations = measurement.search_violations(
             denominator=args.denominator, mode=args.formula
@@ -289,6 +303,8 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_wigner(args: argparse.Namespace) -> dict[str, Any]:
+    from . import measurement
+
     if len(args.angles) != 3:
         raise SpinstatError("wigner needs --angles with three comma-separated angles")
     report = measurement.wigner_argument(
@@ -313,6 +329,8 @@ def cmd_wigner(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
+    from . import permstats
+
     if args.op == "energy":
         if args.levels is None or args.count is None:
             raise SpinstatError("perm energy needs --levels and --count")
@@ -350,6 +368,8 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
+    from . import spin_algebra
+
     if args.photon:
         table = spin_algebra.photon_pair_table()
         top = table[(Fraction(2), Fraction(2))]
@@ -369,6 +389,8 @@ def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_algebra(args: argparse.Namespace) -> dict[str, Any]:
+    from . import spin_algebra
+
     check = spin_algebra.verify_rescaled_algebra(args.n, args.j)
     return {
         "n": check.n,
@@ -380,11 +402,13 @@ def cmd_algebra(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
+    from . import condprob
+
     if args.prior is None:
         raise SpinstatError("condprob needs --prior p(+1),p(0),p(-1)")
     if len(args.prior) != 3:
         raise SpinstatError("--prior needs exactly three probabilities")
-    dist = condprob_mod.SpinDistribution(
+    dist = condprob.SpinDistribution(
         Fraction(1), dict(zip((Fraction(1), Fraction(0), Fraction(-1)), args.prior))
     )
     payload: dict[str, Any] = {
@@ -392,7 +416,7 @@ def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
         "total": str(args.total),
     }
     if args.compare_cg:
-        comparison = condprob_mod.compare_with_cg(dist, args.total, s=args.s)
+        comparison = condprob.compare_with_cg(dist, args.total, s=args.s)
         payload["table"] = {
             f"{m1},{m2}": scalar_payload(p, args.mode)
             for (m1, m2), p in sorted(comparison.conditional.items(), reverse=True)
@@ -407,7 +431,7 @@ def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
             "matches": comparison.matches,
         }
     else:
-        table = condprob_mod.conditional_given_total(dist, dist, args.total)
+        table = condprob.conditional_given_total(dist, dist, args.total)
         payload["table"] = {
             f"{m1},{m2}": scalar_payload(p, args.mode)
             for (m1, m2), p in sorted(table.items(), reverse=True)
@@ -416,8 +440,10 @@ def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_beam(args: argparse.Namespace) -> dict[str, Any]:
-    config = beam_mod.BeamConfig(args.atoms, args.hypothesis, args.seed)
-    result = beam_mod.simulate_beam(config)
+    from . import beam
+
+    config = beam.BeamConfig(args.atoms, args.hypothesis, args.seed)
+    result = beam.simulate_beam(config)
     payload: dict[str, Any] = {
         "atoms": config.n_atoms,
         "hypothesis": config.hypothesis,
@@ -426,9 +452,8 @@ def cmd_beam(args: argparse.Namespace) -> dict[str, Any]:
         "proportions": {(f"{v:+d}" if v else "0"): p for v, p in result.proportions.items()},
     }
     if args.test_null:
-        report = beam_mod.chi_square_discriminate(
-            result, args.test_null, critical=args.critical
-        )
+        critical = beam.DEFAULT_CRITICAL if args.critical is None else args.critical
+        report = beam.chi_square_discriminate(result, args.test_null, critical=critical)
         payload["chi_square"] = {
             "null": report.null_hypothesis,
             "statistic": report.statistic,
@@ -524,7 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--hypothesis", choices=("uniform", "paper"), default="paper")
     p.add_argument("--test-null", choices=("uniform", "paper"), default=None)
-    p.add_argument("--critical", type=positive_float_arg, default=beam_mod.DEFAULT_CRITICAL)
+    p.add_argument(
+        "--critical",
+        type=positive_float_arg,
+        default=None,
+        help="chi-square critical value (default: the 5%% point for 2 degrees of freedom)",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_beam)
 

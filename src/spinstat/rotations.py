@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidSpinError, InvalidValueError, ShapeError, UnknownTagError
+from .errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from .exact import ExactScalar, Rational
 from .kets import FLOAT, Ket, index_of_m
 
@@ -34,6 +34,10 @@ HALF = Fraction(1, 2)
 #: Extra probe angles appended to every evenly spaced grid; these catch
 #: period mismatches that a uniform grid can step over.
 EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
+
+#: Largest spin :func:`spin_j_singlet` builds; the state has ``2j + 1``
+#: terms, and ``--decompose`` at spin 100 already takes about half a second.
+MAX_SINGLET_SPIN = Fraction(100)
 
 #: Above this rate the float angle ``c * theta`` overflows within one turn.
 _MAX_FLOAT_RATE = sys.float_info.max / (2 * math.pi)
@@ -102,11 +106,14 @@ def spin_j_singlet(j: Rational) -> Ket:
     """Total-spin-zero pair of two spin-j particles.
 
     Coefficient of |m,-m> is (-1)**(j-m) / sqrt(2j+1), the alternating-sign
-    expansion whose j=1/2 case is the ordinary singlet.
+    expansion whose j=1/2 case is the ordinary singlet.  A spin above
+    :data:`MAX_SINGLET_SPIN` raises :class:`SizeLimitError`.
     """
     j = check_spin(j)
     if j == 0:
         raise InvalidSpinError("spin-0 pair has no nontrivial singlet")
+    if j > MAX_SINGLET_SPIN:
+        raise SizeLimitError(f"the spin-j singlet supports spins up to {MAX_SINGLET_SPIN}")
     dim = int(2 * j + 1)
     weight = ExactScalar.sqrt(Fraction(1, dim))
     amps: dict[tuple[int, int], ExactScalar] = {}

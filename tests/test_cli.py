@@ -106,11 +106,19 @@ BAD_INPUTS = {
         ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
     ),
     "overflowing-rate": (["state", "improper_singlet", "--check-isc", "--c", "1e308"], None, "invalid-value"),
+    "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], None, "size-limit"),
     "decompose-without-j": (["state", "singlet", "--decompose"], None, "invalid-value"),
     "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, "invalid-value"),
     "critical-nan": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "nan"], None, 2),
     "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
     "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
+    "search-denominator-above-limit": (["bell", "--search", "--denominator", "49"], None, "size-limit"),
+    "exact-value-beyond-float": (
+        ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], None, "invalid-value"
+    ),
+    "exact-value-beyond-float-in-float-mode": (
+        ["perm", "energy", "--levels", "1e400,1e401", "--count", "1", "--mode", "float"], None, "invalid-value"
+    ),
     "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", "state-file"),
     "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", "state-file"),
     "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", "state-file"),
@@ -271,7 +279,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 # Exact commands must run without numpy; the array commands are positive
-# controls, so the check cannot pass by never seeing numpy at all.
+# controls, so the check cannot pass by never seeing numpy at all.  Each
+# command must also load exactly the spinstat modules its subcommand reaches.
 COLD_COMMANDS = {
     **{
         name: (argv, 0, False)
@@ -285,12 +294,26 @@ COLD_COMMANDS = {
     "beam_atoms_10": (["beam", "--atoms", "10"], 0, True),
 }
 
+# The modules cli.py imports itself, and those each subcommand adds.
+CLI_MODULES = {"cli", "errors", "exact", "kets", "rotations"}
+SUBCOMMAND_MODULES = {
+    "state": set(),
+    "bell": {"measurement"},
+    "wigner": {"measurement"},
+    "perm": {"permstats"},
+    "cg": {"spin_algebra"},
+    "algebra": {"spin_algebra"},
+    "condprob": {"condprob", "spin_algebra"},
+    "beam": {"beam", "condprob", "spin_algebra"},
+}
+
 MODULES_AFTER_MAIN = """
 import contextlib, io, sys
 from spinstat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)
+spinstat_modules = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('spinstat.'))
+print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, ','.join(spinstat_modules))
 """
 
 
@@ -303,7 +326,8 @@ def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
         cwd=str(Path(__file__).parent.parent),
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.split() == [str(exit_code), str(loads_numpy), "False"]
+    modules = ",".join(sorted(CLI_MODULES | SUBCOMMAND_MODULES[argv[0]]))
+    assert completed.stdout.split() == [str(exit_code), str(loads_numpy), "False", modules]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +335,7 @@ def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
 # 1 or 2, and exit 0 or 1 prints an envelope.  Sizes stay small: at most 4
 # states, --atoms <= 10^4, --denominator <= 12, spins <= 4.
 
-FRACTIONS = ("0", "1", "-1", "1/2", "3/2", "2", "5/2", "3", "4", "1/3", "-1/2", "1/0", "x", "")
+FRACTIONS = ("0", "1", "-1", "1/2", "3/2", "2", "5/2", "3", "4", "1/3", "-1/2", "1e400", "1/0", "x", "")
 ANGLES = ("0", "pi", "pi/3", "2pi/3", "-pi/4", "7pi/12", "pi/0", "1.5", "x")
 INTS = ("-1", "0", "1", "2", "3", "12", "x")
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_float_ket
-from spinstat.errors import ShapeError
+from spinstat.errors import ShapeError, SizeLimitError
 from spinstat.kets import Ket
 from spinstat.measurement import (
+    MAX_SEARCH_DENOMINATOR,
     bell_inequality,
     exact_sin_squared,
     format_pi_angle,
@@ -169,6 +170,11 @@ def test_search_recovers_reference_triple():
     reference = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
     assert any(v.gaps == reference for v in violations)
     assert all(v.evaluation.violated for v in violations)
+
+
+def test_search_refuses_a_grid_beyond_the_limit():
+    with pytest.raises(SizeLimitError):
+        search_violations(MAX_SEARCH_DENOMINATOR + 1)
 
 
 def test_wigner_same_state_contradiction():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_float_ket
-from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, UnknownTagError
+from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, index_of_m, inner_product
 from spinstat.rotations import (
+    MAX_SINGLET_SPIN,
     STATE_TAGS,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
@@ -70,6 +71,14 @@ def test_unknown_tag_and_bad_spin():
         spin_j_singlet(Fraction(1, 3))
     with pytest.raises(InvalidSpinError):
         spin_j_singlet(0)
+
+
+def test_spin_j_singlet_size_guard():
+    assert spin_j_singlet(MAX_SINGLET_SPIN).dims == (201, 201)
+    with pytest.raises(SizeLimitError):
+        spin_j_singlet(MAX_SINGLET_SPIN + HALF)
+    with pytest.raises(SizeLimitError):
+        decompose_spin_j_singlet(Fraction(10) ** 400)
 
 
 def test_rotation_matrix_examples():
