@@ -43,9 +43,7 @@ def scalar_payload(value: Any, mode: str) -> Any:
         try:
             number = float(value)
         except OverflowError:
-            number = math.inf
-        if math.isinf(number):
-            raise InvalidValueError("an exact result is too large to print as a float")
+            raise InvalidValueError("an exact result is too large to print as a float") from None
         if mode == FLOAT:
             return number
         exact = format_scalar(value) if isinstance(value, ExactScalar) else str(value)

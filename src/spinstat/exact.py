@@ -166,7 +166,23 @@ class ExactScalar:
         return NotImplemented
 
     def __float__(self) -> float:
-        return math.fsum(float(q) * math.sqrt(r) for r, q in self.terms)
+        try:
+            value = math.fsum(float(q) * math.sqrt(r) for r, q in self.terms)
+        except (OverflowError, ValueError):  # ValueError: inf - inf inside fsum
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        # A term is beyond the float range.  Round each term q*sqrt(r) =
+        # ±sqrt(q*q*r) to 64 bits in exact arithmetic; float() of the sum then
+        # raises OverflowError if the value itself is beyond the range, as
+        # float(Fraction) does.
+        total = Fraction(0)
+        for r, q in self.terms:
+            square = q * q * r
+            bits = max(0, 64 - (square.numerator.bit_length() - square.denominator.bit_length()) // 2)
+            root = Fraction(math.isqrt(square.numerator * 4**bits // square.denominator), 2**bits)
+            total += root if q > 0 else -root
+        return float(total)
 
     def __bool__(self) -> bool:
         return bool(self.terms)

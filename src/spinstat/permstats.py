@@ -49,9 +49,9 @@ class SingleParticleState:
         return Ket((dim,), {(q * d + l[0],): a for l, a in self.spinor.amplitudes.items()})
 
 
-def _check_states(states: Sequence[Ket], limit: int = MAX_PARTICLES) -> str:
-    if not 2 <= len(states) <= limit:
-        raise SizeLimitError(f"need between 2 and {limit} states, got {len(states)}")
+def _check_states(states: Sequence[Ket]) -> str:
+    if not 2 <= len(states) <= MAX_PARTICLES:
+        raise SizeLimitError(f"need between 2 and {MAX_PARTICLES} states, got {len(states)}")
     dims = {s.dims for s in states}
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise ShapeError("states must be single-slot kets of one common dimension")
@@ -88,17 +88,23 @@ def _permutation_sum(
     return Ket(dims, amps)
 
 
+def _uniform_weight(states: Sequence[Ket]) -> ExactScalar:
+    """1/sqrt(n!), the weight of each term of a pure expansion.
+
+    The states are checked first, so a count beyond the limit fails before
+    anything enumerates the n! permutations.
+    """
+    _check_states(states)
+    return ExactScalar.sqrt(Fraction(1, math.factorial(len(states))))
+
+
 def antisymmetrize(states: Sequence[Ket]) -> Ket:
     """Signed permutation sum with weight 1/sqrt(n!).
 
     Yields the zero ket when two input states coincide, and a unit-norm
     state when the inputs are orthonormal.
     """
-    n = len(states)
-    _check_states(states)
-    weight = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
-    coefficient = {p: p.sign * weight for p in Permutation.all_of(n)}
-    return _permutation_sum(states, coefficient)
+    return PermutationExpansion.fermi_dirac(states).realize()
 
 
 def symmetrize(states: Sequence[Ket]) -> Ket:
@@ -107,11 +113,7 @@ def symmetrize(states: Sequence[Ket]) -> Ket:
     Duplicate inputs merge onto common labels before renormalization, the
     usual occupancy convention for repeated states.
     """
-    n = len(states)
-    _check_states(states)
-    weight = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
-    coefficient = {p: weight for p in Permutation.all_of(n)}
-    out = _permutation_sum(states, coefficient)
+    out = PermutationExpansion.bose_einstein(states).realize()
     if out.is_zero:
         raise InvalidValueError("symmetrization collapsed to the zero ket")
     return out.normalized()
@@ -158,6 +160,7 @@ class PermutationExpansion:
         cls, states: Sequence[Ket], coefficients: Sequence[ExactScalar]
     ) -> "PermutationExpansion":
         """Coefficients aligned with lexicographic permutation order."""
+        _check_states(states)
         perms = list(Permutation.all_of(len(states)))
         if len(coefficients) != len(perms):
             raise ShapeError(f"need {len(perms)} coefficients")
@@ -165,15 +168,13 @@ class PermutationExpansion:
 
     @classmethod
     def fermi_dirac(cls, states: Sequence[Ket]) -> "PermutationExpansion":
-        n = len(states)
-        w = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
-        return cls(tuple(states), {p: p.sign * w for p in Permutation.all_of(n)})
+        w = _uniform_weight(states)
+        return cls(tuple(states), {p: p.sign * w for p in Permutation.all_of(len(states))})
 
     @classmethod
     def bose_einstein(cls, states: Sequence[Ket]) -> "PermutationExpansion":
-        n = len(states)
-        w = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
-        return cls(tuple(states), {p: w for p in Permutation.all_of(n)})
+        w = _uniform_weight(states)
+        return cls(tuple(states), {p: w for p in Permutation.all_of(len(states))})
 
     @classmethod
     def mixed(cls, states: Sequence[Ket]) -> "PermutationExpansion":
@@ -184,6 +185,7 @@ class PermutationExpansion:
         For n == 2 every equal-magnitude choice is already one of the two
         pure classes, so the degenerate single-term expansion is used.
         """
+        w = _uniform_weight(states)
         n = len(states)
         if n == 2:
             coeffs = {
@@ -191,7 +193,6 @@ class PermutationExpansion:
                 Permutation((1, 0)): ExactScalar(0),
             }
             return cls(tuple(states), coeffs)
-        w = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
         coeffs: dict[Permutation, ExactScalar] = {}
         for first in range(n):
             rest = [(first + k) % n for k in range(1, n)]
@@ -209,30 +210,33 @@ class PermutationExpansion:
         return _permutation_sum(self.states, self.coefficients)
 
 
+def _permutation_sign(ket: Ket, p: Permutation, tol: float = 1e-12) -> int | None:
+    """+1 if permuting the slots by ``p`` keeps ``ket``, -1 if it negates it, else ``None``.
+
+    Exact kets compare with ``==``, float kets with ``isclose``.
+    """
+    permuted = permute_slots(ket, p)
+    exact = ket.mode != FLOAT
+    if (permuted == ket) if exact else permuted.isclose(ket, tol):
+        return 1
+    if (permuted == -ket) if exact else permuted.isclose(-ket, tol):
+        return -1
+    return None
+
+
 def classify_statistics(expansion: PermutationExpansion) -> StatisticsClass:
     """Classify by the action of all transpositions on the realized ket.
 
     Transpositions generate the full permutation group, so checking them
-    alone decides invariance.  Kets are compared up to a global sign.
+    alone decides invariance.
     """
     ket = expansion.realize()
     if ket.is_zero:
         raise InvalidValueError("expansion realizes the zero ket; statistics undefined")
-    n = expansion.n_particles
-    exact = ket.mode != FLOAT
-    flips = preserves = 0
-    for t in Permutation.transpositions(n):
-        permuted = permute_slots(ket, t)
-        if (permuted == ket) if exact else permuted.isclose(ket):
-            preserves += 1
-        elif (permuted == -ket) if exact else permuted.isclose(-ket):
-            flips += 1
-        else:
-            return StatisticsClass.NEITHER
-    total = n * (n - 1) // 2
-    if flips == total:
+    signs = {_permutation_sign(ket, t) for t in Permutation.transpositions(expansion.n_particles)}
+    if signs == {-1}:
         return StatisticsClass.FERMI_DIRAC
-    if preserves == total:
+    if signs == {1}:
         return StatisticsClass.BOSE_EINSTEIN
     return StatisticsClass.NEITHER
 
@@ -249,17 +253,7 @@ def invariance_signature(
     n = ket.n_particles
     if n > MAX_SIGNATURE_PARTICLES:
         raise SizeLimitError(f"signature supports up to {MAX_SIGNATURE_PARTICLES} slots")
-    exact = ket.mode != FLOAT
-    out: dict[Permutation, int | None] = {}
-    for p in Permutation.all_of(n):
-        permuted = permute_slots(ket, p)
-        if (permuted == ket) if exact else permuted.isclose(ket, tol):
-            out[p] = 1
-        elif (permuted == -ket) if exact else permuted.isclose(-ket, tol):
-            out[p] = -1
-        else:
-            out[p] = None
-    return out
+    return {p: _permutation_sign(ket, p, tol) for p in Permutation.all_of(n)}
 
 
 def ground_state_energy(

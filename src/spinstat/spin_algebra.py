@@ -16,19 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
 from .kets import Ket
 from .rotations import check_spin
 
-# Functions that compute with arrays import numpy themselves, so exact
-# callers, and most CLI subcommands, never load it.
-if TYPE_CHECKING:
-    import numpy as np
-
-MAX_COUPLED_SPIN = Fraction(3)
+MAX_COUPLED_SPIN = Fraction(9)
 
 
 @dataclass(frozen=True)
@@ -42,12 +37,6 @@ class ExactMatrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged matrix")
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "ExactMatrix":
-        m = n if m is None else m
-        zero = ExactScalar(0)
-        return cls(tuple(tuple(zero for _ in range(m)) for _ in range(n)))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -109,23 +98,8 @@ class ExactMatrix:
             tuple(tuple(e * factor for e in row) for row in self.rows)
         )
 
-    def transpose(self) -> "ExactMatrix":
-        n, m = self.shape
-        return ExactMatrix(
-            tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(m))
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
-
     def max_abs(self) -> float:
         return max((abs(float(e)) for row in self.rows for e in row), default=0.0)
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[float(e) for e in row] for row in self.rows])
 
 
 @dataclass(frozen=True)
@@ -150,18 +124,6 @@ class AngularMomentumSet:
     def casimir(self) -> ExactMatrix:
         """L^2 = L_x^2 + L_y^2 + L_z^2 (with L_y^2 = -Y @ Y)."""
         return self.lx @ self.lx - self.ly_imag @ self.ly_imag + self.lz @ self.lz
-
-    def ly(self) -> np.ndarray:
-        return 1j * self.ly_imag.to_numpy()
-
-    def to_numpy(self) -> dict[str, np.ndarray]:
-        return {
-            "lx": self.lx.to_numpy().astype(complex),
-            "ly": self.ly(),
-            "lz": self.lz.to_numpy().astype(complex),
-            "lplus": self.lplus.to_numpy().astype(complex),
-            "lminus": self.lminus.to_numpy().astype(complex),
-        }
 
 
 def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> ExactScalar:
@@ -316,12 +278,6 @@ class CoupledState:
         }
         return Ket((len(values1), len(values2)), amps)
 
-    def equals_up_to_sign(self, other: "CoupledState") -> bool:
-        if (self.s, self.m, self.step) != (other.s, other.m, other.step):
-            return False
-        negated = {k: -a for k, a in other.amplitudes.items()}
-        return dict(self.amplitudes) in (dict(other.amplitudes), negated)
-
 
 def ladder_apply(
     direction: Literal["+", "-"],
@@ -435,24 +391,3 @@ def photon_pair_table() -> dict[tuple[Fraction, Fraction], CoupledState]:
         (Fraction(0), Fraction(0)): singlet,
     }
 
-
-def coupled_operators(
-    j1: Rational, j2: Rational
-) -> dict[str, np.ndarray]:
-    """Total L_z, L^2, and ladder matrices on the product space (floats).
-
-    Float companions to the exact tables, for residual checks.
-    """
-    import numpy as np
-
-    a = angular_momentum_matrices(j1).to_numpy()
-    b = angular_momentum_matrices(j2).to_numpy()
-    d1 = a["lz"].shape[0]
-    d2 = b["lz"].shape[0]
-    i1, i2 = np.eye(d1), np.eye(d2)
-    total = {
-        name: np.kron(a[name], i2) + np.kron(i1, b[name])
-        for name in ("lx", "ly", "lz", "lplus", "lminus")
-    }
-    total["l2"] = sum(total[name] @ total[name] for name in ("lx", "ly", "lz"))
-    return total

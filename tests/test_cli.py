@@ -76,9 +76,15 @@ def test_domain_error_exit_codes():
     code, output = run_cli(["state", "spin_j_singlet"])  # missing --j
     assert code == 1
     assert json.loads(output)["error"]["code"] == "unknown-tag"
-    code, output = run_cli(["cg", "--j1", "4", "--j2", "1"])
+    code, output = run_cli(["cg", "--j1", "19/2", "--j2", "1"])
     assert code == 1
     assert json.loads(output)["error"]["code"] == "size-limit"
+
+
+def test_cg_runs_at_the_coupled_spin_limit():
+    code, output = run_cli(["cg", "--j1", "9", "--j2", "1/2"])
+    assert code == 0
+    assert len(json.loads(output)["payload"]["rows"]) == 38
 
 
 def test_usage_errors_exit_two(capsys):
@@ -118,6 +124,9 @@ BAD_INPUTS = {
     ),
     "exact-value-beyond-float-in-float-mode": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1", "--mode", "float"], None, "invalid-value"
+    ),
+    "classify-above-state-limit": (
+        ["perm", "classify", "--construction", "fd", "--states"], "\n".join(["+ 1\n"] * 12), "size-limit"
     ),
     "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", "state-file"),
     "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", "state-file"),

@@ -131,6 +131,28 @@ def test_float_conversion_accuracy():
         assert float(a) == pytest.approx(expected, abs=1e-15)
 
 
+BIG = Fraction(3, 2) * 10**308
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        ExactScalar(10**400),  # the coefficient alone is beyond the float range
+        ExactScalar(BIG, 3),  # the coefficient fits, its product with sqrt(3) does not
+        ExactScalar(10**308, 3) + ExactScalar(10**308, 2),  # each term fits, the sum does not
+    ],
+    ids=["coefficient", "term", "sum"],
+)
+def test_float_beyond_the_range_raises_overflow_error(value):
+    with pytest.raises(OverflowError):
+        float(value)
+
+
+def test_float_of_a_finite_difference_of_terms_beyond_the_range():
+    value = ExactScalar(BIG, 3) - ExactScalar(BIG, 2)
+    assert float(value) == pytest.approx(1.5e308 * (math.sqrt(3) - math.sqrt(2)), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "text",
     [

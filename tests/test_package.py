@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -69,3 +70,23 @@ def test_unknown_name_raises_attribute_error():
         spinstat.no_such_name  # noqa: B018
     assert not hasattr(spinstat, "no_such_name")
 
+
+
+# The float layers; every other module computes exactly and never needs numpy.
+NUMPY_MODULES = {"kets", "rotations", "measurement", "beam"}
+
+
+def test_only_the_float_layers_import_numpy():
+    importers = set()
+    for name in SUBMODULES:
+        tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                roots = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            if "numpy" in roots:
+                importers.add(name)
+    assert importers == NUMPY_MODULES

@@ -142,6 +142,28 @@ def test_size_and_shape_guards():
         antisymmetrize([Ket.basis((2,), (0,)), Ket.basis((3,), (0,))])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        PermutationExpansion.fermi_dirac,
+        PermutationExpansion.bose_einstein,
+        PermutationExpansion.mixed,
+        lambda states: PermutationExpansion.from_ordered_coefficients(states, []),
+        antisymmetrize,
+        symmetrize,
+    ],
+    ids=["fermi_dirac", "bose_einstein", "mixed", "from_ordered_coefficients", "antisymmetrize", "symmetrize"],
+)
+def test_builders_check_the_state_count_before_enumerating(monkeypatch, build):
+    # 12 states have 12! orderings: enumerating them first would never return.
+    def refuse(*args):
+        raise AssertionError("permutations enumerated before the size check")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    with pytest.raises(SizeLimitError):
+        build([Ket.basis((2,), (i % 2,)) for i in range(12)])
+
+
 def test_expansion_constructors_and_validation():
     states = [Ket.basis((2,), (0,)), Ket.basis((2,), (1,))]
     fd = PermutationExpansion.fermi_dirac(states)
