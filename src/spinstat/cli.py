@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints one JSON envelope (or CSV rows with ``--format
-csv``) on stdout.  Exit codes: 0 success, 1 domain error (serialized with
-a machine-readable code), 2 usage error.
+csv``) on stdout.  Handlers return raw values (``ExactScalar``,
+``Fraction``, floats, ...), and ``emit`` alone decides how each number is
+printed.  Exit codes: 0 success, 1 domain error (serialized with a
+machine-readable code), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,34 +22,32 @@ from typing import TYPE_CHECKING, Any, Sequence
 # takes its STATE_TAGS as choices.
 from . import rotations
 from .errors import InvalidValueError, SpinstatError, StateFileError
-from .exact import ExactScalar, format_scalar, parse_scalar
-from .kets import Ket, index_of_m, spin_values
+from .exact import ExactScalar, parse_scalar
+from .kets import EXACT, FLOAT, Ket, index_of_m, spin_values
 
 if TYPE_CHECKING:
     from .measurement import BellEvaluation
-    from .spin_algebra import CoupledState
 
 SCHEMA_VERSION = "1.0"
 
-EXACT = "exact"
-FLOAT = "float"
-
 
 # ---------------------------------------------------------------------------
-# serialization
+# rendering: handlers return raw values, and only ``emit`` decides how a
+# number is printed.
 
 
-def scalar_payload(value: Any, mode: str) -> Any:
-    """Serialize exact values as {"exact": ..., "value": ...} pairs."""
+def _plain(value: Any, mode: str) -> Any:
+    """The printed form of an exact or complex leaf; other values pass through.
+
+    An exact number prints as ``{"exact": text, "value": float}``, or as the
+    bare float in float mode.
+    """
     if isinstance(value, (ExactScalar, Fraction)):
         try:
             number = float(value)
         except OverflowError:
             raise InvalidValueError("an exact result is too large to print as a float") from None
-        if mode == FLOAT:
-            return number
-        exact = format_scalar(value) if isinstance(value, ExactScalar) else str(value)
-        return {"exact": exact, "value": number}
+        return number if mode == FLOAT else {"exact": str(value), "value": number}
     if isinstance(value, complex):
         return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
     return value
@@ -59,48 +59,51 @@ def _label_token(dim: int, index: int) -> str:
     return str(spin_values(dim)[index])
 
 
-def ket_payload(ket: Ket, mode: str) -> dict[str, Any]:
+def ket_payload(ket: Ket) -> dict[str, Any]:
     amplitudes = {
-        ",".join(_label_token(d, i) for d, i in zip(ket.dims, label)): scalar_payload(
-            amp, mode
-        )
+        ",".join(_label_token(d, i) for d, i in zip(ket.dims, label)): amp
         for label, amp in sorted(ket.amplitudes.items())
     }
     return {"dims": list(ket.dims), "amplitudes": amplitudes}
 
 
-def coupled_payload(state: CoupledState, mode: str) -> dict[str, Any]:
-    return {
-        "s": str(state.s),
-        "m": str(state.m),
-        "coefficients": {
-            f"{m1},{m2}": scalar_payload(amp, mode)
-            for (m1, m2), amp in sorted(state.amplitudes.items(), reverse=True)
-        },
-    }
+def pair_rows(mapping: Any) -> dict[str, Any]:
+    """A table keyed by ``(a, b)`` pairs as ``"a,b"`` rows, in descending order."""
+    return {f"{a},{b}": value for (a, b), value in sorted(mapping.items(), reverse=True)}
 
 
-def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
+def _flatten(prefix: str, value: Any, mode: str, rows: list[tuple[str, str]]) -> None:
+    value = _plain(value, mode)
     if isinstance(value, dict):
         for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+            _flatten(f"{prefix}.{k}" if prefix else str(k), v, mode, rows)
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, rows)
+            _flatten(f"{prefix}[{i}]", v, mode, rows)
     else:
         rows.append((prefix, "" if value is None else str(value)))
 
 
 def emit(envelope: dict[str, Any], fmt: str) -> None:
+    """Write the envelope as JSON or CSV, numbers printed as its ``mode`` says.
+
+    The whole text is built before anything is written, so a number that
+    cannot be printed raises with stdout still empty.
+    """
+    mode = envelope["mode"]
     if fmt == "csv":
         rows: list[tuple[str, str]] = []
-        _flatten("", envelope, rows)
-        sys.stdout.write("key,value\n")
+        _flatten("", envelope, mode, rows)
+        lines = ["key,value\n"]
         for key, value in rows:
             value = value.replace('"', '""')
-            sys.stdout.write(f'{key},"{value}"\n')
+            lines.append(f'{key},"{value}"\n')
+        text = "".join(lines)
     else:
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        text = json.dumps(
+            envelope, indent=2, sort_keys=True, allow_nan=False, default=lambda v: _plain(v, mode)
+        ) + "\n"
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def _read_states(path: str) -> list[Ket]:
 
 def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
     ket = rotations.make_state(args.tag, j=args.j)
-    payload: dict[str, Any] = {"tag": args.tag, **ket_payload(ket, args.mode)}
+    payload: dict[str, Any] = {"tag": args.tag, **ket_payload(ket)}
     if args.j is not None:
         payload["j"] = str(args.j)
     checks: dict[str, Any] = {}
@@ -229,9 +232,7 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
         )
         checks["rotational_invariance"] = {
             "invariant": inv.invariant,
-            "max_deviation": scalar_payload(
-                Fraction(0) if inv.max_deviation == 0 else inv.max_deviation, args.mode
-            ),
+            "max_deviation": Fraction(0) if inv.max_deviation == 0 else inv.max_deviation,
             "c": str(args.c),
             "grid": args.grid,
         }
@@ -247,29 +248,24 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
             raise InvalidValueError("--decompose needs --j")
         decomposition = rotations.decompose_spin_j_singlet(args.j)
         checks["decomposition"] = {
-            "pairs": [
-                {"m": str(p.m), **ket_payload(p.ket, args.mode)}
-                for p in decomposition.pairs
-            ],
-            "center": None
-            if decomposition.center is None
-            else ket_payload(decomposition.center, args.mode),
+            "pairs": [{"m": str(p.m), **ket_payload(p.ket)} for p in decomposition.pairs],
+            "center": None if decomposition.center is None else ket_payload(decomposition.center),
         }
     if checks:
         payload["checks"] = checks
     return payload
 
 
-def _bell_payload(ev: BellEvaluation, mode: str) -> dict[str, Any]:
+def _bell_payload(ev: BellEvaluation) -> dict[str, Any]:
     from . import measurement
 
     return {
         "gaps": [measurement.format_pi_angle(g) for g in (ev.theta_ij, ev.theta_jk, ev.theta_ki)],
         "formula": ev.mode,
-        "lhs": scalar_payload(ev.lhs, mode),
-        "rhs": scalar_payload(ev.rhs, mode),
-        "doubled_lhs": scalar_payload(ev.doubled_lhs, mode),
-        "doubled_rhs": scalar_payload(ev.doubled_rhs, mode),
+        "lhs": ev.lhs,
+        "rhs": ev.rhs,
+        "doubled_lhs": ev.doubled_lhs,
+        "doubled_rhs": ev.doubled_rhs,
         "violated": ev.violated,
     }
 
@@ -289,7 +285,7 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
             "first_violations": [
                 {
                     "angles": [measurement.format_pi_angle(a) for a in v.angles],
-                    **_bell_payload(v.evaluation, args.mode),
+                    **_bell_payload(v.evaluation),
                 }
                 for v in violations[:3]
             ],
@@ -297,7 +293,7 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
     if args.gaps is None or len(args.gaps) != 3:
         raise SpinstatError("bell needs --gaps with three comma-separated angles")
     ev = measurement.bell_inequality(*args.gaps, mode=args.formula)
-    return _bell_payload(ev, args.mode)
+    return _bell_payload(ev)
 
 
 def cmd_wigner(args: argparse.Namespace) -> dict[str, Any]:
@@ -313,15 +309,12 @@ def cmd_wigner(args: argparse.Namespace) -> dict[str, Any]:
         "angles": [measurement.format_pi_angle(a) for a in args.angles],
         "subset_event": ["".join(o) for o in report.subset],
         "superset_event": ["".join(o) for o in report.superset],
-        "subset_probability": scalar_payload(report.subset_probability, args.mode),
+        "subset_probability": report.subset_probability,
         "pair_events": {
-            name: {
-                "outcomes": ["".join(o) for o in outcomes],
-                "probability": scalar_payload(p, args.mode),
-            }
+            name: {"outcomes": ["".join(o) for o in outcomes], "probability": p}
             for name, (outcomes, p) in report.pair_events.items()
         },
-        "superset_probability": scalar_payload(report.superset_probability, args.mode),
+        "superset_probability": report.superset_probability,
         "consistent": report.consistent,
     }
 
@@ -337,14 +330,14 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
             "op": "energy",
             "levels": [str(level) for level in args.levels],
             "count": args.count,
-            "energy": scalar_payload(energy, args.mode),
+            "energy": energy,
         }
     if args.states is None:
         raise SpinstatError(f"perm {args.op} needs --states FILE")
     states = _read_states(args.states)
     if args.op in ("antisymmetrize", "symmetrize"):
         func = permstats.antisymmetrize if args.op == "antisymmetrize" else permstats.symmetrize
-        return {"op": args.op, **ket_payload(func(states), args.mode)}
+        return {"op": args.op, **ket_payload(func(states))}
     if args.op == "classify":
         builder = {
             "fd": permstats.PermutationExpansion.fermi_dirac,
@@ -353,16 +346,14 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
         }[args.construction]
         result = permstats.classify_statistics(builder(states))
         return {"op": "classify", "construction": args.construction, "class": result.value}
-    if args.op == "signature":
-        signature = permstats.invariance_signature(states[0])
-        return {
-            "op": "signature",
-            "signature": {
-                str(p): ("none" if v is None else f"{v:+d}")
-                for p, v in sorted(signature.items(), key=lambda kv: kv[0].image)
-            },
-        }
-    raise SpinstatError(f"unknown perm op {args.op!r}")
+    signature = permstats.invariance_signature(states[0])
+    return {
+        "op": "signature",
+        "signature": {
+            str(p): ("none" if v is None else f"{v:+d}")
+            for p, v in sorted(signature.items(), key=lambda kv: kv[0].image)
+        },
+    }
 
 
 def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
@@ -372,17 +363,13 @@ def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
         table = spin_algebra.photon_pair_table()
         top = table[(Fraction(2), Fraction(2))]
         lowered = spin_algebra.ladder_apply("-", top)
-        payload: dict[str, Any] = {"photon": True}
-        payload["lowering_scale"] = scalar_payload(lowered.norm(), args.mode)
+        payload: dict[str, Any] = {"photon": True, "lowering_scale": lowered.norm()}
     else:
         if args.j1 is None or args.j2 is None:
             raise SpinstatError("cg needs --j1 and --j2 (or --photon)")
         table = spin_algebra.cg_decompose(args.j1, args.j2)
         payload = {"j1": str(args.j1), "j2": str(args.j2)}
-    payload["rows"] = {
-        f"{s},{m}": coupled_payload(state, args.mode)["coefficients"]
-        for (s, m), state in sorted(table.items(), reverse=True)
-    }
+    payload["rows"] = pair_rows({key: pair_rows(state.amplitudes) for key, state in table.items()})
     return payload
 
 
@@ -410,30 +397,20 @@ def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
         Fraction(1), dict(zip((Fraction(1), Fraction(0), Fraction(-1)), args.prior))
     )
     payload: dict[str, Any] = {
-        "prior": {str(m): scalar_payload(p, args.mode) for m, p in dist.probabilities.items()},
+        "prior": {str(m): p for m, p in dist.probabilities.items()},
         "total": str(args.total),
     }
     if args.compare_cg:
         comparison = condprob.compare_with_cg(dist, args.total, s=args.s)
-        payload["table"] = {
-            f"{m1},{m2}": scalar_payload(p, args.mode)
-            for (m1, m2), p in sorted(comparison.conditional.items(), reverse=True)
-        }
+        payload["table"] = pair_rows(comparison.conditional)
         payload["cg_comparison"] = {
             "s": str(comparison.s),
-            "squares": {
-                f"{m1},{m2}": scalar_payload(p, args.mode)
-                for (m1, m2), p in sorted(comparison.cg_squares.items(), reverse=True)
-            },
-            "max_deviation": scalar_payload(comparison.max_deviation, args.mode),
+            "squares": pair_rows(comparison.cg_squares),
+            "max_deviation": comparison.max_deviation,
             "matches": comparison.matches,
         }
     else:
-        table = condprob.conditional_given_total(dist, dist, args.total)
-        payload["table"] = {
-            f"{m1},{m2}": scalar_payload(p, args.mode)
-            for (m1, m2), p in sorted(table.items(), reverse=True)
-        }
+        payload["table"] = pair_rows(condprob.conditional_given_total(dist, dist, args.total))
     return payload
 
 
@@ -470,12 +447,6 @@ def cmd_beam(args: argparse.Namespace) -> dict[str, Any]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("SPINSTAT_SEED", "0")),
-        help="seed for randomized subcommands (default: SPINSTAT_SEED or 0)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,6 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chi-square critical value (default: the 5%% point for 2 degrees of freedom)",
     )
+    # argparse converts a string default with ``type`` only when the flag is
+    # absent, so a malformed SPINSTAT_SEED is a usage error of beam alone.
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=os.environ.get("SPINSTAT_SEED", "0"),
+        help="seed of the draws (default: SPINSTAT_SEED or 0)",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_beam)
 
@@ -564,20 +543,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     envelope: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "mode": getattr(args, "mode", EXACT),
+        "mode": args.mode,
     }
     try:
         envelope["payload"] = args.handler(args)
-    except SpinstatError as exc:
-        envelope["error"] = {"code": exc.code, "message": str(exc)}
-        emit(envelope, getattr(args, "format", "json"))
-        return 1
-    except OSError as exc:
-        envelope["error"] = {"code": "io-error", "message": str(exc)}
-        emit(envelope, getattr(args, "format", "json"))
-        return 1
+        emit(envelope, args.format)
+        return 0
+    except (SpinstatError, OSError) as exc:
+        code = exc.code if isinstance(exc, SpinstatError) else "io-error"
+        envelope.pop("payload", None)
+        envelope["error"] = {"code": code, "message": str(exc)}
     emit(envelope, args.format)
-    return 0
+    return 1
 
 
 if __name__ == "__main__":

@@ -179,7 +179,8 @@ def _gap_term(gap: Angle, mode: BellMode) -> Fraction | float | None:
         s2 = exact_sin_squared(gap / 2 if mode == "half" else gap)
         if s2 is not None:
             return s2 / 2
-        gap = float(gap) * math.pi
+        # Whole turns leave sin^2 unchanged; dropping them keeps float() in range.
+        gap = float(gap - 2 * int(gap / 2)) * math.pi
     angle = gap / 2 if mode == "half" else gap
     return math.sin(angle) ** 2 / 2
 

@@ -39,6 +39,11 @@ EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
 #: terms, and ``--decompose`` at spin 100 already takes about half a second.
 MAX_SINGLET_SPIN = Fraction(100)
 
+#: Most evenly spaced angles :func:`grid_angles` builds.  A cold
+#: ``state improper_singlet --check-isc`` takes about 0.3 s and 50 MB at
+#: this grid, and 1.1 s and 230 MB at ten times it.
+MAX_GRID = 100_000
+
 #: Above this rate the float angle ``c * theta`` overflows within one turn.
 _MAX_FLOAT_RATE = sys.float_info.max / (2 * math.pi)
 
@@ -162,6 +167,12 @@ def _check_pair_and_rate(ket: Ket, c: Rational | float) -> None:
 
 
 def grid_angles(grid: int) -> list[float]:
+    """``grid`` evenly spaced angles in ``[0, 2*pi)`` and the extra probes.
+
+    A grid above :data:`MAX_GRID` raises :class:`SizeLimitError`.
+    """
+    if grid > MAX_GRID:
+        raise SizeLimitError(f"the angle grid supports up to {MAX_GRID} points")
     return [2 * math.pi * k / grid for k in range(grid)] + list(EXTRA_GRID_ANGLES)
 
 

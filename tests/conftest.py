@@ -1,9 +1,13 @@
-"""Shared helpers: exact random states built from rational rotations."""
+"""Shared helpers: exact random states built from rational rotations, and
+the record of the module tests that acceptance criterion 9 reads."""
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -60,3 +64,66 @@ def random_float_ket(rng: random.Random, dims: tuple[int, ...], support: int = 4
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260809)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 9 asks that every module test (each tests/test_*.py but the
+# acceptance file) passes within 60 s.  When this session runs all of them,
+# criterion 9 is ordered after them and reads their reports from this
+# recorder instead of running them a second time.
+
+TESTS_DIR = Path(__file__).parent
+CRITERION_9 = "test_criterion_9_full_suite_under_a_minute"
+
+
+def _is_module_test(item: pytest.Item) -> bool:
+    return item.path.parent == TESTS_DIR and item.path.name != "test_acceptance.py"
+
+
+class ModuleSuite(NamedTuple):
+    passed: bool
+    seconds: float  # from the session's configuration, collection included
+
+
+class ModuleTestRecorder:
+    """Plugin that records the outcome of each module test in this session."""
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+        self.deselected = False
+        self.reported: set[str] = set()
+        self.failed: set[str] = set()
+
+    def pytest_deselected(self, items: list[pytest.Item]) -> None:
+        self.deselected = self.deselected or any(map(_is_module_test, items))
+
+    @pytest.hookimpl(trylast=True)  # after -k and -m have deselected
+    def pytest_collection_modifyitems(self, items: list[pytest.Item]) -> None:
+        criterion = [item for item in items if item.name == CRITERION_9]
+        modules = [item for item in items if _is_module_test(item)]
+        if criterion and modules:
+            items.remove(criterion[0])
+            items.insert(items.index(modules[-1]) + 1, criterion[0])
+
+    def pytest_runtest_logreport(self, report: pytest.TestReport) -> None:
+        self.reported.add(report.nodeid)
+        if report.failed:
+            self.failed.add(report.nodeid)
+
+    def suite(self, session: pytest.Session) -> ModuleSuite | None:
+        """How the module tests went, or ``None`` if the session does not run them all."""
+        items = [item for item in session.items if _is_module_test(item)]
+        files = {path.name for path in TESTS_DIR.glob("test_*.py")} - {"test_acceptance.py"}
+        if self.deselected or {item.path.name for item in items} != files:
+            return None
+        passed = all(i.nodeid in self.reported and i.nodeid not in self.failed for i in items)
+        return ModuleSuite(passed, time.perf_counter() - self.start)
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.pluginmanager.register(ModuleTestRecorder(), "module-test-recorder")
+
+
+@pytest.fixture
+def module_suite(request: pytest.FixtureRequest) -> ModuleSuite | None:
+    return request.config.pluginmanager.get_plugin("module-test-recorder").suite(request.session)

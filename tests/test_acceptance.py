@@ -229,20 +229,22 @@ def test_criterion_8_beam_discrimination():
     )
 
 
-def test_criterion_9_full_suite_under_a_minute():
-    start = time.perf_counter()
-    completed = subprocess.run(
-        [
-            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "--ignore", "tests/test_acceptance.py", "tests",
-        ],
-        cwd=str(Path(__file__).parent.parent),
-        capture_output=True,
-        text=True,
-    )
-    elapsed = time.perf_counter() - start
+def test_criterion_9_full_suite_under_a_minute(module_suite):
+    if module_suite is None:  # this session does not run the module tests
+        start = time.perf_counter()
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--ignore", "tests/test_acceptance.py", "tests",
+            ],
+            cwd=str(Path(__file__).parent.parent),
+            capture_output=True,
+            text=True,
+        )
+        module_suite = (completed.returncode == 0, time.perf_counter() - start)
+    passed, elapsed = module_suite
     report(
         9,
         f"all module tests pass in {elapsed:.1f}s < 60s",
-        completed.returncode == 0 and elapsed < 60.0,
+        passed and elapsed < 60.0,
     )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from spinstat.cli import main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
-from spinstat.rotations import STATE_TAGS, make_state
+from spinstat.rotations import MAX_GRID, STATE_TAGS, make_state
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -107,6 +107,9 @@ BAD_INPUTS = {
     "algebra-spin-above-limit": (["algebra", "--n", "1", "--j", "20"], None, "size-limit"),
     "zero-angle-denominator": (["bell", "--gaps", "pi/0,pi,pi"], None, 2),
     "zero-grid": (["state", "singlet", "--check-invariance", "--grid", "0"], None, 2),
+    "grid-above-limit": (
+        ["state", "improper_singlet", "--check-isc", "--grid", str(MAX_GRID + 1)], None, "size-limit"
+    ),
     "negative-tol": (["state", "singlet", "--check-isc", "--tol", "-1"], None, 2),
     "zero-rate": (
         ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
@@ -186,6 +189,47 @@ def test_exact_fraction_strings_round_trip():
             assert float(scalar) == pytest.approx(entry["value"], abs=1e-15)
 
 
+def _exact_to_float(value):
+    """``value`` with every ``{"exact", "value"}`` pair replaced by its float."""
+    if isinstance(value, dict):
+        if value.keys() == {"exact", "value"}:
+            return value["value"]
+        return {k: _exact_to_float(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_exact_to_float(v) for v in value]
+    return value
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        return sum(_leaves(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_leaves(v) for v in value)
+    return 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_float_mode_is_the_exact_envelope_without_exact_strings(name):
+    _, exact_output = run_cli(GOLDEN_COMMANDS[name])
+    code, float_output = run_cli([*GOLDEN_COMMANDS[name], "--mode", "float"])
+    assert code == 0
+    expected = {**_exact_to_float(json.loads(exact_output)), "mode": "float"}
+    assert json.loads(float_output) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_csv_has_one_row_per_json_leaf(name):
+    _, json_output = run_cli(GOLDEN_COMMANDS[name])
+    code, csv_output = run_cli([*GOLDEN_COMMANDS[name], "--format", "csv"])
+    assert code == 0
+    header, *rows = csv_output.splitlines()
+    assert header == "key,value"
+    keys = [row.split(",", 1)[0] for row in rows]
+    assert keys[:3] == ["schema_version", "command", "mode"]
+    assert all(key.startswith("payload") for key in keys[3:])
+    assert len(keys) - 3 == _leaves(json.loads(json_output)["payload"])
+
+
 def test_float_mode_drops_exact_strings():
     code, output = run_cli(["bell", "--gaps", "pi/3,pi/3,2pi/3", "--mode", "float"])
     assert code == 0
@@ -201,6 +245,32 @@ def test_csv_format():
     assert lines[0] == "key,value"
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "payload.max_commutator_residual" in keys
+
+
+def test_malformed_seed_variable_is_a_usage_error_of_beam_only(monkeypatch, capsys):
+    monkeypatch.setenv("SPINSTAT_SEED", "abc")
+    code, output = run_cli(["state", "singlet"])
+    assert code == 0
+    assert json.loads(output)["command"] == "state"
+    with pytest.raises(SystemExit) as err:
+        main(["beam", "--atoms", "10"])
+    assert err.value.code == 2
+    code, output = run_cli(["beam", "--atoms", "10", "--seed", "5"])
+    assert code == 0
+    assert json.loads(output)["payload"]["seed"] == 5
+    with pytest.raises(SystemExit) as err:
+        main(["state", "singlet", "--seed", "5"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_huge_pi_multiple_angles_exit_zero():
+    huge = f"{10**400 + 1}pi/7"
+    code, output = run_cli(["bell", "--gaps", f"{huge},pi,pi"])
+    assert code == 0
+    assert json.loads(output)["payload"]["violated"] is False
+    code, output = run_cli(["wigner", "--angles", f"0,pi/3,{huge}"])
+    assert code == 0
 
 
 def test_seed_from_environment(monkeypatch):
@@ -345,7 +415,7 @@ def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
 # states, --atoms <= 10^4, --denominator <= 12, spins <= 4.
 
 FRACTIONS = ("0", "1", "-1", "1/2", "3/2", "2", "5/2", "3", "4", "1/3", "-1/2", "1e400", "1/0", "x", "")
-ANGLES = ("0", "pi", "pi/3", "2pi/3", "-pi/4", "7pi/12", "pi/0", "1.5", "x")
+ANGLES = ("0", "pi", "pi/3", "2pi/3", "-pi/4", "7pi/12", f"{10**400 + 1}pi/7", "pi/0", "1.5", "x")
 INTS = ("-1", "0", "1", "2", "3", "12", "x")
 
 
@@ -366,7 +436,6 @@ def _flags(draw, options):
 COMMON = {
     "--format": st.sampled_from(("json", "csv")),
     "--mode": st.sampled_from(("exact", "float")),
-    "--seed": st.sampled_from(INTS),
 }
 
 PERM_OPS = ("antisymmetrize", "symmetrize", "classify", "signature", "energy", "other")
@@ -453,6 +522,7 @@ SUBCOMMANDS = {
             "--hypothesis": st.sampled_from(("uniform", "paper", "other")),
             "--test-null": st.sampled_from(("uniform", "paper", "other")),
             "--critical": st.sampled_from(("5.991", "0", "-1", "nan", "inf", "x")),
+            "--seed": st.sampled_from(INTS),
         },
     ),
 }

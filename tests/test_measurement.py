@@ -172,6 +172,18 @@ def test_search_recovers_reference_triple():
     assert all(v.evaluation.violated for v in violations)
 
 
+def test_gaps_beyond_a_turn_reduce_before_the_float_fallback():
+    # (2*10**400 + 1/7)*pi is 10**400 whole turns past pi/7; float(gap) would overflow.
+    for mode in ("half", "full"):
+        huge = bell_inequality(Fraction(14 * 10**400 + 1, 7), 1, 1, mode=mode)
+        small = bell_inequality(Fraction(1, 7), 1, 1, mode=mode)
+        assert (huge.lhs, huge.rhs, huge.violated) == (small.lhs, small.rhs, small.violated)
+    report = wigner_argument(Fraction(0), Fraction(1, 3), Fraction(14 * 10**400 + 1, 7))
+    assert report.subset_probability == wigner_argument(
+        Fraction(0), Fraction(1, 3), Fraction(1, 7)
+    ).subset_probability
+
+
 def test_search_refuses_a_grid_beyond_the_limit():
     with pytest.raises(SizeLimitError):
         search_violations(MAX_SEARCH_DENOMINATOR + 1)

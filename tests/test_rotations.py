@@ -9,6 +9,7 @@ from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, Siz
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, index_of_m, inner_product
 from spinstat.rotations import (
+    MAX_GRID,
     MAX_SINGLET_SPIN,
     STATE_TAGS,
     conjugate_spinor_slot,
@@ -79,6 +80,20 @@ def test_spin_j_singlet_size_guard():
         spin_j_singlet(MAX_SINGLET_SPIN + HALF)
     with pytest.raises(SizeLimitError):
         decompose_spin_j_singlet(Fraction(10) ** 400)
+
+
+def test_grid_size_guard():
+    assert len(grid_angles(MAX_GRID)) == MAX_GRID + 4
+    with pytest.raises(SizeLimitError):
+        grid_angles(MAX_GRID + 1)
+    improper = make_state("improper_singlet")
+    with pytest.raises(SizeLimitError):
+        is_isc(improper, grid=MAX_GRID + 1)
+    with pytest.raises(SizeLimitError):
+        is_rotationally_invariant(make_state("triplet_plus"), grid=MAX_GRID + 1)
+    # The exact generator decides these kets, so no grid is built.
+    assert is_rotationally_invariant(improper, grid=MAX_GRID + 1) == (True, 0.0)
+    assert is_rotationally_invariant(make_state("singlet"), grid=10**9) == (True, 0.0)
 
 
 def test_rotation_matrix_examples():
