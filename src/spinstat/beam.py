@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .condprob import SpinDistribution
-from .errors import InsufficientSampleError, InvalidValueError, UnknownTagError
+from .errors import InsufficientSampleError, InvalidValueError, SizeLimitError, UnknownTagError
 
 #: Critical value of the chi-square distribution with 2 degrees of freedom
 #: at the conventional 5% level.
 DEFAULT_CRITICAL = 5.991
 
 SPIN_VALUES = (1, 0, -1)
+
+#: Most atoms one beam draws.  Time grows with the count while memory stays
+#: at one chunk: a cold ``beam`` took 0.6 s at 10**7 atoms and 2.9 s at 10**8.
+MAX_ATOMS = 10**8
 
 #: Draws made at once.  Chunked ``random()`` calls continue one Philox stream,
 #: so the counts do not depend on it; it bounds the memory of a large beam.
@@ -52,6 +56,8 @@ class BeamConfig:
     def __post_init__(self) -> None:
         if self.n_atoms < 0:
             raise InvalidValueError("atom count must be nonnegative")
+        if self.n_atoms > MAX_ATOMS:
+            raise SizeLimitError(f"the beam supports up to {MAX_ATOMS} atoms")
         if not 0 <= self.seed < 2**128:
             raise InvalidValueError("seed must be in [0, 2**128), the Philox key range")
         hypothesis_distribution(self.hypothesis)  # validates the name

@@ -210,7 +210,11 @@ def parse_state_sections(text: str) -> list[Ket]:
 
 def _read_states(path: str) -> list[Ket]:
     with open(path, encoding="utf-8") as fh:
-        states = parse_state_sections(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    states = parse_state_sections(text)
     if not states:
         raise StateFileError(f"{path}: no states")
     return states

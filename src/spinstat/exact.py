@@ -14,17 +14,26 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleRadicandsError
+from .errors import IncompatibleRadicandsError, SizeLimitError
 
 Rational = int | Fraction
 Terms = tuple[tuple[int, Fraction], ...]
 
 
+#: Largest trial divisor :func:`squarefree_decompose` tries.  Refusing a
+#: radicand takes about 10 ms at 25 digits, 30 ms at 400 and 0.19 s at 4000
+#: (Python parses at most 4300 digits from text); the package's own
+#: radicands have no prime factor above 67.
+MAX_TRIAL_DIVISOR = 100_000
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split ``n >= 0`` as ``s*s*r`` with ``r`` squarefree; return ``(s, r)``.
 
-    Trial division; intended for the small radicands produced by products
-    of state coefficients, not for cryptographic-size integers.
+    Trial division up to :data:`MAX_TRIAL_DIVISOR`.  What is left has no
+    smaller prime factor, so it is prime when it is below the square of the
+    next candidate; otherwise it may hide a square factor and
+    :class:`SizeLimitError` is raised.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
@@ -32,7 +41,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         return 1, n
     square, rest, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= MAX_TRIAL_DIVISOR:
         if m % p == 0:
             exp = 0
             while m % p == 0:
@@ -42,6 +51,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if exp % 2:
                 rest *= p
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise SizeLimitError(
+            f"radicand too large to factor: a part above {MAX_TRIAL_DIVISOR}**2 has no prime factor up to it"
+        )
     return square, rest * m
 
 

@@ -210,16 +210,16 @@ class PermutationExpansion:
         return _permutation_sum(self.states, self.coefficients)
 
 
-def _permutation_sign(ket: Ket, p: Permutation, tol: float = 1e-12) -> int | None:
+def _permutation_sign(ket: Ket, p: Permutation) -> int | None:
     """+1 if permuting the slots by ``p`` keeps ``ket``, -1 if it negates it, else ``None``.
 
     Exact kets compare with ``==``, float kets with ``isclose``.
     """
     permuted = permute_slots(ket, p)
     exact = ket.mode != FLOAT
-    if (permuted == ket) if exact else permuted.isclose(ket, tol):
+    if (permuted == ket) if exact else permuted.isclose(ket):
         return 1
-    if (permuted == -ket) if exact else permuted.isclose(-ket, tol):
+    if (permuted == -ket) if exact else permuted.isclose(-ket):
         return -1
     return None
 
@@ -241,9 +241,7 @@ def classify_statistics(expansion: PermutationExpansion) -> StatisticsClass:
     return StatisticsClass.NEITHER
 
 
-def invariance_signature(
-    ket: Ket, tol: float = 1e-12
-) -> dict[Permutation, int | None]:
+def invariance_signature(ket: Ket) -> dict[Permutation, int | None]:
     """Map each slot permutation to +1, -1, or ``None``.
 
     +1 when the permuted ket equals the original, -1 when it equals the
@@ -253,7 +251,7 @@ def invariance_signature(
     n = ket.n_particles
     if n > MAX_SIGNATURE_PARTICLES:
         raise SizeLimitError(f"signature supports up to {MAX_SIGNATURE_PARTICLES} slots")
-    return {p: _permutation_sign(ket, p, tol) for p in Permutation.all_of(n)}
+    return {p: _permutation_sign(ket, p) for p in Permutation.all_of(n)}
 
 
 def ground_state_energy(

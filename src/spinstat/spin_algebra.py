@@ -282,20 +282,17 @@ class CoupledState:
 def ladder_apply(
     direction: Literal["+", "-"],
     state: CoupledState,
-    n: int | None = None,
 ) -> CoupledState:
     """Apply ``S± = S1± + S2±`` on the product expansion, unnormalized.
 
     Each constituent term picks up ``n * sqrt((j∓m)(j±m+1))`` and moves its
-    projection by ``n``; terms stepping outside the basis vanish, and the
-    empty result at the end of a ladder is returned as a zero state.
+    projection by ``n``, the state's ``step``; terms stepping outside the
+    basis vanish, and the empty result at the end of a ladder is returned as
+    a zero state.
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    if n is None:
-        n = state.step
-    elif n != state.step:
-        raise ShapeError(f"scale {n} does not match the state's step {state.step}")
+    n = state.step
     delta = n if direction == "+" else -n
     spins = (state.j1, state.j2)
     amps: dict[tuple[Fraction, Fraction], ExactScalar] = {}

@@ -5,6 +5,7 @@ import pytest
 
 from spinstat.beam import (
     DRAW_CHUNK,
+    MAX_ATOMS,
     SPIN_VALUES,
     BeamConfig,
     BeamResult,
@@ -12,7 +13,7 @@ from spinstat.beam import (
     hypothesis_distribution,
     simulate_beam,
 )
-from spinstat.errors import InsufficientSampleError, UnknownTagError
+from spinstat.errors import InsufficientSampleError, SizeLimitError, UnknownTagError
 
 
 def test_hypothesis_distributions():
@@ -118,5 +119,7 @@ def test_config_validation():
         BeamConfig(-1, "paper", seed=0)
     with pytest.raises(UnknownTagError):
         BeamConfig(10, "bogus", seed=0)
+    with pytest.raises(SizeLimitError):
+        BeamConfig(MAX_ATOMS + 1, "paper", seed=0)
     with pytest.raises(ValueError):
         BeamResult(BeamConfig(5, "paper", seed=0), {1: 1, 0: 1, -1: 1})

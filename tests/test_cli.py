@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinstat.beam import MAX_ATOMS
 from spinstat.cli import main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
@@ -100,6 +101,7 @@ def test_usage_errors_exit_two(capsys):
 # Each case expects exit 2 (a usage error) or exit 1 with the named error code.
 BAD_INPUTS = {
     "negative-atoms": (["beam", "--atoms", "-1"], None, "invalid-value"),
+    "atoms-above-limit": (["beam", "--atoms", str(MAX_ATOMS + 1)], None, "size-limit"),
     "negative-count": (["perm", "energy", "--levels", "1,2", "--count", "-1"], None, "invalid-value"),
     "descending-levels": (["perm", "energy", "--levels", "2,1", "--count", "1"], None, "invalid-value"),
     "prior-sum": (["condprob", "--prior", "1/2,1/2,1/2"], None, "invalid-value"),
@@ -136,6 +138,13 @@ BAD_INPUTS = {
     "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", "state-file"),
     "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", "state-file"),
     "zero-amplitude-denominator": (["perm", "antisymmetrize", "--states"], "+ 1/0\n", "state-file"),
+    "not-utf8": (["perm", "signature", "--states"], b"\xff\xfe\x00x\n", "state-file"),
+    "prime-radicand-beyond-trial-division": (
+        ["perm", "antisymmetrize", "--states"], "+ 1\n\n- sqrt(1000000000000000000000007)\n", "size-limit"
+    ),
+    "prime-norm-beyond-trial-division": (
+        ["perm", "symmetrize", "--states"], "+ 1000000000000000000000007\n- 1\n\n+ 1\n", "size-limit"
+    ),
     "irrational-norm": (
         ["perm", "symmetrize", "--states"],
         "+ 1/2*sqrt(2)\n- 1/2*sqrt(2)\n\n+ 1/3*sqrt(3)\n- 1/3*sqrt(6)\n",
@@ -148,7 +157,7 @@ BAD_INPUTS = {
 def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, state_text, expected):
     if state_text is not None:
         path = tmp_path / "states.txt"
-        path.write_text(state_text)
+        path.write_bytes(state_text if isinstance(state_text, bytes) else state_text.encode())
         argv = [*argv, str(path)]
     try:
         code = main(argv)
@@ -441,7 +450,8 @@ COMMON = {
 PERM_OPS = ("antisymmetrize", "symmetrize", "classify", "signature", "energy", "other")
 LABEL_TOKENS = ("+", "-", "0", "1", "-1", "1/2", "-1/2", "3/2", "x")
 AMPLITUDES = (
-    "1", "-1", "1/2", "1/2*sqrt(2)", "-1/3*sqrt(3)", "1/6*sqrt(3) - 1/6*sqrt(6)", "0", "1/0", "x", ""
+    "1", "-1", "1/2", "1/2*sqrt(2)", "-1/3*sqrt(3)", "1/6*sqrt(3) - 1/6*sqrt(6)", "0", "1/0", "x", "",
+    "1000000000000000000000007",
 )
 
 

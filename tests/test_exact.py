@@ -1,13 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstat.errors import IncompatibleRadicandsError
+from spinstat.errors import IncompatibleRadicandsError, SizeLimitError
 from spinstat.exact import (
+    MAX_TRIAL_DIVISOR,
     ONE,
     ZERO,
     ExactScalar,
@@ -37,6 +39,19 @@ def size(x: ExactScalar) -> float:
 def test_squarefree_decompose(n, square, rest):
     assert squarefree_decompose(n) == (square, rest)
     assert square * square * rest == n
+
+
+def test_trial_division_is_bounded():
+    # 10**24 + 7 is prime: after trial division it stays above MAX_TRIAL_DIVISOR**2.
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        ExactScalar(1, 10**24 + 7)
+    assert time.perf_counter() - start < 1
+    assert squarefree_decompose(2**400 * 3) == (2**200, 3)
+    # A cofactor below the bound's square is prime, so the split stays exact.
+    prime = 10**9 + 7
+    assert prime < MAX_TRIAL_DIVISOR**2
+    assert squarefree_decompose(4 * prime) == (2, prime)
 
 
 def test_constructor_normalizes():

@@ -11,6 +11,7 @@ from spinstat.errors import ShapeError, SizeLimitError
 from spinstat.kets import Ket
 from spinstat.measurement import (
     MAX_SEARCH_DENOMINATOR,
+    angle_to_radians,
     bell_inequality,
     exact_sin_squared,
     format_pi_angle,
@@ -195,6 +196,46 @@ def test_wigner_same_state_contradiction():
     assert report.subset_probability == Fraction(3, 8)
     assert report.superset_probability == Fraction(1, 4)
     assert set(report.subset) <= set(report.superset)
+
+
+def _wigner_gaps(ti, tj, tk):
+    """The (ij, jk, ki) gaps as wigner_argument takes them: exact between pi multiples."""
+
+    def gap(a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return abs(b - a)
+        return abs(angle_to_radians(b) - angle_to_radians(a))
+
+    return gap(ti, tj), gap(tj, tk), gap(ti, tk)
+
+
+def test_wigner_verdict_is_the_bell_verdict_on_its_gaps():
+    # The gaps depend only on angle differences, so triples (0, b, c) with b
+    # and c between -2pi and 2pi give the gaps of every triple on the grid.
+    offsets = [Fraction(k, 12) for k in range(-23, 24)]
+    on_grid = [(Fraction(0), b, c) for b, c in itertools.product(offsets, repeat=2)]
+    rng = random.Random(12)
+    floats = [tuple(rng.uniform(0, 2 * math.pi) for _ in range(3)) for _ in range(200)]
+    mixed = [
+        tuple(rng.choice((Fraction(rng.randrange(24), 12), rng.uniform(0, 2 * math.pi))) for _ in range(3))
+        for _ in range(400)
+    ]
+    for angles in [*on_grid, *floats, *mixed]:
+        ij, jk, ki = _wigner_gaps(*angles)
+        for mode in ("half", "full"):
+            bell = bell_inequality(ij, jk, ki, mode)
+            cos = rational_cos_pi(ki if mode == "half" else 2 * ki) if isinstance(ki, Fraction) else None
+            for variant in ("same-state", "singlet-inclusive"):
+                report = wigner_argument(*angles, variant=variant, mode=mode)
+                assert report.consistent == (not bell.violated), (angles, mode, variant)
+                assert float(report.subset_probability) == bell.lhs
+                assert isinstance(report.subset_probability, Fraction) == (cos is not None)
+                if cos is not None:
+                    assert report.subset_probability == (1 - cos) / 4
+    for variant in ("same-state", "singlet-inclusive"):
+        report = wigner_argument(Fraction(0), Fraction(1, 12), Fraction(1, 3), variant=variant)
+        assert type(report.subset_probability) is Fraction
+        assert report.subset_probability == Fraction(1, 8)
 
 
 def test_wigner_equal_angles_consistent():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinstat.errors import ShapeError, SizeLimitError
+from spinstat.errors import SizeLimitError
 from spinstat.exact import ExactScalar
 from spinstat.kets import inner_product
 from spinstat.rotations import spin_j_singlet
@@ -108,12 +108,6 @@ def test_unrescaled_ladder_on_two_half_spins():
     assert lowered.norm() == sq(2)
     expected = cg_decompose(HALF, HALF)[(Fraction(1), Fraction(0))]
     assert lowered.normalized() == expected
-
-
-def test_ladder_step_mismatch_guard():
-    top = coupled(1, 1, HALF, HALF, {(HALF, HALF): ONE})
-    with pytest.raises(ShapeError):
-        ladder_apply("-", top, n=2)
 
 
 def test_half_half_table():
