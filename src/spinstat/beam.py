@@ -22,7 +22,7 @@ DEFAULT_CRITICAL = 5.991
 SPIN_VALUES = (1, 0, -1)
 
 #: Most atoms one beam draws.  Time grows with the count while memory stays
-#: at one chunk: a cold ``beam`` took 0.6 s at 10**7 atoms and 2.9 s at 10**8.
+#: at one chunk: a cold ``beam`` took 0.5 s at 10**7 atoms and 1.6 s at 10**8.
 MAX_ATOMS = 10**8
 
 #: Draws made at once.  Chunked ``random()`` calls continue one Philox stream,
@@ -92,13 +92,20 @@ def simulate_beam(config: BeamConfig) -> BeamResult:
     import numpy as np
 
     dist = config.distribution()
-    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
+    n = config.n_atoms
+    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]]).tolist()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    cells = np.zeros(len(SPIN_VALUES), dtype=np.int64)
-    for start in range(0, config.n_atoms, DRAW_CHUNK):
-        draws = rng.random(min(DRAW_CHUNK, config.n_atoms - start))
-        cells += np.bincount(np.searchsorted(edges, draws, side="left"), minlength=cells.size)
-    return BeamResult(config, dict(zip(SPIN_VALUES, cells.tolist())))
+    # A draw falls in cell i when it lies above edge i-1 and at most at edge
+    # i, so counting the draws at or below each edge gives every cell.
+    at_or_below = [0] * len(edges)
+    buffer = np.empty(min(DRAW_CHUNK, n))
+    for start in range(0, n, DRAW_CHUNK):
+        draws = buffer[: min(DRAW_CHUNK, n - start)]
+        rng.random(out=draws)
+        for i, edge in enumerate(edges):
+            at_or_below[i] += int(np.count_nonzero(draws <= edge))
+    bounds = [0, *at_or_below, n]
+    return BeamResult(config, {v: hi - lo for v, lo, hi in zip(SPIN_VALUES, bounds, bounds[1:])})
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
@@ -144,6 +145,26 @@ def angle_arg(text: str) -> Fraction:
 
 def angle_list_arg(text: str) -> list[Fraction]:
     return [angle_arg(part) for part in text.split(",")]
+
+
+_ANGLE_LIST_OPTIONS = ("--angles", "--gaps")
+_NEGATIVE_ANGLE = re.compile(r"-(\d|pi)")
+
+
+def _attach_negative_angle_lists(argv: Sequence[str]) -> list[str]:
+    """Write ``--angles -pi/4,...`` as ``--angles=-pi/4,...``.
+
+    argparse reads a value that starts with ``-`` as an option unless it
+    looks like a negative number, so a list led by a negative angle would
+    be refused as a missing value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _ANGLE_LIST_OPTIONS and _NEGATIVE_ANGLE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def fraction_list_arg(text: str) -> list[Fraction]:
@@ -543,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = _attach_negative_angle_lists(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     envelope: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

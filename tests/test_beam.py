@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,15 +35,28 @@ def test_simulation_is_deterministic():
     assert other_seed.counts != first.counts
 
 
-@pytest.mark.parametrize("hypothesis, seed", [("paper", 7), ("uniform", 123)])
+@pytest.mark.parametrize(
+    "hypothesis, seed", [("paper", 7), ("uniform", 123), ("paper", 2**128 - 1), ("uniform", 2**128 - 1)]
+)
 def test_chunked_draws_match_one_shot_draws(hypothesis, seed):
-    n = DRAW_CHUNK + 12345
     dist = hypothesis_distribution(hypothesis)
     edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
-    draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
-    cells = np.searchsorted(edges, draws, side="left")
-    expected = {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
-    assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected
+    for n in (0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, DRAW_CHUNK + 12345):
+        draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
+        cells = np.searchsorted(edges, draws, side="left")
+        expected = {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
+        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected, n
+
+
+def test_beam_memory_stays_at_one_chunk():
+    simulate_beam(BeamConfig(1, "uniform", seed=3))  # numpy.random's lazy import is not the beam's
+    tracemalloc.start()
+    try:
+        simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * DRAW_CHUNK * np.dtype(np.float64).itemsize
 
 
 def test_empty_beam():

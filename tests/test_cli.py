@@ -95,6 +95,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bell", "--gaps", "one-third-pi"])
     assert err.value.code == 2
+    for argv in (["wigner", "--angles"], ["bell", "--gaps"], ["wigner", "--angles", "--formula", "full"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -280,6 +285,17 @@ def test_huge_pi_multiple_angles_exit_zero():
     assert json.loads(output)["payload"]["violated"] is False
     code, output = run_cli(["wigner", "--angles", f"0,pi/3,{huge}"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--angles", "-pi/4,pi/3,0"), ("--gaps", "-pi/4,pi,pi"), ("--angles", "-2pi/3,0,pi")],
+)
+def test_angle_list_may_start_with_a_negative_angle(option, value):
+    command = "wigner" if option == "--angles" else "bell"
+    attached = run_cli([command, f"{option}={value}"])
+    assert attached[0] == 0
+    assert run_cli([command, option, value]) == attached
 
 
 def test_seed_from_environment(monkeypatch):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import random_float_ket
+from spinstat import measurement
 from spinstat.errors import ShapeError, SizeLimitError
 from spinstat.kets import Ket
 from spinstat.measurement import (
     MAX_SEARCH_DENOMINATOR,
+    GridViolation,
     angle_to_radians,
     bell_inequality,
     exact_sin_squared,
@@ -183,6 +185,40 @@ def test_gaps_beyond_a_turn_reduce_before_the_float_fallback():
     assert report.subset_probability == wigner_argument(
         Fraction(0), Fraction(1, 3), Fraction(1, 7)
     ).subset_probability
+
+
+def naive_search(denominator, mode):
+    """The search as one Bell evaluation per angle triple."""
+    steps = [Fraction(k, denominator) for k in range(2 * denominator)]
+    found = []
+    for ti, tj, tk in itertools.combinations(steps, 3):
+        gaps = (tj - ti, tk - tj, tk - ti)
+        ev = bell_inequality(*gaps, mode=mode)
+        if ev.violated:
+            found.append(GridViolation((ti, tj, tk), gaps, ev))
+    return found
+
+
+@pytest.mark.parametrize("mode", ["half", "full"])
+def test_search_decides_each_gap_pair_once(monkeypatch, mode):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bell_inequality(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "bell_inequality", counting)
+    for d in range(1, 13):
+        calls = 0
+        found = search_violations(d, mode)
+        assert calls <= math.comb(2 * d - 1, 2)
+        assert repr(found) == repr(naive_search(d, mode))
+
+
+def test_search_at_its_size_limit():
+    assert len(search_violations(24)) == 8096
+    assert len(search_violations(MAX_SEARCH_DENOMINATOR)) == 69184
 
 
 def test_search_refuses_a_grid_beyond_the_limit():
