@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from . import rotations
 from .errors import InvalidValueError, SpinstatError, StateFileError
 from .exact import ExactScalar, parse_scalar
-from .kets import EXACT, FLOAT, Ket, index_of_m, spin_values
+from .kets import EXACT, FLOAT, Ket, index_of_m
 
 if TYPE_CHECKING:
     from .measurement import BellEvaluation
@@ -57,7 +57,7 @@ def _plain(value: Any, mode: str) -> Any:
 def _label_token(dim: int, index: int) -> str:
     if dim == 2:
         return "+" if index == 0 else "-"
-    return str(spin_values(dim)[index])
+    return str(Fraction(dim - 1, 2) - index)
 
 
 def ket_payload(ket: Ket) -> dict[str, Any]:
@@ -246,6 +246,8 @@ def _read_states(path: str) -> list[Ket]:
 
 
 def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
+    if args.decompose and args.tag != "spin_j_singlet":
+        raise InvalidValueError("--decompose needs the spin_j_singlet tag")
     ket = rotations.make_state(args.tag, j=args.j)
     payload: dict[str, Any] = {"tag": args.tag, **ket_payload(ket)}
     if args.j is not None:
@@ -269,8 +271,6 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
             "max_deviation": isc.max_deviation,
         }
     if args.decompose:
-        if args.j is None:
-            raise InvalidValueError("--decompose needs --j")
         decomposition = rotations.decompose_spin_j_singlet(args.j)
         checks["decomposition"] = {
             "pairs": [{"m": str(p.m), **ket_payload(p.ket)} for p in decomposition.pairs],

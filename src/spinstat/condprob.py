@@ -14,8 +14,7 @@ from typing import Mapping
 
 from .errors import InvalidValueError, ShapeError, UndefinedConditionalError
 from .exact import Rational
-from .rotations import check_spin
-from .spin_algebra import CoupledState, cg_decompose
+from .kets import check_spin, spin_values
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class SpinDistribution:
 
     def __post_init__(self) -> None:
         j = check_spin(self.j)
-        values = [j - k for k in range(int(2 * j + 1))]
+        values = spin_values(j)
         probs = {Fraction(m): Fraction(p) for m, p in self.probabilities.items()}
         if set(probs) != set(values):
             raise ShapeError(f"need one probability for each of {values}")
@@ -41,8 +40,8 @@ class SpinDistribution:
     @classmethod
     def uniform(cls, j: Rational = 1) -> "SpinDistribution":
         j = check_spin(j)
-        dim = int(2 * j + 1)
-        return cls(j, {j - k: Fraction(1, dim) for k in range(dim)})
+        values = spin_values(j)
+        return cls(j, {m: Fraction(1, len(values)) for m in values})
 
     @classmethod
     def half_weighted(cls) -> "SpinDistribution":
@@ -135,6 +134,9 @@ def compare_with_cg(
     squared coefficients of the ``|s, total>`` row of the (1, 1) coupling
     table (the stretched s = 2 block by default).
     """
+    # Imported here: beam builds SpinDistribution laws and never couples.
+    from .spin_algebra import cg_decompose
+
     if d.j != 1:
         raise ShapeError("comparison is defined for spin-1 single-particle laws")
     total = Fraction(total)
@@ -142,7 +144,7 @@ def compare_with_cg(
     table = cg_decompose(1, 1)
     if (s, total) not in table:
         raise ShapeError(f"no coupled state with (s, m) = ({s}, {total})")
-    row: CoupledState = table[(s, total)]
+    row = table[(s, total)]
     conditional = conditional_given_total(d, d, total)
     squares = {pair: amp.squared() for pair, amp in row.amplitudes.items()}
     cells = set(squares) | set(conditional.cells)

@@ -116,10 +116,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_rational(self) -> bool:
-        return all(r == 1 for r, _ in self.terms)
-
     def squared(self) -> Fraction:
         """``q*q*r`` for a single term ``q*sqrt(r)``."""
         rad, coef = self._single("squared()")

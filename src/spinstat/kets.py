@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import (
     IncompatibleRadicandsError,
+    InvalidSpinError,
     InvalidValueError,
     ModeMismatchError,
     NotPermutableError,
@@ -326,10 +327,21 @@ def permute_slots(ket: Ket, perm: Permutation) -> Ket:
     return Ket(ket.dims, amps)
 
 
-def spin_values(dim: int) -> list[Fraction]:
-    """Projection values ``j, j-1, ..., -j`` for a local basis of size ``dim``."""
-    j = Fraction(dim - 1, 2)
-    return [j - k for k in range(dim)]
+def check_spin(j: Rational) -> Fraction:
+    j = Fraction(j)
+    if j < 0 or (2 * j).denominator != 1:
+        raise InvalidSpinError(f"spin must be a nonnegative half-integer, got {j}")
+    return j
+
+
+def spin_values(j: Fraction, step: int = 1) -> list[Fraction]:
+    """Projections ``j, j-step, j-2*step, ...`` of spin ``j`` that stay at or above ``-j``.
+
+    At ``step`` 1 this is the local basis of a ``2j+1``-dimensional slot in
+    index order; a rescaled ladder with ``step`` n skips the projections in
+    between.
+    """
+    return [j - k for k in range(0, int(2 * j) + 1, step)]
 
 
 def index_of_m(dim: int, m: Rational) -> int:

@@ -156,17 +156,6 @@ class PermutationExpansion:
         return len(self.states)
 
     @classmethod
-    def from_ordered_coefficients(
-        cls, states: Sequence[Ket], coefficients: Sequence[ExactScalar]
-    ) -> "PermutationExpansion":
-        """Coefficients aligned with lexicographic permutation order."""
-        _check_states(states)
-        perms = list(Permutation.all_of(len(states)))
-        if len(coefficients) != len(perms):
-            raise ShapeError(f"need {len(perms)} coefficients")
-        return cls(tuple(states), dict(zip(perms, coefficients)))
-
-    @classmethod
     def fermi_dirac(cls, states: Sequence[Ket]) -> "PermutationExpansion":
         w = _uniform_weight(states)
         return cls(tuple(states), {p: p.sign * w for p in Permutation.all_of(len(states))})

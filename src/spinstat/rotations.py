@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from .exact import ExactScalar, Rational
-from .kets import FLOAT, Ket, index_of_m
+from .kets import FLOAT, Ket, check_spin
 
 # Functions that compute with arrays import numpy themselves, so exact
 # callers, and most CLI subcommands, never load it.
@@ -100,13 +100,6 @@ def triplet(m: int) -> Ket:
     raise UnknownTagError(f"triplet projection must be -1, 0, or 1, got {m}")
 
 
-def check_spin(j: Rational) -> Fraction:
-    j = Fraction(j)
-    if j < 0 or (2 * j).denominator != 1:
-        raise InvalidSpinError(f"spin must be a nonnegative half-integer, got {j}")
-    return j
-
-
 def spin_j_singlet(j: Rational) -> Ket:
     """Total-spin-zero pair of two spin-j particles.
 
@@ -122,10 +115,10 @@ def spin_j_singlet(j: Rational) -> Ket:
     dim = int(2 * j + 1)
     weight = ExactScalar.sqrt(Fraction(1, dim))
     amps: dict[tuple[int, int], ExactScalar] = {}
+    # Label k holds projection j - k, so |m,-m> is (k, dim - 1 - k) with sign (-1)**k.
     for k in range(dim):
-        m = j - k
-        sign = -1 if int(j - m) % 2 else 1
-        amps[(index_of_m(dim, m), index_of_m(dim, -m))] = sign * weight
+        sign = -1 if k % 2 else 1
+        amps[(k, dim - 1 - k)] = sign * weight
     return Ket((dim, dim), amps)
 
 
@@ -141,7 +134,7 @@ STATE_TAGS = (
 
 
 def make_state(tag: str, j: Rational | None = None) -> Ket:
-    """Build a cataloged state by tag; ``spin_j_singlet`` needs ``j``."""
+    """Build a cataloged state by tag; ``spin_j_singlet`` needs ``j``, and no other tag takes one."""
     builders = {
         "singlet": singlet,
         "improper_singlet": improper_singlet,
@@ -151,6 +144,8 @@ def make_state(tag: str, j: Rational | None = None) -> Ket:
         "triplet_minus": lambda: triplet(-1),
     }
     if tag in builders:
+        if j is not None:
+            raise InvalidValueError(f"{tag} takes no spin value j")
         return builders[tag]()
     if tag == "spin_j_singlet":
         if j is None:
@@ -322,17 +317,13 @@ def decompose_spin_j_singlet(j: Rational) -> SingletDecomposition:
     dim = int(2 * j + 1)
     scale = ExactScalar.sqrt(Fraction(dim))
     pairs = []
-    m = j
-    while m > 0:
-        labels = {
-            (index_of_m(dim, m), index_of_m(dim, -m)),
-            (index_of_m(dim, -m), index_of_m(dim, m)),
-        }
+    # Label k holds projection m = j - k, and m > 0 for k < dim // 2.
+    for k in range(dim // 2):
+        labels = {(k, dim - 1 - k), (dim - 1 - k, k)}
         amps = {l: state.amplitudes[l] * scale for l in labels}
-        pairs.append(PairComponent(m, Ket(state.dims, amps)))
-        m -= 1
+        pairs.append(PairComponent(j - k, Ket(state.dims, amps)))
     center = None
-    if (2 * j) % 2 == 0:
-        zero_label = (index_of_m(dim, 0), index_of_m(dim, 0))
+    if dim % 2:
+        zero_label = (dim // 2, dim // 2)
         center = Ket(state.dims, {zero_label: state.amplitudes[zero_label] * scale})
     return SingletDecomposition(j, tuple(pairs), center)

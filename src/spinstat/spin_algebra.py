@@ -20,8 +20,7 @@ from typing import Literal, Mapping, Sequence
 
 from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
-from .kets import Ket
-from .rotations import check_spin
+from .kets import Ket, check_spin, spin_values
 
 MAX_COUPLED_SPIN = Fraction(9)
 
@@ -136,8 +135,8 @@ def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> Exa
 def angular_momentum_matrices(j: Rational) -> AngularMomentumSet:
     """Standard matrices with L±|j,m> = sqrt((j∓m)(j±m+1)) |j,m±1>."""
     j = check_spin(j)
-    dim = int(2 * j + 1)
-    ms = [j - k for k in range(dim)]
+    ms = spin_values(j)
+    dim = len(ms)
     lz = ExactMatrix.diagonal(ms)
     zero = ExactScalar(0)
     plus_rows = [[zero] * dim for _ in range(dim)]
@@ -202,16 +201,6 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     return RescaledAlgebraCheck(n, j, max_residual, ladder_ok)
 
 
-def _step_values(j: Fraction, step: int) -> list[Fraction]:
-    """Projection values reachable from +j in steps of ``step``."""
-    values = []
-    m = j
-    while m >= -j:
-        values.append(m)
-        m -= step
-    return values
-
-
 @dataclass(frozen=True)
 class CoupledState:
     """A total-spin eigenstate expanded over the product basis |m1,m2>.
@@ -228,8 +217,8 @@ class CoupledState:
     step: int = 1
 
     def __post_init__(self) -> None:
-        values1 = set(_step_values(self.j1, self.step))
-        values2 = set(_step_values(self.j2, self.step))
+        values1 = set(spin_values(self.j1, self.step))
+        values2 = set(spin_values(self.j2, self.step))
         amps = {}
         for (m1, m2), amp in self.amplitudes.items():
             m1, m2 = Fraction(m1), Fraction(m2)
@@ -270,8 +259,8 @@ class CoupledState:
 
     def to_ket(self) -> Ket:
         """Render over index labels ordered by descending projection."""
-        values1 = _step_values(self.j1, self.step)
-        values2 = _step_values(self.j2, self.step)
+        values1 = spin_values(self.j1, self.step)
+        values2 = spin_values(self.j2, self.step)
         amps = {
             (values1.index(m1), values2.index(m2)): a
             for (m1, m2), a in self.amplitudes.items()
@@ -311,26 +300,37 @@ def ladder_apply(
     return CoupledState(state.s, state.m + delta, state.j1, state.j2, amps, state.step)
 
 
-def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction) -> CoupledState:
+def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction, step: int) -> CoupledState:
     """The unique unit state at m = s annihilated by the raising operator.
 
     Raising couples consecutive labels of the m = s level pairwise, so the
     kernel direction follows from a two-term recursion whose ratios stay
     single-radical; the sign convention fixes the highest-m1 coefficient
-    positive.
+    positive.  At s = j1 + j2 the level holds the single label (j1, j2).
     """
-    m1_top = min(j1, s + j2)
-    m1_bottom = max(-j1, s - j2)
-    labels = []
-    m1 = m1_top
-    while m1 >= m1_bottom:
-        labels.append((m1, s - m1))
-        m1 -= 1
+    labels = [(m1, s - m1) for m1 in spin_values(j1, step) if abs(s - m1) <= j2]
     amps = {labels[0]: ExactScalar(1)}
     for (x, y), nxt in zip(labels, labels[1:]):
-        ratio = ladder_factor(j2, y, "+") / ladder_factor(j1, x - 1, "+")
+        ratio = ladder_factor(j2, y, "+") / ladder_factor(j1, x - step, "+")
         amps[nxt] = -amps[(x, y)] * ratio
-    return CoupledState(s, s, j1, j2, amps).normalized()
+    return CoupledState(s, s, j1, j2, amps, step).normalized()
+
+
+def _couple(j1: Fraction, j2: Fraction, step: int) -> dict[tuple[Fraction, Fraction], CoupledState]:
+    """Every block s = j1 + j2, j1 + j2 - step, ... down to |j1 - j2|, keyed by (s, m).
+
+    Each block starts from its highest-weight state and is laddered down
+    ``step`` at a time to m = -s.
+    """
+    table: dict[tuple[Fraction, Fraction], CoupledState] = {}
+    for s in spin_values(j1 + j2, step):
+        if s < abs(j1 - j2):
+            break
+        state = table[(s, s)] = _highest_weight(j1, j2, s, step)
+        while state.m > -s:
+            state = ladder_apply("-", state).normalized()
+            table[(s, state.m)] = state
+    return table
 
 
 def cg_decompose(
@@ -344,47 +344,15 @@ def cg_decompose(
     j1, j2 = check_spin(j1), check_spin(j2)
     if j1 > MAX_COUPLED_SPIN or j2 > MAX_COUPLED_SPIN:
         raise SizeLimitError(f"coupling supports spins up to {MAX_COUPLED_SPIN}")
-    table: dict[tuple[Fraction, Fraction], CoupledState] = {}
-    s = j1 + j2
-    while s >= abs(j1 - j2):
-        if s == j1 + j2:
-            top = CoupledState(s, s, j1, j2, {(j1, j2): ExactScalar(1)})
-        else:
-            top = _highest_weight(j1, j2, s)
-        table[(s, s)] = top
-        state = top
-        m = s
-        while m > -s:
-            state = ladder_apply("-", state).normalized()
-            m -= 1
-            table[(s, m)] = state
-        s -= 1
-    return table
+    return _couple(j1, j2, 1)
 
 
 def photon_pair_table() -> dict[tuple[Fraction, Fraction], CoupledState]:
     """Coupled states of a two-valued spin-1 pair via n = 2 ladders.
 
-    The constituents carry only the ±1 projections, so the rescaled
-    lowering operator takes the aligned top state straight to m = 0 and
-    the remaining total-spin-0 state follows from orthogonality inside the
-    two-dimensional m = 0 level.
+    The constituents carry only the ±1 projections, so this is the (1, 1)
+    coupling laddered two steps at a time: the blocks are s = 2 (m = 2, 0,
+    -2) and s = 0, and the rescaled lowering operator never steps onto the
+    missing m = 0 projection.
     """
-    one = Fraction(1)
-    top = CoupledState(Fraction(2), Fraction(2), one, one, {(one, one): ExactScalar(1)}, step=2)
-    middle = ladder_apply("-", top).normalized()
-    bottom = ladder_apply("-", middle).normalized()
-    # Orthogonal complement of the m=0 row within span{|1,-1>, |-1,1>},
-    # signed so the higher first projection comes out positive.
-    a = middle.coefficient(1, -1)
-    b = middle.coefficient(-1, 1)
-    singlet = CoupledState(
-        Fraction(0), Fraction(0), one, one, {(one, -one): b, (-one, one): -a}, step=2
-    ).normalized()
-    return {
-        (Fraction(2), Fraction(2)): top,
-        (Fraction(2), Fraction(0)): middle,
-        (Fraction(2), Fraction(-2)): bottom,
-        (Fraction(0), Fraction(0)): singlet,
-    }
-
+    return _couple(Fraction(1), Fraction(1), 2)

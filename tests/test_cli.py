@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinstat.beam import MAX_ATOMS
-from spinstat.cli import main, parse_state_sections
+from spinstat.cli import ket_payload, main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
 from spinstat.rotations import MAX_GRID, STATE_TAGS, make_state
@@ -124,6 +125,8 @@ BAD_INPUTS = {
     "overflowing-rate": (["state", "improper_singlet", "--check-isc", "--c", "1e308"], None, "invalid-value"),
     "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], None, "size-limit"),
     "decompose-without-j": (["state", "singlet", "--decompose"], None, "invalid-value"),
+    "decompose-of-another-tag": (["state", "triplet_plus", "--j", "3", "--decompose"], None, "invalid-value"),
+    "j-for-a-tag-without-one": (["state", "singlet", "--j", "5/2"], None, "invalid-value"),
     "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, "invalid-value"),
     "critical-nan": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "nan"], None, 2),
     "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
@@ -173,6 +176,19 @@ def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, sta
         envelope = json.loads(capsys.readouterr().out)
         jsonschema.validate(envelope, load_schema())
         assert envelope["error"]["code"] == expected
+
+
+def test_printing_a_large_slot_does_not_build_its_ladder():
+    dim = 400_001
+    ket = Ket((dim,), {(0,): 1, (dim - 1,): -1})
+    tracemalloc.start()
+    try:
+        payload = ket_payload(ket)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(payload["amplitudes"]) == ["200000", "-200000"]
+    assert peak < 1_000_000
 
 
 def test_state_file_takes_printed_amplitudes(tmp_path):
@@ -408,7 +424,7 @@ SUBCOMMAND_MODULES = {
     "cg": {"spin_algebra"},
     "algebra": {"spin_algebra"},
     "condprob": {"condprob", "spin_algebra"},
-    "beam": {"beam", "condprob", "spin_algebra"},
+    "beam": {"beam", "condprob"},
 }
 
 MODULES_AFTER_MAIN = """

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_exact_ket, random_float_ket
 from spinstat.errors import (
@@ -15,8 +17,10 @@ from spinstat.exact import ExactScalar, parse_scalar
 from spinstat.kets import (
     Ket,
     Permutation,
+    index_of_m,
     inner_product,
     permute_slots,
+    spin_values,
     tensor_product,
 )
 from spinstat.rotations import make_state
@@ -170,3 +174,15 @@ def test_scaling_follows_the_ket_mode():
     assert floaty.mode == "float"
     assert floaty.amplitude((0, 1)) == pytest.approx(math.sqrt(2))
 
+
+
+@given(st.integers(0, 18).map(lambda twice: Fraction(twice, 2)), st.sampled_from([1, 2]))
+def test_spin_values_descend_by_the_step_from_j(j, step):
+    values = spin_values(j, step)
+    assert values[0] == j
+    assert all(a - b == step for a, b in zip(values, values[1:]))
+    assert values[-1] >= -j and values[-1] - step < -j
+    if step == 1:
+        dim = int(2 * j + 1)
+        assert len(values) == dim
+        assert [index_of_m(dim, m) for m in values] == list(range(dim))

@@ -38,9 +38,9 @@ def test_package_import_loads_modules_only_on_use():
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split() == [
         "-",
-        "errors,exact,kets,rotations,spin_algebra",
+        "errors,exact,kets,spin_algebra",
         "True",
-        "beam,condprob,errors,exact,kets,rotations,spin_algebra",
+        "beam,condprob,errors,exact,kets,spin_algebra",
     ]
 
 
@@ -72,21 +72,33 @@ def test_unknown_name_raises_attribute_error():
 
 
 
+def _imported_roots(name, module_scope_only=False):
+    """The top-level names module ``name`` imports; ``from .x import`` and ``from . import x`` count as ``x``."""
+    tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
+    nodes = tree.body if module_scope_only else ast.walk(tree)
+    roots = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            roots.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            roots |= {alias.name for alias in node.names}
+    return roots
+
+
 # The float layers; every other module computes exactly and never needs numpy.
 NUMPY_MODULES = {"kets", "rotations", "measurement", "beam"}
 
 
 def test_only_the_float_layers_import_numpy():
-    importers = set()
-    for name in SUBMODULES:
-        tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                roots = {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                roots = {(node.module or "").split(".")[0]}
-            else:
-                continue
-            if "numpy" in roots:
-                importers.add(name)
-    assert importers == NUMPY_MODULES
+    assert {name for name in SUBMODULES if "numpy" in _imported_roots(name)} == NUMPY_MODULES
+
+
+# The spin basis lives in kets.  rotations holds the named states and the
+# float rotations, and spin_algebra the coupling tables; a module that loads
+# either at import makes every user of that module pay for it.
+def test_rotations_and_spin_algebra_load_only_where_needed():
+    module_scope = {name: _imported_roots(name, module_scope_only=True) for name in SUBMODULES}
+    assert {name for name, roots in module_scope.items() if "rotations" in roots} == {"cli", "measurement"}
+    assert not any("spin_algebra" in roots for roots in module_scope.values())

@@ -148,11 +148,10 @@ def test_size_and_shape_guards():
         PermutationExpansion.fermi_dirac,
         PermutationExpansion.bose_einstein,
         PermutationExpansion.mixed,
-        lambda states: PermutationExpansion.from_ordered_coefficients(states, []),
         antisymmetrize,
         symmetrize,
     ],
-    ids=["fermi_dirac", "bose_einstein", "mixed", "from_ordered_coefficients", "antisymmetrize", "symmetrize"],
+    ids=["fermi_dirac", "bose_einstein", "mixed", "antisymmetrize", "symmetrize"],
 )
 def test_builders_check_the_state_count_before_enumerating(monkeypatch, build):
     # 12 states have 12! orderings: enumerating them first would never return.
@@ -171,9 +170,7 @@ def test_expansion_constructors_and_validation():
     be = PermutationExpansion.bose_einstein(states)
     assert be.realize() == make_state("triplet_zero")
     with pytest.raises(ValueError):
-        PermutationExpansion.from_ordered_coefficients(
-            states, [ExactScalar(1), ExactScalar(1)]
-        )
+        PermutationExpansion(states, {p: ExactScalar(1) for p in Permutation.all_of(2)})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
