@@ -40,8 +40,9 @@ EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
 MAX_SINGLET_SPIN = Fraction(100)
 
 #: Most evenly spaced angles :func:`grid_angles` builds.  A cold
-#: ``state improper_singlet --check-isc`` takes about 0.3 s and 50 MB at
-#: this grid, and 1.1 s and 230 MB at ten times it.
+#: ``state triplet_zero --check-isc``, which fails and so builds the grid,
+#: takes about 0.4 s and 50 MB at this grid, and 1.4 s and 230 MB at ten
+#: times it.
 MAX_GRID = 100_000
 
 #: Above this rate the float angle ``c * theta`` overflows within one turn.
@@ -161,13 +162,22 @@ def _check_pair_and_rate(ket: Ket, c: Rational | float) -> None:
         raise InvalidValueError("rotation rate c must be nonzero; at 0 every rotation is the identity")
 
 
+def _check_grid(grid: int) -> None:
+    if grid > MAX_GRID:
+        raise SizeLimitError(f"the angle grid supports up to {MAX_GRID} points")
+
+
+def _check_float_rate(c: Rational | float) -> None:
+    if abs(c) > _MAX_FLOAT_RATE:
+        raise InvalidValueError("rotation rate c is too large for float angles")
+
+
 def grid_angles(grid: int) -> list[float]:
     """``grid`` evenly spaced angles in ``[0, 2*pi)`` and the extra probes.
 
     A grid above :data:`MAX_GRID` raises :class:`SizeLimitError`.
     """
-    if grid > MAX_GRID:
-        raise SizeLimitError(f"the angle grid supports up to {MAX_GRID} points")
+    _check_grid(grid)
     return [2 * math.pi * k / grid for k in range(grid)] + list(EXTRA_GRID_ANGLES)
 
 
@@ -191,8 +201,6 @@ def _paired_rotation(ket: Ket, c: Rational | float, angles: list[float]) -> np.n
     """``(R ⊗ R)|psi>`` at every angle, as an array of shape ``(len(angles), 2, 2)``."""
     import numpy as np
 
-    if abs(c) > _MAX_FLOAT_RATE:
-        raise InvalidValueError("rotation rate c is too large for float angles")
     r = rotation_matrix(angles, c)
     return np.einsum("gij,gkl,jl->gik", r, r, ket.to_array())
 
@@ -200,6 +208,7 @@ def _paired_rotation(ket: Ket, c: Rational | float, angles: list[float]) -> np.n
 def _max_grid_deviation(ket: Ket, c: Rational | float, angles: list[float]) -> float:
     import numpy as np
 
+    _check_float_rate(c)
     rotated = _paired_rotation(ket, c, angles)
     return float(np.linalg.norm(rotated - ket.to_array(), axis=(1, 2)).max())
 
@@ -227,6 +236,40 @@ def is_rotationally_invariant(
 #: readings the same, or both opposite, each with probability 1/2.
 _ISC_PATTERNS = (((0.5, 0.0), (0.0, 0.5)), ((0.0, 0.5), (0.5, 0.0)))
 
+#: Exact ``(cos a, sin a)`` at the rotation angles ``a = k*pi/6``, k = 0..4,
+#: whose doubles ``2a`` are distinct mod 2*pi.
+_EXACT_ISC_ANGLES = (
+    (ExactScalar(1), ExactScalar(0)),
+    (ExactScalar(HALF, 3), ExactScalar(HALF)),
+    (ExactScalar(HALF), ExactScalar(HALF, 3)),
+    (ExactScalar(0), ExactScalar(1)),
+    (ExactScalar(-HALF), ExactScalar(HALF, 3)),
+)
+
+#: :data:`_ISC_PATTERNS` as exact cells, in the order ``++, +-, -+, --``.
+_EXACT_ISC_PATTERNS = {tuple(ExactScalar(Fraction(p)) for row in pattern for p in row) for pattern in _ISC_PATTERNS}
+
+
+def _exactly_isc(ket: Ket) -> bool:
+    """Exact test that an exact pair is perfectly correlated at every angle.
+
+    Under R(a) ⊗ R(a) each amplitude is a quadratic form in (cos a, sin a),
+    a trigonometric polynomial of degree 1 in 2a, so each joint probability
+    has degree 2 in 2a and is fixed by its values at 5 angles whose 2a are
+    distinct mod 2*pi.  The two valid patterns differ by 1/2 in every cell,
+    so a continuous table cannot switch between them: the pair is perfectly
+    correlated iff its table is one and the same pattern at those 5 angles.
+    """
+    psi = [[ket.amplitude((j, l)) for l in range(2)] for j in range(2)]
+    tables = set()
+    for cos, sin in _EXACT_ISC_ANGLES:
+        r = ((cos, sin), (-sin, cos))
+        # First slot, then second: rows[i][l] = sum_j R[i][j] psi[j][l].
+        rows = [[r[i][0] * psi[0][l] + r[i][1] * psi[1][l] for l in range(2)] for i in range(2)]
+        amps = [r[k][0] * rows[i][0] + r[k][1] * rows[i][1] for i in range(2) for k in range(2)]
+        tables.add(tuple(a * a for a in amps))
+    return len(tables) == 1 and tables <= _EXACT_ISC_PATTERNS
+
 
 class IscResult(NamedTuple):
     isc: bool
@@ -242,14 +285,22 @@ def is_isc(
 ) -> IscResult:
     """Perfect-correlation test in every rotated measurement basis.
 
-    At each grid angle the four joint outcome probabilities must be two
+    At each angle the four joint outcome probabilities must be two
     complementary cells of 1/2 each (either both-same or both-opposite).
-    On failure the angle with the largest deviation from the nearer valid
-    pattern is reported as a witness.
+    An exact ket is decided exactly at 5 angles, so a correlated one passes
+    with a deviation of exactly 0 under any ``tol`` and any allowed ``grid``.
+    Any other ket is measured in floats over the angle grid; on failure the
+    angle with the largest deviation from the nearer valid pattern is
+    reported as a witness.
     """
+    _check_pair_and_rate(ket, c)
+    _check_grid(grid)
+    _check_float_rate(c)
+    if ket.mode != FLOAT and _exactly_isc(ket):
+        return IscResult(True, None, 0.0)
+
     import numpy as np
 
-    _check_pair_and_rate(ket, c)
     angles = grid_angles(grid)
     p = np.abs(_paired_rotation(ket, c, angles)) ** 2
     deviation = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)

@@ -254,9 +254,6 @@ class CoupledState:
             self.step,
         )
 
-    def coefficient(self, m1: Rational, m2: Rational) -> ExactScalar:
-        return self.amplitudes.get((Fraction(m1), Fraction(m2)), ExactScalar(0))
-
     def to_ket(self) -> Ket:
         """Render over index labels ordered by descending projection."""
         values1 = spin_values(self.j1, self.step)

@@ -134,13 +134,13 @@ def test_criterion_5_coupling_tables():
     s2 = Fraction(2)
     stretched_ok = (
         table[(s2, Fraction(2))].amplitudes == {(Fraction(1), Fraction(1)): one}
-        and table[(s2, Fraction(1))].coefficient(1, 0) == w2
-        and table[(s2, Fraction(1))].coefficient(0, 1) == w2
-        and table[(s2, Fraction(0))].coefficient(0, 0) == w23
-        and table[(s2, Fraction(0))].coefficient(1, -1) == w6
-        and table[(s2, Fraction(0))].coefficient(-1, 1) == w6
-        and table[(s2, Fraction(-1))].coefficient(0, -1) == w2
-        and table[(s2, Fraction(-1))].coefficient(-1, 0) == w2
+        and table[(s2, Fraction(1))].amplitudes.get((Fraction(1), Fraction(0)), ExactScalar(0)) == w2
+        and table[(s2, Fraction(1))].amplitudes.get((Fraction(0), Fraction(1)), ExactScalar(0)) == w2
+        and table[(s2, Fraction(0))].amplitudes.get((Fraction(0), Fraction(0)), ExactScalar(0)) == w23
+        and table[(s2, Fraction(0))].amplitudes.get((Fraction(1), Fraction(-1)), ExactScalar(0)) == w6
+        and table[(s2, Fraction(0))].amplitudes.get((Fraction(-1), Fraction(1)), ExactScalar(0)) == w6
+        and table[(s2, Fraction(-1))].amplitudes.get((Fraction(0), Fraction(-1)), ExactScalar(0)) == w2
+        and table[(s2, Fraction(-1))].amplitudes.get((Fraction(-1), Fraction(0)), ExactScalar(0)) == w2
         and table[(s2, Fraction(-2))].amplitudes == {(Fraction(-1), Fraction(-1)): one}
     )
     half_table = cg_decompose(HALF, HALF)
@@ -154,10 +154,10 @@ def test_criterion_5_coupling_tables():
     photon_ok = (
         lowered.norm() == ExactScalar(4)
         and lowered.normalized() == photon[(s2, Fraction(0))]
-        and photon[(s2, Fraction(0))].coefficient(1, -1) == w2
-        and photon[(s2, Fraction(0))].coefficient(-1, 1) == w2
-        and photon[(Fraction(0), Fraction(0))].coefficient(1, -1) == w2
-        and photon[(Fraction(0), Fraction(0))].coefficient(-1, 1) == -w2
+        and photon[(s2, Fraction(0))].amplitudes.get((Fraction(1), Fraction(-1)), ExactScalar(0)) == w2
+        and photon[(s2, Fraction(0))].amplitudes.get((Fraction(-1), Fraction(1)), ExactScalar(0)) == w2
+        and photon[(Fraction(0), Fraction(0))].amplitudes.get((Fraction(1), Fraction(-1)), ExactScalar(0)) == w2
+        and photon[(Fraction(0), Fraction(0))].amplitudes.get((Fraction(-1), Fraction(1)), ExactScalar(0)) == -w2
     )
     elapsed = time.perf_counter() - start
     report(

@@ -405,12 +405,14 @@ COLD_COMMANDS = {
     **{
         name: (argv, 0, False)
         for name, argv in GOLDEN_COMMANDS.items()
-        if name not in ("state_singlet", "beam_seeded")
+        if name != "beam_seeded"
     },
     "cg_3x3_csv": (["cg", "--j1", "3", "--j2", "3", "--format", "csv"], 0, False),
     "perm_energy_capacity": (["perm", "energy", "--levels", "1,2", "--count", "5"], 1, False),
     "state_singlet_invariance": (["state", "singlet", "--check-invariance"], 0, False),
-    "state_singlet_isc": (["state", "singlet", "--check-isc"], 0, True),
+    "state_singlet_isc": (["state", "singlet", "--check-isc"], 0, False),
+    # A failing check takes its deviation and witness from the float grid.
+    "state_excluded_isc": (["state", "excluded_combination", "--check-isc"], 0, True),
     "beam_atoms_10": (["beam", "--atoms", "10"], 0, True),
 }
 

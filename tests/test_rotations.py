@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_float_ket
 from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from spinstat.exact import ExactScalar
-from spinstat.kets import Ket, index_of_m, inner_product
+from spinstat.kets import Ket, Permutation, index_of_m, inner_product, permute_slots
 from spinstat.rotations import (
     MAX_GRID,
     MAX_SINGLET_SPIN,
@@ -188,11 +190,77 @@ def test_invariance_shape_guard():
 def test_isc_catalog():
     assert is_isc(make_state("singlet")).isc
     assert is_isc(make_state("improper_singlet")).isc
+    # Exact kets are decided exactly, so no rounding is left for tol to absorb.
+    assert is_isc(make_state("singlet"), tol=1e-20) == (True, None, 0.0)
     excluded = is_isc(make_state("excluded_combination"))
     assert not excluded.isc
     triplet = is_isc(make_state("triplet_zero"))
     assert not triplet.isc
     assert triplet.witness_angle == pytest.approx(math.pi / 4)
+
+
+# cos(k*pi/6) for k = 0..11; sin(k*pi/6) is cos((k - 3)*pi/6).
+_COS_SIXTHS = [
+    ExactScalar(q, r)
+    for q, r in [(1, 1), (HALF, 3), (HALF, 1), (0, 1), (-HALF, 1), (-HALF, 3),
+                 (-1, 1), (-HALF, 3), (-HALF, 1), (0, 1), (HALF, 1), (HALF, 3)]
+]
+
+
+def _rotate_slot(ket, slot, k):
+    """Exact R(k*pi/6) on one slot of a pair, with R = [[cos, sin], [-sin, cos]]."""
+    cos, sin = _COS_SIXTHS[k % 12], _COS_SIXTHS[(k - 3) % 12]
+    r = ((cos, sin), (-sin, cos))
+    total = Ket.zero((2, 2))
+    for label, amp in ket.amplitudes.items():
+        for i in range(2):
+            total = total + Ket((2, 2), {label[:slot] + (i,) + label[slot + 1 :]: r[i][label[slot]] * amp})
+    return total
+
+
+@st.composite
+def _correlated_pairs(draw):
+    """The two correlated pair states under moves that keep them correlated."""
+    ket = make_state(draw(st.sampled_from(["singlet", "improper_singlet"])))
+    for move, k, slot in draw(st.lists(st.tuples(st.sampled_from("prsnc"), st.integers(0, 11), st.integers(0, 1)))):
+        if move == "p":  # paired rotation
+            ket = _rotate_slot(_rotate_slot(ket, 0, k), 1, k)
+        elif move == "r":  # quarter turns of one slot
+            ket = _rotate_slot(ket, slot, 3 * k)
+        elif move == "s":
+            ket = permute_slots(ket, Permutation.swap(2, 0, 1))
+        elif move == "n":
+            ket = -ket
+        else:
+            ket = conjugate_spinor_slot(ket, slot)
+    return ket
+
+
+_AMPLITUDES = st.builds(
+    lambda q1, q2, r: ExactScalar(Fraction(q1, 2)) + ExactScalar(Fraction(q2, 2), r),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.sampled_from([2, 3, 6]),
+)
+
+
+@st.composite
+def _other_pairs(draw):
+    """The uncorrelated catalog states, or random exact amplitudes, turned on one slot."""
+    tag = draw(st.sampled_from(["excluded_combination", "triplet_plus", "triplet_zero", "triplet_minus", "random"]))
+    if tag == "random":
+        amplitudes = draw(st.lists(_AMPLITUDES, min_size=4, max_size=4))
+        ket = Ket((2, 2), dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], amplitudes)))
+    else:
+        ket = make_state(tag)
+    return _rotate_slot(ket, draw(st.integers(0, 1)), draw(st.integers(0, 11)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_correlated_pairs(), _other_pairs()))
+def test_exact_isc_verdict_matches_the_float_grid(ket):
+    on_floats = is_isc(ket.to_float(), grid=360)
+    assert is_isc(ket) == ((True, None, 0.0) if on_floats.isc else on_floats)
 
 
 def test_isc_implies_invariant():
