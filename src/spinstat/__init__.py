@@ -42,7 +42,6 @@ _EXPORTS = {
     ),
     "permstats": (
         "PermutationExpansion",
-        "SingleParticleState",
         "StatisticsClass",
         "antisymmetrize",
         "classify_statistics",

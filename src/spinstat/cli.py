@@ -19,9 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 # Each handler imports the modules it computes with, so a cold process loads
-# only what its subcommand reaches.  rotations stays here: the state parser
-# takes its STATE_TAGS as choices.
-from . import rotations
+# only what its subcommand reaches.
 from .errors import InvalidValueError, SpinstatError, StateFileError
 from .exact import ExactScalar, parse_scalar
 from .kets import EXACT, FLOAT, Ket, index_of_m
@@ -132,6 +130,16 @@ def positive_float_arg(text: str) -> float:
     if not 0 < value < math.inf:  # also refuses nan
         raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
     return value
+
+
+def state_tag_arg(text: str) -> str:
+    """A tag of the state catalog; loads ``rotations`` only when a ``state`` command is parsed."""
+    from .rotations import STATE_TAGS
+
+    if text not in STATE_TAGS:
+        choices = ", ".join(map(repr, STATE_TAGS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def angle_arg(text: str) -> Fraction:
@@ -246,6 +254,8 @@ def _read_states(path: str) -> list[Ket]:
 
 
 def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
+    from . import rotations
+
     if args.decompose and args.tag != "spin_j_singlet":
         raise InvalidValueError("--decompose needs the spin_j_singlet tag")
     ket = rotations.make_state(args.tag, j=args.j)
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="build a cataloged state and run checks")
-    p.add_argument("tag", choices=rotations.STATE_TAGS)
+    p.add_argument("tag", type=state_tag_arg, help="a state of the catalog; an unknown tag lists them")
     p.add_argument("--j", type=fraction_arg, default=None, help="spin for spin_j_singlet")
     p.add_argument("--check-invariance", action="store_true")
     p.add_argument("--check-isc", action="store_true")

@@ -52,9 +52,6 @@ class SpinDistribution:
     def probability(self, m: Rational) -> Fraction:
         return self.probabilities.get(Fraction(m), Fraction(0))
 
-    def values(self) -> list[Fraction]:
-        return sorted(self.probabilities, reverse=True)
-
 
 @dataclass(frozen=True)
 class ConditionalTable:

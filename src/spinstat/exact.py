@@ -205,7 +205,6 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
 
 
 def format_scalar(s: ExactScalar) -> str:

@@ -74,10 +74,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def swap(cls, n: int, i: int, j: int) -> "Permutation":
         image = list(range(n))
         image[i], image[j] = image[j], image[i]
@@ -241,12 +237,6 @@ class Ket:
             return self.scale(ExactScalar.sqrt(Fraction(1) / n2))
         return self.scale(1.0 / math.sqrt(n2))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        n2 = self.norm_squared()
-        if self.mode == EXACT:
-            return n2 == 1
-        return abs(n2 - 1.0) < tol
-
     def to_array(self) -> np.ndarray:
         """Dense complex amplitudes of shape ``dims``, indexed by label."""
         import numpy as np
@@ -268,9 +258,6 @@ class Ket:
         a, b = self.to_float(), other.to_float()
         labels = set(a.amplitudes) | set(b.amplitudes)
         return all(abs(a.amplitude(l) - b.amplitude(l)) < tol for l in labels)
-
-    def equals_up_to_sign(self, other: "Ket") -> bool:
-        return self == other or self == -other
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -109,12 +109,6 @@ class ProbabilityTable:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", cleaned)
 
-    def probability(self, outcome: Sequence[str]) -> float:
-        return self.entries.get(tuple(outcome), 0.0)
-
-    def support(self, tol: float = 1e-15) -> list[Outcome]:
-        return sorted(o for o, p in self.entries.items() if p > tol)
-
     def items(self):
         return self.entries.items()
 
@@ -156,10 +150,6 @@ class BellEvaluation:
     rhs: Fraction | float
     violated: bool
     mode: BellMode
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.lhs, Fraction) and isinstance(self.rhs, Fraction)
 
     @property
     def doubled_lhs(self) -> Fraction | float:

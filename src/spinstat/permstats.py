@@ -23,32 +23,6 @@ MAX_PARTICLES = 6
 MAX_SIGNATURE_PARTICLES = 5
 
 
-@dataclass(frozen=True)
-class SingleParticleState:
-    """A particle state split into an orbital token and a spin part."""
-
-    q_label: str
-    spinor: Ket
-
-    def __post_init__(self) -> None:
-        if self.spinor.n_particles != 1:
-            raise ShapeError("spinor must be a single-slot ket")
-
-    def as_ket(self, orbitals: Sequence[str]) -> Ket:
-        """Realize as one slot of dimension ``len(orbitals) * spin dim``.
-
-        The orbital index and the spin index are flattened into a single
-        local basis so that particle permutations stay slot permutations.
-        """
-        try:
-            q = list(orbitals).index(self.q_label)
-        except ValueError:
-            raise ShapeError(f"orbital {self.q_label!r} not in {orbitals}") from None
-        d = self.spinor.dims[0]
-        dim = len(orbitals) * d
-        return Ket((dim,), {(q * d + l[0],): a for l, a in self.spinor.amplitudes.items()})
-
-
 def _check_states(states: Sequence[Ket]) -> str:
     if not 2 <= len(states) <= MAX_PARTICLES:
         raise SizeLimitError(f"need between 2 and {MAX_PARTICLES} states, got {len(states)}")
@@ -245,8 +219,12 @@ def invariance_signature(ket: Ket) -> dict[Permutation, int | None]:
 
 def ground_state_energy(
     levels: Sequence[Fraction | float | int], particle_count: int
-) -> Fraction | float | int:
-    """Fill doubly degenerate levels from the bottom and total the energy."""
+) -> Fraction | float:
+    """Fill doubly degenerate levels from the bottom and total the energy.
+
+    The total starts at an exact ``Fraction(0)``, so no particles give an
+    exact zero whatever the levels; a filled float level makes it a float.
+    """
     if particle_count < 0:
         raise InvalidValueError("particle count must be nonnegative")
     levels = list(levels)
@@ -257,7 +235,7 @@ def ground_state_energy(
             f"{particle_count} particles exceed capacity {2 * len(levels)}"
         )
     full, rest = divmod(particle_count, 2)
-    energy = 2 * sum(levels[:full])
+    energy = 2 * sum(levels[:full], Fraction(0))
     if rest:
         energy += levels[full]
     return energy

@@ -39,7 +39,7 @@ EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
 #: terms, and ``--decompose`` at spin 100 already takes about half a second.
 MAX_SINGLET_SPIN = Fraction(100)
 
-#: Most evenly spaced angles :func:`grid_angles` builds.  A cold
+#: Most evenly spaced angles either rotation check accepts.  A cold
 #: ``state triplet_zero --check-isc``, which fails and so builds the grid,
 #: takes about 0.4 s and 50 MB at this grid, and 1.4 s and 230 MB at ten
 #: times it.
@@ -155,29 +155,25 @@ def make_state(tag: str, j: Rational | None = None) -> Ket:
     raise UnknownTagError(f"unknown state tag {tag!r}")
 
 
-def _check_pair_and_rate(ket: Ket, c: Rational | float) -> None:
+def _check_rotation(ket: Ket, c: Rational | float, grid: int) -> None:
+    """Refuse what either rotation check refuses, before it picks the exact or the float path.
+
+    The float grid needs ``grid <= MAX_GRID`` and a finite ``c * theta``;
+    checking both here keeps an exact answer from accepting what the grid
+    would refuse.
+    """
     if ket.dims != (2, 2):
         raise ShapeError(f"expected a two-particle spin-1/2 state, got dims {ket.dims}")
     if c == 0:
         raise InvalidValueError("rotation rate c must be nonzero; at 0 every rotation is the identity")
-
-
-def _check_grid(grid: int) -> None:
     if grid > MAX_GRID:
         raise SizeLimitError(f"the angle grid supports up to {MAX_GRID} points")
-
-
-def _check_float_rate(c: Rational | float) -> None:
     if abs(c) > _MAX_FLOAT_RATE:
         raise InvalidValueError("rotation rate c is too large for float angles")
 
 
 def grid_angles(grid: int) -> list[float]:
-    """``grid`` evenly spaced angles in ``[0, 2*pi)`` and the extra probes.
-
-    A grid above :data:`MAX_GRID` raises :class:`SizeLimitError`.
-    """
-    _check_grid(grid)
+    """``grid`` evenly spaced angles in ``[0, 2*pi)`` and the extra probes."""
     return [2 * math.pi * k / grid for k in range(grid)] + list(EXTRA_GRID_ANGLES)
 
 
@@ -205,14 +201,6 @@ def _paired_rotation(ket: Ket, c: Rational | float, angles: list[float]) -> np.n
     return np.einsum("gij,gkl,jl->gik", r, r, ket.to_array())
 
 
-def _max_grid_deviation(ket: Ket, c: Rational | float, angles: list[float]) -> float:
-    import numpy as np
-
-    _check_float_rate(c)
-    rotated = _paired_rotation(ket, c, angles)
-    return float(np.linalg.norm(rotated - ket.to_array(), axis=(1, 2)).max())
-
-
 def is_rotationally_invariant(
     ket: Ket,
     c: Rational | float = HALF,
@@ -223,12 +211,17 @@ def is_rotationally_invariant(
 
     Exact kets are decided through the rotation generator, so an invariant
     state reports a deviation of exactly 0; otherwise the maximum deviation
-    over the angle grid is measured in floats.
+    over the angle grid is measured in floats.  The bounds on ``c`` and
+    ``grid`` hold on both paths.
     """
-    _check_pair_and_rate(ket, c)
+    _check_rotation(ket, c, grid)
     if ket.mode != FLOAT and _generator_annihilates(ket):
         return InvarianceResult(True, 0.0)
-    worst = _max_grid_deviation(ket, c, grid_angles(grid))
+
+    import numpy as np
+
+    rotated = _paired_rotation(ket, c, grid_angles(grid))
+    worst = float(np.linalg.norm(rotated - ket.to_array(), axis=(1, 2)).max())
     return InvarianceResult(worst < tol, worst)
 
 
@@ -293,9 +286,7 @@ def is_isc(
     angle with the largest deviation from the nearer valid pattern is
     reported as a witness.
     """
-    _check_pair_and_rate(ket, c)
-    _check_grid(grid)
-    _check_float_rate(c)
+    _check_rotation(ket, c, grid)
     if ket.mode != FLOAT and _exactly_isc(ket):
         return IscResult(True, None, 0.0)
 

@@ -38,15 +38,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            tuple(
-                tuple(ExactScalar(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @classmethod
     def diagonal(cls, values: Sequence[Rational]) -> "ExactMatrix":
         n = len(values)
         return cls(
@@ -115,14 +106,6 @@ class AngularMomentumSet:
     lminus: ExactMatrix
     lx: ExactMatrix
     ly_imag: ExactMatrix
-
-    @property
-    def dim(self) -> int:
-        return int(2 * self.j + 1)
-
-    def casimir(self) -> ExactMatrix:
-        """L^2 = L_x^2 + L_y^2 + L_z^2 (with L_y^2 = -Y @ Y)."""
-        return self.lx @ self.lx - self.ly_imag @ self.ly_imag + self.lz @ self.lz
 
 
 def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> ExactScalar:
@@ -229,10 +212,6 @@ class CoupledState:
             if not amp.is_zero:
                 amps[(m1, m2)] = amp
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.amplitudes
 
     def norm_squared(self) -> Fraction:
         return sum((a.squared() for a in self.amplitudes.values()), Fraction(0))

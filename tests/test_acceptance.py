@@ -146,9 +146,8 @@ def test_criterion_5_coupling_tables():
     half_table = cg_decompose(HALF, HALF)
     pair_singlet = half_table[(Fraction(0), Fraction(0))].to_ket()
     anticorrelated_ok = pair_singlet == make_state("singlet")
-    correlated_ok = conjugate_spinor_slot(pair_singlet, 1).equals_up_to_sign(
-        make_state("improper_singlet")
-    )
+    improper = make_state("improper_singlet")
+    correlated_ok = conjugate_spinor_slot(pair_singlet, 1) in (improper, -improper)
     photon = photon_pair_table()
     lowered = ladder_apply("-", photon[(s2, Fraction(2))])
     photon_ok = (

@@ -74,6 +74,14 @@ def test_error_envelope_validates_against_schema():
     assert "payload" not in envelope
 
 
+def test_energy_of_no_particles_is_exact():
+    code, output = run_cli(["perm", "energy", "--levels", "1,2", "--count", "0"])
+    assert code == 0
+    envelope = json.loads(output)
+    jsonschema.validate(envelope, load_schema())
+    assert envelope["payload"]["energy"] == {"exact": "0", "value": 0.0}
+
+
 def test_domain_error_exit_codes():
     code, output = run_cli(["state", "spin_j_singlet"])  # missing --j
     assert code == 1
@@ -93,6 +101,12 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["state", "nonsense"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "invalid choice: 'nonsense'" in message
+    assert all(repr(tag) in message for tag in STATE_TAGS)
     with pytest.raises(SystemExit) as err:
         main(["bell", "--gaps", "one-third-pi"])
     assert err.value.code == 2
@@ -123,6 +137,13 @@ BAD_INPUTS = {
         ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
     ),
     "overflowing-rate": (["state", "improper_singlet", "--check-isc", "--c", "1e308"], None, "invalid-value"),
+    # The exact generator decides the singlet, but the grid and rate bounds still hold.
+    "exactly-invariant-grid-above-limit": (
+        ["state", "singlet", "--check-invariance", "--grid", str(MAX_GRID + 1)], None, "size-limit"
+    ),
+    "exactly-invariant-overflowing-rate": (
+        ["state", "singlet", "--check-invariance", "--c", "1e308"], None, "invalid-value"
+    ),
     "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], None, "size-limit"),
     "decompose-without-j": (["state", "singlet", "--decompose"], None, "invalid-value"),
     "decompose-of-another-tag": (["state", "triplet_plus", "--j", "3", "--decompose"], None, "invalid-value"),
@@ -417,11 +438,11 @@ COLD_COMMANDS = {
 }
 
 # The modules cli.py imports itself, and those each subcommand adds.
-CLI_MODULES = {"cli", "errors", "exact", "kets", "rotations"}
+CLI_MODULES = {"cli", "errors", "exact", "kets"}
 SUBCOMMAND_MODULES = {
-    "state": set(),
-    "bell": {"measurement"},
-    "wigner": {"measurement"},
+    "state": {"rotations"},
+    "bell": {"measurement", "rotations"},
+    "wigner": {"measurement", "rotations"},
     "perm": {"permstats"},
     "cg": {"spin_algebra"},
     "algebra": {"spin_algebra"},

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spinstat.errors import IncompatibleRadicandsError, SizeLimitError
 from spinstat.exact import (
     MAX_TRIAL_DIVISOR,
-    ONE,
     ZERO,
     ExactScalar,
     format_scalar,
@@ -195,7 +194,7 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a + ZERO == a and a * ExactScalar(1) == a and a * ZERO == ZERO
     assert a + (-a) == ZERO
     assert hash(a * b) == hash(b * a)
 

@@ -10,7 +10,6 @@ from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, Permutation, inner_product, permute_slots, tensor_product
 from spinstat.permstats import (
     PermutationExpansion,
-    SingleParticleState,
     StatisticsClass,
     antisymmetrize,
     classify_statistics,
@@ -256,23 +255,10 @@ def test_invariance_signature_support_is_subgroup(rng):
             assert support[p.inverse()] == support[p]
 
 
-def test_single_particle_state_realization():
-    spinor = Ket.basis((2,), (0,))
-    state = SingleParticleState("1s", spinor)
-    ket = state.as_ket(["1s", "2s"])
-    assert ket.dims == (4,)
-    assert ket.amplitudes == {(0,): ExactScalar(1)}
-    other = SingleParticleState("2s", spinor).as_ket(["1s", "2s"])
-    assert other.amplitudes == {(2,): ExactScalar(1)}
-    with pytest.raises(ShapeError):
-        state.as_ket(["2s"])
-
-
 def test_paired_orbitals_antisymmetrize_to_singlet_pattern():
     # Two particles sharing an orbital with opposite spins reduce to the
     # anticorrelated pair on the spin part.
-    up = SingleParticleState("q", Ket.basis((2,), (0,))).as_ket(["q"])
-    down = SingleParticleState("q", Ket.basis((2,), (1,))).as_ket(["q"])
+    up, down = Ket.basis((2,), (0,)), Ket.basis((2,), (1,))
     assert antisymmetrize([up, down]) == make_state("singlet")
 
 
