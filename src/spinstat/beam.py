@@ -1,15 +1,22 @@
 """Seeded Stern-Gerlach beam simulation and chi-square discrimination.
 
-Draws are generated with numpy's counter-based Philox generator keyed by
-the seed, and sampled by inverse CDF over the three outcomes in the fixed
-order (+1, 0, -1).  Identical (seed, count, hypothesis) triples therefore
-reproduce identical counts bit for bit, independent of platform.
+Draws come from the counter-based Philox4x64-10 stream keyed by the seed
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+exactly as numpy's ``Philox(key=seed)`` generates it: the key words are
+``seed & (2**64 - 1)`` and ``seed >> 64``, the counter starts at 1, and each
+64-bit word ``w`` gives the draw ``(w >> 11) * 2**-53``.  A beam of at most
+``SMALL_BEAM`` atoms computes the same words in pure Python, so it never
+imports numpy; a larger beam draws them with numpy in chunks.  Each draw is
+sampled by inverse CDF over the three outcomes in the fixed order
+(+1, 0, -1).  Identical (seed, count, hypothesis) triples therefore
+reproduce identical counts bit for bit, independent of platform and path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 from .condprob import SpinDistribution
@@ -22,17 +29,38 @@ DEFAULT_CRITICAL = 5.991
 SPIN_VALUES = (1, 0, -1)
 
 #: Most atoms one beam draws.  Time grows with the count while memory stays
-#: at one chunk: a cold ``beam`` took 0.5 s at 10**7 atoms and 1.6 s at 10**8.
+#: at one chunk: a cold ``beam`` took 0.4-0.5 s at 10**7 atoms and 1.2-1.6 s
+#: at 10**8.
 MAX_ATOMS = 10**8
 
 #: Draws made at once.  Chunked ``random()`` calls continue one Philox stream,
 #: so the counts do not depend on it; it bounds the memory of a large beam.
 DRAW_CHUNK = 1 << 20
 
+#: Largest beam drawn in pure Python.  There one draw costs 1.2-1.7 us, so
+#: 4096 draws take about 6 ms, while a cold import of numpy and
+#: ``numpy.random`` takes about 155 ms (Python 3.11, numpy 2.4, a shared
+#: 2-core x86 machine).  The price is paid in a warm process, where a beam of
+#: at most ``SMALL_BEAM`` atoms costs up to about 6 ms more than numpy would.
+#: It stays below the 10**4-atom beams of the calibration tests, which run
+#: thousands of beams in one process.
+SMALL_BEAM = 4096
+
+_WORD = (1 << 64) - 1
+# Philox4x64 round multipliers and key bumps (the Weyl constants).
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
 HYPOTHESES = {
     "uniform": SpinDistribution.uniform,
     "paper": SpinDistribution.half_weighted,
 }
+
+
+def cell_label(value: int) -> str:
+    """The envelope's name of an outcome cell: ``+1``, ``0`` or ``-1``."""
+    return f"{value:+d}" if value else "0"
 
 
 def hypothesis_distribution(name: str) -> SpinDistribution:
@@ -87,16 +115,39 @@ class BeamResult:
         return {v: (c / n if n else 0.0) for v, c in self.counts.items()}
 
 
-def simulate_beam(config: BeamConfig) -> BeamResult:
-    """Draw ``n_atoms`` independent spin readings under the hypothesis."""
+def _philox_words(seed: int, n: int) -> list[int]:
+    """The first ``n`` words of numpy's ``Philox(key=seed)`` stream.
+
+    Block ``ctr`` (from 1) yields four words.  A beam this small never
+    carries into the counter's upper words, so they stay 0.
+    """
+    k0, k1 = seed & _WORD, seed >> 64
+    keys = [
+        ((k0 + r * _PHILOX_W0) & _WORD, (k1 + r * _PHILOX_W1) & _WORD)
+        for r in range(_PHILOX_ROUNDS)
+    ]
+    words: list[int] = []
+    for ctr in range(1, (n + 3) // 4 + 1):
+        c0, c1, c2, c3 = ctr, 0, 0, 0
+        for a, b in keys:
+            p0, p1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ a, p1 & _WORD, (p0 >> 64) ^ c3 ^ b, p0 & _WORD
+        words += (c0, c1, c2, c3)
+    return words[:n]
+
+
+def _count_in_python(seed: int, n: int, edges: list[float]) -> list[int]:
+    # A draw (w >> 11) * 2**-53 is at most an edge exactly when its integer
+    # mantissa is at most int(edge * 2**53); scaling by 2**53 is exact.
+    mantissas = [w >> 11 for w in _philox_words(seed, n)]
+    limits = [int(edge * 2**53) for edge in edges]
+    return [sum(m <= limit for m in mantissas) for limit in limits]
+
+
+def _count_with_numpy(seed: int, n: int, edges: list[float]) -> list[int]:
     import numpy as np
 
-    dist = config.distribution()
-    n = config.n_atoms
-    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]]).tolist()
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    # A draw falls in cell i when it lies above edge i-1 and at most at edge
-    # i, so counting the draws at or below each edge gives every cell.
+    rng = np.random.Generator(np.random.Philox(key=seed))
     at_or_below = [0] * len(edges)
     buffer = np.empty(min(DRAW_CHUNK, n))
     for start in range(0, n, DRAW_CHUNK):
@@ -104,7 +155,18 @@ def simulate_beam(config: BeamConfig) -> BeamResult:
         rng.random(out=draws)
         for i, edge in enumerate(edges):
             at_or_below[i] += int(np.count_nonzero(draws <= edge))
-    bounds = [0, *at_or_below, n]
+    return at_or_below
+
+
+def simulate_beam(config: BeamConfig) -> BeamResult:
+    """Draw ``n_atoms`` independent spin readings under the hypothesis."""
+    dist = config.distribution()
+    n = config.n_atoms
+    edges = list(accumulate(float(dist.probability(v)) for v in SPIN_VALUES[:-1]))
+    # A draw falls in cell i when it lies above edge i-1 and at most at edge
+    # i, so counting the draws at or below each edge gives every cell.
+    count = _count_in_python if n <= SMALL_BEAM else _count_with_numpy
+    bounds = [0, *count(config.seed, n, edges), n]
     return BeamResult(config, {v: hi - lo for v, lo, hi in zip(SPIN_VALUES, bounds, bounds[1:])})
 
 
@@ -135,9 +197,8 @@ def chi_square_discriminate(
     n = result.n_atoms
     expected = {v: n * float(null.probability(v)) for v in SPIN_VALUES}
     if min(expected.values()) < 5:
-        raise InsufficientSampleError(
-            f"expected counts {expected} below 5; increase the sample"
-        )
+        cells = ", ".join(f"{cell_label(v)}: {e}" for v, e in expected.items())
+        raise InsufficientSampleError(f"expected counts below 5 ({cells}); increase the sample")
     statistic = sum(
         (result.counts[v] - expected[v]) ** 2 / expected[v] for v in SPIN_VALUES
     )

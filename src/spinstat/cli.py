@@ -458,8 +458,8 @@ def cmd_beam(args: argparse.Namespace) -> dict[str, Any]:
         "atoms": config.n_atoms,
         "hypothesis": config.hypothesis,
         "seed": config.seed,
-        "counts": {(f"{v:+d}" if v else "0"): c for v, c in result.counts.items()},
-        "proportions": {(f"{v:+d}" if v else "0"): p for v, p in result.proportions.items()},
+        "counts": {beam.cell_label(v): c for v, c in result.counts.items()},
+        "proportions": {beam.cell_label(v): p for v, p in result.proportions.items()},
     }
     if args.test_null:
         critical = beam.DEFAULT_CRITICAL if args.critical is None else args.critical

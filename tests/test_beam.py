@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstat.beam import (
     DRAW_CHUNK,
     MAX_ATOMS,
+    SMALL_BEAM,
     SPIN_VALUES,
     BeamConfig,
     BeamResult,
@@ -35,21 +38,44 @@ def test_simulation_is_deterministic():
     assert other_seed.counts != first.counts
 
 
+def numpy_counts(n, hypothesis, seed):
+    """Cells of ``Philox(key=seed).random(n)`` drawn in one shot: the oracle."""
+    dist = hypothesis_distribution(hypothesis)
+    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    cells = np.searchsorted(edges, draws, side="left")
+    return {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
+
+
 @pytest.mark.parametrize(
     "hypothesis, seed", [("paper", 7), ("uniform", 123), ("paper", 2**128 - 1), ("uniform", 2**128 - 1)]
 )
 def test_chunked_draws_match_one_shot_draws(hypothesis, seed):
-    dist = hypothesis_distribution(hypothesis)
-    edges = np.cumsum([float(dist.probability(v)) for v in SPIN_VALUES[:-1]])
     for n in (0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, DRAW_CHUNK + 12345):
-        draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
-        cells = np.searchsorted(edges, draws, side="left")
-        expected = {v: int(np.count_nonzero(cells == i)) for i, v in enumerate(SPIN_VALUES)}
-        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected, n
+        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed), n
+
+
+@pytest.mark.parametrize("hypothesis", ["uniform", "paper"])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**128 - 1])
+def test_pure_python_draws_match_numpy_philox(hypothesis, seed):
+    # Both sides of SMALL_BEAM, and the partial and whole blocks of 4 words.
+    for n in (0, 1, 2, 3, 4, 5, SMALL_BEAM - 1, SMALL_BEAM, SMALL_BEAM + 1):
+        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, SMALL_BEAM),
+    hypothesis=st.sampled_from(["uniform", "paper"]),
+    seed=st.integers(0, 2**128 - 1),
+)
+def test_small_beams_follow_the_numpy_philox_stream(n, hypothesis, seed):
+    assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed)
 
 
 def test_beam_memory_stays_at_one_chunk():
-    simulate_beam(BeamConfig(1, "uniform", seed=3))  # numpy.random's lazy import is not the beam's
+    # Warm up above SMALL_BEAM: numpy.random's lazy import is not the beam's.
+    simulate_beam(BeamConfig(SMALL_BEAM + 1, "uniform", seed=3))
     tracemalloc.start()
     try:
         simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
@@ -95,8 +121,10 @@ def test_chi_square_separation_statistic():
 
 def test_chi_square_expected_count_guard():
     result = simulate_beam(BeamConfig(10, "uniform", seed=5))
-    with pytest.raises(InsufficientSampleError):
+    with pytest.raises(InsufficientSampleError) as error:
         chi_square_discriminate(result, "paper")
+    # The cells carry the envelope's labels.
+    assert str(error.value) == "expected counts below 5 (+1: 2.5, 0: 5.0, -1: 2.5); increase the sample"
 
 
 def test_small_sample_null_rarely_rejects():

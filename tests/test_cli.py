@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstat.beam import MAX_ATOMS
+from spinstat.beam import MAX_ATOMS, SMALL_BEAM
 from spinstat.cli import ket_payload, main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
@@ -423,18 +423,16 @@ def test_cli_import_leaves_scipy_out():
 # controls, so the check cannot pass by never seeing numpy at all.  Each
 # command must also load exactly the spinstat modules its subcommand reaches.
 COLD_COMMANDS = {
-    **{
-        name: (argv, 0, False)
-        for name, argv in GOLDEN_COMMANDS.items()
-        if name != "beam_seeded"
-    },
+    **{name: (argv, 0, False) for name, argv in GOLDEN_COMMANDS.items()},
     "cg_3x3_csv": (["cg", "--j1", "3", "--j2", "3", "--format", "csv"], 0, False),
     "perm_energy_capacity": (["perm", "energy", "--levels", "1,2", "--count", "5"], 1, False),
     "state_singlet_invariance": (["state", "singlet", "--check-invariance"], 0, False),
     "state_singlet_isc": (["state", "singlet", "--check-isc"], 0, False),
     # A failing check takes its deviation and witness from the float grid.
     "state_excluded_isc": (["state", "excluded_combination", "--check-isc"], 0, True),
-    "beam_atoms_10": (["beam", "--atoms", "10"], 0, True),
+    "beam_atoms_10": (["beam", "--atoms", "10"], 0, False),
+    # Above SMALL_BEAM the draws come from numpy.
+    "beam_above_small": (["beam", "--atoms", str(SMALL_BEAM + 1)], 0, True),
 }
 
 # The modules cli.py imports itself, and those each subcommand adds.
