@@ -59,9 +59,7 @@ _EXPORTS = {
         "spin_j_singlet",
     ),
     "spin_algebra": (
-        "AngularMomentumSet",
         "CoupledState",
-        "angular_momentum_matrices",
         "cg_decompose",
         "ladder_apply",
         "photon_pair_table",

@@ -309,6 +309,8 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
     from . import measurement
 
     if args.search:
+        if args.gaps is not None:
+            raise InvalidValueError("--search scans the grid and takes no --gaps")
         violations = measurement.search_violations(
             denominator=args.denominator, mode=args.formula
         )
@@ -395,6 +397,10 @@ def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
     from . import spin_algebra
 
     if args.photon:
+        if args.j1 is not None or args.j2 is not None:
+            raise InvalidValueError(
+                "--photon builds the two-valued spin-1 pair table and takes no --j1 or --j2"
+            )
         table = spin_algebra.photon_pair_table()
         top = table[(Fraction(2), Fraction(2))]
         lowered = spin_algebra.ladder_apply("-", top)

@@ -38,7 +38,11 @@ class IncompatibleRadicandsError(SpinstatError):
 
 
 class SizeLimitError(SpinstatError):
-    """Input exceeds the factorial-guarded size this package supports."""
+    """Input exceeds a size this package supports.
+
+    The limits bound the states and slots of a permutation sum, spins, the
+    Bell search and rotation grids, beam atoms, and radicands to factor.
+    """
 
     code = "size-limit"
 

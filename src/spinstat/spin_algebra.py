@@ -1,10 +1,14 @@
-"""Angular momentum matrices, the rescaled ladder algebra, and coupling tables.
+"""The spin-j ladder, the rescaled ladder algebra, and coupling tables.
 
-Matrices are kept in exact form.  The y-component is purely imaginary, so
-it is stored through its imaginary part ``Y`` with ``L_y = i*Y``; every
-commutator identity then reduces to an identity between real exact
-matrices and residuals come out exactly zero rather than at rounding
-level.
+The spin operators have one form: the ladder
+``L± |j,m> = sqrt((j∓m)(j±m+1)) |j,m±1>`` of :func:`ladder_factor`, applied
+sparsely and exactly.  :func:`ladder_apply` applies it to the product
+expansion of a coupled pair, and :func:`verify_rescaled_algebra` applies
+``L+``, ``L-`` and ``L_z`` to each basis ket ``|j,m>`` of one slot.  The
+y-component is purely imaginary, so the check writes ``L_y = i*Y`` with the
+real ``Y = (L- - L+)/2``; every commutator identity then reduces to an
+identity between real exact kets, and residuals come out exactly zero
+rather than at rounding level.
 
 The rescaled operators ``S_i = n * L_i`` obey ``[S_i, S_j] = i*n*e_ijk*S_k``
 and their ladder steps move the projection by ``n`` at a time, which is
@@ -25,89 +29,6 @@ from .kets import Ket, check_spin, spin_values
 MAX_COUPLED_SPIN = Fraction(9)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A small dense matrix of :class:`ExactScalar` entries."""
-
-    rows: tuple[tuple[ExactScalar, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ShapeError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Rational]) -> "ExactMatrix":
-        n = len(values)
-        return cls(
-            tuple(
-                tuple(ExactScalar(values[i] if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = ExactScalar(0)
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return ExactMatrix(tuple(out))
-
-    def scale(self, factor: ExactScalar | Rational) -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(tuple(e * factor for e in row) for row in self.rows)
-        )
-
-    def max_abs(self) -> float:
-        return max((abs(float(e)) for row in self.rows for e in row), default=0.0)
-
-
-@dataclass(frozen=True)
-class AngularMomentumSet:
-    """Exact spin-j matrices over the basis ``|j,j>, |j,j-1>, ..., |j,-j>``.
-
-    ``ly_imag`` is the real matrix ``Y`` with ``L_y = i*Y``; ``lx``,
-    ``lplus``, ``lminus``, and ``lz`` are real as stored.
-    """
-
-    j: Fraction
-    lz: ExactMatrix
-    lplus: ExactMatrix
-    lminus: ExactMatrix
-    lx: ExactMatrix
-    ly_imag: ExactMatrix
-
-
 def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> ExactScalar:
     """sqrt((j-m)(j+m+1)) for raising, sqrt((j+m)(j-m+1)) for lowering."""
     if direction == "+":
@@ -115,26 +36,32 @@ def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> Exa
     return ExactScalar.sqrt((j + m) * (j - m + 1))
 
 
-def angular_momentum_matrices(j: Rational) -> AngularMomentumSet:
-    """Standard matrices with L±|j,m> = sqrt((j∓m)(j±m+1)) |j,m±1>."""
-    j = check_spin(j)
-    ms = spin_values(j)
-    dim = len(ms)
-    lz = ExactMatrix.diagonal(ms)
-    zero = ExactScalar(0)
-    plus_rows = [[zero] * dim for _ in range(dim)]
-    minus_rows = [[zero] * dim for _ in range(dim)]
-    for col, m in enumerate(ms):
-        if m < j:
-            plus_rows[col - 1][col] = ladder_factor(j, m, "+")
-        if m > -j:
-            minus_rows[col + 1][col] = ladder_factor(j, m, "-")
-    lplus = ExactMatrix(tuple(tuple(r) for r in plus_rows))
-    lminus = ExactMatrix(tuple(tuple(r) for r in minus_rows))
+def _spin_operators(j: Fraction) -> tuple[list[Ket], ...]:
+    """Each basis ket's image under ``L_z``, ``L+``, ``L-``, ``L_x`` and ``Y``, on one spin-j slot.
+
+    Label ``k`` holds ``m = j - k``, the order of :func:`spin_values`, so
+    ``L+`` moves label ``k`` to ``k - 1`` and ``L-`` moves it to ``k + 1``.
+    ``L_x = (L+ + L-)/2``, and the real ``Y = (L- - L+)/2`` gives
+    ``L_y = i*Y``.
+    """
+    dims = (int(2 * j) + 1,)
+    lz, lplus, lminus = [], [], []
+    for k, m in enumerate(spin_values(j)):
+        lz.append(Ket(dims, {(k,): m}))
+        lplus.append(Ket(dims, {(k - 1,): ladder_factor(j, m, "+")} if m < j else {}))
+        lminus.append(Ket(dims, {(k + 1,): ladder_factor(j, m, "-")} if m > -j else {}))
     half = Fraction(1, 2)
-    lx = (lplus + lminus).scale(half)
-    ly_imag = (lminus - lplus).scale(half)
-    return AngularMomentumSet(j, lz, lplus, lminus, lx, ly_imag)
+    lx = [(p + q).scale(half) for p, q in zip(lplus, lminus)]
+    y = [(q - p).scale(half) for p, q in zip(lplus, lminus)]
+    return lz, lplus, lminus, lx, y
+
+
+def _apply(images: Sequence[Ket], ket: Ket) -> Ket:
+    """Apply to a one-slot ket the operator that sends basis label ``k`` to ``images[k]``."""
+    out = Ket.zero(ket.dims)
+    for (k,), amp in ket.amplitudes.items():
+        out = out + images[k].scale(amp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,32 +81,36 @@ class RescaledAlgebraCheck:
 def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     """Check the rescaled commutators exactly and the ladder products.
 
-    All three cyclic commutators reduce to real matrix identities via
-    ``L_y = i*Y``: the x-y commutator must equal ``n*S_z`` after dividing
-    out ``i``, and so on around the cycle.
+    Each identity is applied to every basis ket ``|j,m>``.  All three cyclic
+    commutators reduce to real identities via ``L_y = i*Y``: the x-y
+    commutator must equal ``n*S_z`` after dividing out ``i``, and so on
+    around the cycle.  ``max_residual`` is the largest residual amplitude.
     """
     if n < 1:
         raise InvalidValueError("scale n must be a positive integer")
     j = check_spin(j)
     if j > MAX_COUPLED_SPIN:
         raise SizeLimitError(f"the algebra check supports spins up to {MAX_COUPLED_SPIN}")
-    ops = angular_momentum_matrices(j)
-    sx = ops.lx.scale(n)
-    sy_imag = ops.ly_imag.scale(n)
-    sz = ops.lz.scale(n)
-    # [Sx, Sy] = i(Sx@Y' - Y'@Sx) with Y' = n*Y must equal i*n*Sz.
-    r1 = (sx @ sy_imag - sy_imag @ sx) - sz.scale(n)
-    # [Sy, Sz] = i(Y'@Sz - Sz@Y') must equal i*n*Sx.
-    r2 = (sy_imag @ sz - sz @ sy_imag) - sx.scale(n)
-    # [Sz, Sx] is real and must equal i*n*Sy = -n*Y'.
-    r3 = (sz @ sx - sx @ sz) + sy_imag.scale(n)
-    max_residual = max(r.max_abs() for r in (r1, r2, r3))
+    lz, lplus, lminus, lx, y = _spin_operators(j)
+    sz, splus, sminus, sx, sy_imag = (
+        [image.scale(n) for image in op] for op in (lz, lplus, lminus, lx, y)
+    )
+    residuals = []
+    for k in range(len(lz)):
+        # [Sx, Sy] = i(Sx Y' - Y' Sx) with Y' = n*Y must equal i*n*Sz.
+        residuals.append(_apply(sx, sy_imag[k]) - _apply(sy_imag, sx[k]) - sz[k].scale(n))
+        # [Sy, Sz] = i(Y' Sz - Sz Y') must equal i*n*Sx.
+        residuals.append(_apply(sy_imag, sz[k]) - _apply(sz, sy_imag[k]) - sx[k].scale(n))
+        # [Sz, Sx] is real and must equal i*n*Sy = -n*Y'.
+        residuals.append(_apply(sz, sx[k]) - _apply(sx, sz[k]) + sy_imag[k].scale(n))
+    max_residual = max(
+        (abs(float(a)) for r in residuals for a in r.amplitudes.values()), default=0.0
+    )
     n2 = n * n
-    splus = ops.lplus.scale(n)
-    sminus = ops.lminus.scale(n)
-    ladder_ok = (
-        sminus @ splus == (ops.lminus @ ops.lplus).scale(n2)
-        and splus @ sminus == (ops.lplus @ ops.lminus).scale(n2)
+    ladder_ok = all(
+        _apply(sminus, splus[k]) == _apply(lminus, lplus[k]).scale(n2)
+        and _apply(splus, sminus[k]) == _apply(lplus, lminus[k]).scale(n2)
+        for k in range(len(lz))
     )
     return RescaledAlgebraCheck(n, j, max_residual, ladder_ok)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -153,6 +154,10 @@ BAD_INPUTS = {
     "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
     "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
     "search-denominator-above-limit": (["bell", "--search", "--denominator", "49"], None, "size-limit"),
+    # A mode that would ignore an option refuses it.
+    "search-with-gaps": (["bell", "--search", "--gaps", "pi/3,pi/3,2pi/3"], None, "invalid-value"),
+    "photon-with-spins": (["cg", "--photon", "--j1", "3", "--j2", "1/2"], None, "invalid-value"),
+    "photon-with-one-spin": (["cg", "--photon", "--j1", "1"], None, "invalid-value"),
     "exact-value-beyond-float": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], None, "invalid-value"
     ),
@@ -394,6 +399,26 @@ def test_state_decompose_subcommand():
     decomposition = json.loads(output)["payload"]["checks"]["decomposition"]
     assert [p["m"] for p in decomposition["pairs"]] == ["2", "1"]
     assert decomposition["center"] is not None
+
+
+def readme_cli_lines():
+    """The ``spinstat ...`` lines of README's CLI block, as argv lists, comments dropped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spinstat ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_exit_zero(argv):
+    argv = [str(DATA / "two_spinors.txt") if arg == "states.txt" else arg for arg in argv]
+    code, output = run_cli(argv)
+    assert code == 0
+    jsonschema.validate(json.loads(output), load_schema())
+
+
+def test_readme_cli_block_is_read():
+    assert len(readme_cli_lines()) == 13
 
 
 def test_module_entry_point_runs():

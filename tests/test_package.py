@@ -46,14 +46,13 @@ def test_package_import_loads_modules_only_on_use():
 
 def test_public_names_are_pinned():
     assert set(spinstat.__all__) == {
-        "AngularMomentumSet", "BeamConfig", "BeamResult", "BellEvaluation", "CgComparison",
-        "ChiSquareReport", "ConditionalTable", "CoupledState", "ExactScalar", "Ket",
-        "Permutation", "PermutationExpansion", "ProbabilityTable", "SpinDistribution",
-        "SpinstatError", "StatisticsClass", "WignerReport", "angular_momentum_matrices",
-        "antisymmetrize", "bell_inequality", "cg_decompose", "chi_square_discriminate",
-        "classify_statistics", "compare_with_cg", "conditional_given_total",
-        "conjugate_spinor_slot", "decompose_spin_j_singlet", "format_scalar",
-        "ground_state_energy", "hypothesis_distribution", "inner_product",
+        "BeamConfig", "BeamResult", "BellEvaluation", "CgComparison", "ChiSquareReport",
+        "ConditionalTable", "CoupledState", "ExactScalar", "Ket", "Permutation",
+        "PermutationExpansion", "ProbabilityTable", "SpinDistribution", "SpinstatError",
+        "StatisticsClass", "WignerReport", "antisymmetrize", "bell_inequality", "cg_decompose",
+        "chi_square_discriminate", "classify_statistics", "compare_with_cg",
+        "conditional_given_total", "conjugate_spinor_slot", "decompose_spin_j_singlet",
+        "format_scalar", "ground_state_energy", "hypothesis_distribution", "inner_product",
         "invariance_signature", "is_isc", "is_rotationally_invariant", "joint_distribution",
         "ladder_apply", "make_state", "parse_pi_angle", "parse_scalar", "permute_slots",
         "photon_pair_table", "rotation_matrix", "search_violations", "simulate_beam",

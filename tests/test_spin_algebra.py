@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from spinstat import spin_algebra
 from spinstat.errors import SizeLimitError
 from spinstat.exact import ExactScalar
-from spinstat.kets import inner_product
+from spinstat.kets import Ket, inner_product, spin_values
 from spinstat.rotations import spin_j_singlet
 from spinstat.spin_algebra import (
     MAX_COUPLED_SPIN,
     CoupledState,
-    ExactMatrix,
-    angular_momentum_matrices,
+    _apply,
+    _spin_operators,
     cg_decompose,
     ladder_apply,
+    ladder_factor,
     photon_pair_table,
     verify_rescaled_algebra,
 )
@@ -26,37 +28,93 @@ def sq(value) -> ExactScalar:
     return ExactScalar.sqrt(Fraction(value))
 
 
+SPINS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def basis(j):
+    dim = int(2 * j) + 1
+    return [Ket.basis((dim,), (k,)) for k in range(dim)]
+
+
+def commutator(a, b, ket):
+    return _apply(a, _apply(b, ket)) - _apply(b, _apply(a, ket))
+
+
 def test_lz_is_diagonal_projection_ladder():
-    half = angular_momentum_matrices(HALF)
-    assert half.lz == ExactMatrix.diagonal([HALF, -HALF])
-    one = angular_momentum_matrices(1)
-    assert one.lz == ExactMatrix.diagonal([1, 0, -1])
-    assert one.lplus.rows[0][1] == sq(2)
-    assert one.lminus.rows[1][0] == sq(2)
+    for j in SPINS:
+        lz, lplus, lminus, _, _ = _spin_operators(j)
+        kets = basis(j)
+        for k, m in enumerate(spin_values(j)):
+            assert lz[k] == kets[k].scale(m)
+            # L+ and L- move one label each way, and vanish at the ends of the ladder.
+            assert set(lplus[k].amplitudes) == ({(k - 1,)} if m < j else set())
+            assert set(lminus[k].amplitudes) == ({(k + 1,)} if m > -j else set())
+    half_lz = [ket.amplitudes for ket in _spin_operators(HALF)[0]]
+    assert half_lz == [{(0,): ExactScalar(HALF)}, {(1,): ExactScalar(-HALF)}]
+    _, lplus, lminus, _, _ = _spin_operators(Fraction(1))
+    assert lplus[1].amplitudes == {(0,): sq(2)}
+    assert lminus[0].amplitudes == {(1,): sq(2)}
+    _, lplus, lminus, _, _ = _spin_operators(Fraction(3, 2))
+    assert lplus[2].amplitudes == {(1,): ExactScalar(2)}
+    assert lminus[0].amplitudes == {(1,): sq(3)}
 
 
 def test_casimir_is_j_j_plus_one():
-    for j in (HALF, 1, Fraction(3, 2), 2):
-        ops = angular_momentum_matrices(j)
-        casimir = ops.lx @ ops.lx - ops.ly_imag @ ops.ly_imag + ops.lz @ ops.lz
-        assert casimir == ExactMatrix.diagonal([j * (j + 1)] * int(2 * j + 1))
+    for j in SPINS:
+        lz, _, _, lx, y = _spin_operators(j)
+        for k, ket in enumerate(basis(j)):
+            casimir = _apply(lx, lx[k]) - _apply(y, y[k]) + _apply(lz, lz[k])
+            assert casimir == ket.scale(j * (j + 1))
 
 
 def test_ladder_commutators_exact():
-    for j in (HALF, 1, Fraction(3, 2), 2):
-        ops = angular_momentum_matrices(j)
-        assert ops.lz @ ops.lplus - ops.lplus @ ops.lz == ops.lplus
-        assert ops.lminus @ ops.lz - ops.lz @ ops.lminus == ops.lminus
-        two_lz = ops.lz.scale(2)
-        assert ops.lplus @ ops.lminus - ops.lminus @ ops.lplus == two_lz
+    for j in SPINS:
+        lz, lplus, lminus, _, _ = _spin_operators(j)
+        for ket in basis(j):
+            assert commutator(lz, lplus, ket) == _apply(lplus, ket)
+            assert commutator(lminus, lz, ket) == _apply(lminus, ket)
+            assert commutator(lplus, lminus, ket) == _apply(lz, ket).scale(2)
 
 
-def test_numpy_matrices_satisfy_xy_commutator():
-    # Once a float check on numpy copies; now exact on the ExactMatrix set.
-    for j in (HALF, 1, Fraction(3, 2), 2):
-        ops = angular_momentum_matrices(j)
-        # [L_x, L_y] = i*L_z with L_y = i*Y is the real identity [L_x, Y] = L_z.
-        assert ops.lx @ ops.ly_imag - ops.ly_imag @ ops.lx == ops.lz
+def test_xy_commutator_is_lz():
+    for j in SPINS:
+        lz, _, _, lx, y = _spin_operators(j)
+        for ket in basis(j):
+            # [L_x, L_y] = i*L_z with L_y = i*Y is the real identity [L_x, Y] = L_z.
+            assert commutator(lx, y, ket) == _apply(lz, ket)
+
+
+@pytest.mark.parametrize("j", [Fraction(k, 2) for k in range(2 * int(MAX_COUPLED_SPIN) + 1)])
+def test_ladder_factor_matches_sympy_spin_operators(j):
+    sympy = pytest.importorskip("sympy")
+    spin = pytest.importorskip("sympy.physics.quantum.spin")
+    from sympy.physics.quantum.constants import hbar
+    from sympy.physics.quantum.represent import represent
+
+    ms = spin_values(j)
+    for operator, direction, shift in ((spin.Jplus, "+", -1), (spin.Jminus, "-", 1)):
+        # sympy orders the Jz basis m = j, j-1, ..., -j, as spin_values does.
+        matrix = represent(operator, basis=spin.Jz, j=sympy.Rational(j.numerator, j.denominator))
+        matrix = matrix.subs(hbar, 1)
+        for col, m in enumerate(ms):
+            factor = ladder_factor(j, m, direction)
+            for row in range(len(ms)):
+                expected = matrix[row, col]
+                assert expected >= 0
+                ours = factor if row == col + shift else ExactScalar(0)
+                assert ours == sq(Fraction(str(expected**2))), (direction, row, col)
+        assert ladder_factor(j, j if direction == "+" else -j, direction) == ExactScalar(0)
+
+
+def test_algebra_check_fails_on_a_wrong_ladder(monkeypatch):
+    # The +1 dropped, in both directions: L+|j,-j> and L-|j,j> vanish.
+    def wrong(j, m, direction):
+        return ExactScalar.sqrt((j - m) * (j + m))
+
+    monkeypatch.setattr(spin_algebra, "ladder_factor", wrong)
+    check = verify_rescaled_algebra(1, 1)
+    assert check.max_residual > 0
+    assert not check.holds
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
