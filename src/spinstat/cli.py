@@ -256,31 +256,29 @@ def _read_states(path: str) -> list[Ket]:
 def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
     from . import rotations
 
-    if args.decompose and args.tag != "spin_j_singlet":
-        raise InvalidValueError("--decompose needs the spin_j_singlet tag")
     ket = rotations.make_state(args.tag, j=args.j)
     payload: dict[str, Any] = {"tag": args.tag, **ket_payload(ket)}
     if args.j is not None:
         payload["j"] = str(args.j)
     checks: dict[str, Any] = {}
+    if args.check_invariance or args.check_isc:
+        c, grid, tol = rotations.HALF if args.c is None else args.c, args.grid or 360, args.tol or 1e-12
     if args.check_invariance:
-        inv = rotations.is_rotationally_invariant(
-            ket, c=args.c, grid=args.grid, tol=args.tol
-        )
+        inv = rotations.is_rotationally_invariant(ket, c=c, grid=grid, tol=tol)
         checks["rotational_invariance"] = {
             "invariant": inv.invariant,
             "max_deviation": Fraction(0) if inv.max_deviation == 0 else inv.max_deviation,
-            "c": str(args.c),
-            "grid": args.grid,
+            "c": str(c),
+            "grid": grid,
         }
     if args.check_isc:
-        isc = rotations.is_isc(ket, c=args.c, grid=args.grid, tol=args.tol)
+        isc = rotations.is_isc(ket, c=c, grid=grid, tol=tol)
         checks["isc"] = {
             "isc": isc.isc,
             "witness_angle": isc.witness_angle,
             "max_deviation": isc.max_deviation,
         }
-    if args.decompose:
+    if args.tag == "spin_j_singlet" and args.decompose:
         decomposition = rotations.decompose_spin_j_singlet(args.j)
         checks["decomposition"] = {
             "pairs": [{"m": str(p.m), **ket_payload(p.ket)} for p in decomposition.pairs],
@@ -309,14 +307,11 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
     from . import measurement
 
     if args.search:
-        if args.gaps is not None:
-            raise InvalidValueError("--search scans the grid and takes no --gaps")
-        violations = measurement.search_violations(
-            denominator=args.denominator, mode=args.formula
-        )
+        denominator = args.denominator or 12
+        violations = measurement.search_violations(denominator=denominator, mode=args.formula)
         reference = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
         return {
-            "search_denominator": args.denominator,
+            "search_denominator": denominator,
             "violations_found": len(violations),
             "contains_reference_gaps": any(v.gaps == reference for v in violations),
             "first_violations": [
@@ -376,13 +371,12 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
         func = permstats.antisymmetrize if args.op == "antisymmetrize" else permstats.symmetrize
         return {"op": args.op, **ket_payload(func(states))}
     if args.op == "classify":
-        builder = {
-            "fd": permstats.PermutationExpansion.fermi_dirac,
-            "be": permstats.PermutationExpansion.bose_einstein,
-            "mixed": permstats.PermutationExpansion.mixed,
-        }[args.construction]
-        result = permstats.classify_statistics(builder(states))
-        return {"op": "classify", "construction": args.construction, "class": result.value}
+        construction, expansion = args.construction or "fd", permstats.PermutationExpansion
+        builders = {"fd": expansion.fermi_dirac, "be": expansion.bose_einstein, "mixed": expansion.mixed}
+        result = permstats.classify_statistics(builders[construction](states))
+        return {"op": "classify", "construction": construction, "class": result.value}
+    if len(states) > 1:
+        raise InvalidValueError(f"perm signature takes one state, not {len(states)}")
     signature = permstats.invariance_signature(states[0])
     return {
         "op": "signature",
@@ -397,10 +391,6 @@ def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
     from . import spin_algebra
 
     if args.photon:
-        if args.j1 is not None or args.j2 is not None:
-            raise InvalidValueError(
-                "--photon builds the two-valued spin-1 pair table and takes no --j1 or --j2"
-            )
         table = spin_algebra.photon_pair_table()
         top = table[(Fraction(2), Fraction(2))]
         lowered = spin_algebra.ladder_apply("-", top)
@@ -442,7 +432,7 @@ def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
         "total": str(args.total),
     }
     if args.compare_cg:
-        comparison = condprob.compare_with_cg(dist, args.total, s=args.s)
+        comparison = condprob.compare_with_cg(dist, args.total, s=2 if args.s is None else args.s)
         payload["table"] = pair_rows(comparison.conditional)
         payload["cg_comparison"] = {
             "s": str(comparison.s),
@@ -504,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-invariance", action="store_true")
     p.add_argument("--check-isc", action="store_true")
     p.add_argument("--decompose", action="store_true", help="two-level components (spin_j_singlet)")
-    p.add_argument("--c", type=fraction_arg, default=Fraction(1, 2), help="rotation rate")
-    p.add_argument("--grid", type=positive_int_arg, default=360)
-    p.add_argument("--tol", type=positive_float_arg, default=1e-12)
+    p.add_argument("--c", type=fraction_arg, help="rotation rate of the checks (default: 1/2)")
+    p.add_argument("--grid", type=positive_int_arg, help="float grid of the checks (default: 360)")
+    p.add_argument("--tol", type=positive_float_arg, help="float tolerance (default: 1e-12)")
     _add_common(p)
     p.set_defaults(handler=cmd_state)
 
@@ -514,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", type=angle_list_arg, default=None, help="e.g. pi/3,pi/3,2pi/3")
     p.add_argument("--formula", choices=("half", "full"), default="half")
     p.add_argument("--search", action="store_true", help="scan the angle grid")
-    p.add_argument("--denominator", type=positive_int_arg, default=12, help="grid step pi/denominator")
+    p.add_argument("--denominator", type=positive_int_arg, help="search step pi/denominator (default: 12)")
     _add_common(p)
     p.set_defaults(handler=cmd_bell)
 
@@ -528,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perm", help="permutation sums and classification")
     p.add_argument("op", choices=("antisymmetrize", "symmetrize", "classify", "signature", "energy"))
     p.add_argument("--states", default=None, help="state spec file")
-    p.add_argument("--construction", choices=("fd", "be", "mixed"), default="fd")
+    p.add_argument("--construction", choices=("fd", "be", "mixed"), help="classify expansion (default: fd)")
     p.add_argument("--levels", type=fraction_list_arg, default=None)
     p.add_argument("--count", type=int, default=None)
     _add_common(p)
@@ -551,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", type=fraction_list_arg, default=None)
     p.add_argument("--total", type=int, default=0)
     p.add_argument("--compare-cg", action="store_true")
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=int, help="--compare-cg coupled spin (default: 2)")
     _add_common(p)
     p.set_defaults(handler=cmd_condprob)
 
@@ -579,23 +569,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Options(argparse.Namespace):
+    """Parsed options that add the name of each one read to ``read``; ``main`` refuses the rest."""
+
+    __slots__ = ("read",)
+
+    def __init__(self) -> None:
+        self.read: set[str] = set()
+
+    def __getattribute__(self, name: str) -> Any:
+        if name in super().__getattribute__("__dict__"):
+            super().__getattribute__("read").add(name)
+        return super().__getattribute__(name)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _attach_negative_angle_lists(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, _Options())
+    args.read.clear()  # argparse's own reads while it parses are not the handler's
     envelope: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "mode": args.mode,
     }
+    fmt = args.format  # read before the check, as the handler's options are
     try:
         envelope["payload"] = args.handler(args)
-        emit(envelope, args.format)
+        given = {name for name, value in vars(args).items() if value is not None and value is not False}
+        if unread := sorted(given - args.read):
+            options = ", ".join("--" + name.replace("_", "-") for name in unread)
+            raise InvalidValueError(f"{args.command} does not use {options} here")
+        emit(envelope, fmt)
         return 0
     except (SpinstatError, OSError) as exc:
         code = exc.code if isinstance(exc, SpinstatError) else "io-error"
         envelope.pop("payload", None)
         envelope["error"] = {"code": code, "message": str(exc)}
-    emit(envelope, args.format)
+    emit(envelope, fmt)
     return 1
 
 

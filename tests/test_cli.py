@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import shlex
 import subprocess
 import sys
@@ -154,10 +156,32 @@ BAD_INPUTS = {
     "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
     "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
     "search-denominator-above-limit": (["bell", "--search", "--denominator", "49"], None, "size-limit"),
-    # A mode that would ignore an option refuses it.
+    # A mode refuses every option that its handler does not read.
     "search-with-gaps": (["bell", "--search", "--gaps", "pi/3,pi/3,2pi/3"], None, "invalid-value"),
     "photon-with-spins": (["cg", "--photon", "--j1", "3", "--j2", "1/2"], None, "invalid-value"),
     "photon-with-one-spin": (["cg", "--photon", "--j1", "1"], None, "invalid-value"),
+    "gaps-with-denominator": (["bell", "--gaps", "pi/3,pi/3,2pi/3", "--denominator", "5"], None, "invalid-value"),
+    "critical-without-test-null": (["beam", "--atoms", "10", "--critical", "3"], None, "invalid-value"),
+    "s-without-compare-cg": (["condprob", "--prior", "1/4,1/2,1/4", "--s", "1"], None, "invalid-value"),
+    "grid-and-rate-without-a-check": (["state", "singlet", "--grid", "7", "--c", "1/3"], None, "invalid-value"),
+    "tol-without-a-check": (["state", "singlet", "--tol", "1"], None, "invalid-value"),
+    "levels-and-count-with-states": (
+        ["perm", "antisymmetrize", "--levels", "1,2", "--count", "3", "--states"], "+ 1\n\n- 1\n", "invalid-value"
+    ),
+    "states-for-energy": (["perm", "energy", "--levels", "1,2", "--count", "1", "--states"], "+ 1\n", "invalid-value"),
+    "construction-without-classify": (
+        ["perm", "symmetrize", "--construction", "be", "--states"], "+ 1\n\n- 1\n", "invalid-value"
+    ),
+    "signature-of-two-states": (["perm", "signature", "--states"], "+ 1\n\n- 1\n", "invalid-value"),
+    # A missing or short required list ends with the generic code ``error``, one row per check.
+    "bell-without-gaps": (["bell"], None, "error"),
+    "bell-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3"], None, "error"),
+    "wigner-with-two-angles": (["wigner", "--angles", "0,pi/3"], None, "error"),
+    "cg-with-one-spin": (["cg", "--j1", "1"], None, "error"),
+    "energy-without-count": (["perm", "energy", "--levels", "1,2"], None, "error"),
+    "signature-without-states": (["perm", "signature"], None, "error"),
+    "condprob-without-prior": (["condprob"], None, "error"),
+    "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], None, "error"),
     "exact-value-beyond-float": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], None, "invalid-value"
     ),
@@ -202,6 +226,38 @@ def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, sta
         envelope = json.loads(capsys.readouterr().out)
         jsonschema.validate(envelope, load_schema())
         assert envelope["error"]["code"] == expected
+
+
+def test_refusal_names_every_unread_option():
+    code, output = run_cli(["state", "singlet", "--grid", "7", "--c", "1/3"])
+    assert code == 1
+    assert json.loads(output)["error"]["message"] == "state does not use --c, --grid here"
+    code, output = run_cli(["cg", "--photon", "--j1", "3", "--j2", "1/2"])
+    assert json.loads(output)["error"]["message"] == "cg does not use --j1, --j2 here"
+    # The handler runs first, so its own domain error wins over the refusal.
+    code, output = run_cli(["beam", "--atoms", "-1", "--critical", "3"])
+    assert code == 1
+    assert json.loads(output)["error"]["message"] == "atom count must be nonnegative"
+
+
+# Options that only some modes read default to None and are resolved where
+# they are read; giving the default explicitly prints the same bytes.
+EXPLICIT_DEFAULTS = {
+    "state_singlet": (GOLDEN_COMMANDS["state_singlet"], ["--c", "1/2", "--grid", "360", "--tol", "1e-12"]),
+    "condprob_compare": (GOLDEN_COMMANDS["condprob_compare"], ["--s", "2"]),
+    "bell_search": (["bell", "--search"], ["--denominator", "12"]),
+    "perm_classify": (["perm", "classify", "--states", str(DATA / "three_levels.txt")], ["--construction", "fd"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_DEFAULTS))
+def test_explicit_defaults_print_the_same_bytes(name):
+    argv, defaults = EXPLICIT_DEFAULTS[name]
+    code, output = run_cli([*argv, *defaults])
+    assert code == 0
+    assert output == run_cli(argv)[1]
+    if name in GOLDEN_COMMANDS:
+        assert output == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def test_printing_a_large_slot_does_not_build_its_ladder():
@@ -433,6 +489,21 @@ def test_module_entry_point_runs():
     assert envelope["command"] == "state"
 
 
+@pytest.mark.parametrize("name", ["state_singlet", "perm_antisymmetrize"])
+def test_benchmark_probe_prints_the_golden_bytes(name):
+    """``perfbench/cli_probe.py`` wraps ``parse_args`` and the handler; stdout must not change."""
+    root = Path(__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "cli_probe.py"), *GOLDEN_COMMANDS[name]],
+        capture_output=True,
+        text=True,
+        cwd=str(root),
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
 def test_cli_import_leaves_scipy_out():
     completed = subprocess.run(
         [sys.executable, "-c", "import sys, spinstat.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
@@ -616,6 +687,90 @@ SUBCOMMANDS = {
 }
 
 
+# The options each mode reads, kept apart from the recorder in ``cli.main``
+# as an oracle: per subcommand, rows of (word, options), where the row holds
+# if the word is in argv, ``"!word"`` if it is not, and ``None`` always.
+OPTIONS_READ = {
+    "state": [
+        (None, {"--j", "--check-invariance", "--check-isc"}),
+        ("--check-invariance", {"--c", "--grid", "--tol"}),
+        ("--check-isc", {"--c", "--grid", "--tol"}),
+        ("spin_j_singlet", {"--decompose"}),
+    ],
+    "bell": [(None, {"--formula", "--search"}), ("--search", {"--denominator"}), ("!--search", {"--gaps"})],
+    "wigner": [(None, {"--angles", "--variant", "--formula"})],
+    "perm": [("energy", {"--levels", "--count"}), ("!energy", {"--states"}), ("classify", {"--construction"})],
+    "cg": [(None, {"--photon"}), ("!--photon", {"--j1", "--j2"})],
+    "algebra": [(None, {"--n", "--j"})],
+    "condprob": [(None, {"--prior", "--total", "--compare-cg"}), ("--compare-cg", {"--s"})],
+    "beam": [(None, {"--atoms", "--hypothesis", "--test-null", "--seed"}), ("--test-null", {"--critical"})],
+}
+
+
+def _options_read(argv):
+    read = set(COMMON)
+    for word, options in OPTIONS_READ[argv[0]]:
+        if word is None or (word.lstrip("!") in argv) != word.startswith("!"):
+            read |= options
+    return read
+
+
+def _named_unread(error):
+    """The options that a "does not use" refusal names; empty for any other envelope."""
+    refused = re.fullmatch(r"\w+ does not use (.*) here", error.get("message", ""))
+    return set(refused.group(1).split(", ")) if refused else set()
+
+
+# Argv that succeed, at least one per mode, and a valid value for each option
+# of the subcommand.  Added to each argv, an option is refused by name
+# exactly when ``OPTIONS_READ`` says that the mode does not read it.
+MODE_CASES = {
+    "state": (
+        ["state singlet", "state singlet --check-isc", "state spin_j_singlet --j 1"],
+        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36", "--tol 1e-9"],
+    ),
+    "bell": (
+        ["bell --gaps pi/3,pi/3,2pi/3", "bell --search --denominator 3"],
+        ["--gaps pi/3,pi/3,2pi/3", "--formula full", "--search", "--denominator 3"],
+    ),
+    "wigner": (["wigner --angles 0,pi/3,2pi/3"], ["--angles 0,pi/3,pi", "--variant singlet-inclusive"]),
+    "perm": (
+        [
+            "perm energy --levels 1,2 --count 1",
+            "perm antisymmetrize --states two_spinors.txt",
+            "perm classify --states two_spinors.txt",
+            "perm signature --states pair_state.txt",
+        ],
+        ["--states pair_state.txt", "--construction be", "--levels 1,2", "--count 1"],
+    ),
+    "cg": (["cg --j1 1 --j2 1", "cg --photon"], ["--j1 1", "--j2 1/2", "--photon"]),
+    "algebra": (["algebra --n 1 --j 1"], ["--n 2", "--j 1/2"]),
+    "condprob": (
+        ["condprob --prior 1/4,1/2,1/4", "condprob --prior 1/4,1/2,1/4 --compare-cg"],
+        ["--prior 1/3,1/3,1/3", "--total 0", "--compare-cg", "--s 2"],
+    ),
+    "beam": (
+        ["beam --atoms 10", "beam --atoms 100 --test-null uniform"],
+        ["--atoms 20", "--hypothesis uniform", "--test-null paper", "--critical 3", "--seed 1"],
+    ),
+}
+OPTION_CASES = [
+    (base.split(), option.split())
+    for bases, options in MODE_CASES.values()
+    for base in bases
+    for option in [*options, "--mode float", "--format json"]
+]
+
+
+@pytest.mark.parametrize("base, option", OPTION_CASES, ids=[" ".join(b + o) for b, o in OPTION_CASES])
+def test_an_option_is_refused_exactly_where_its_mode_does_not_read_it(base, option):
+    argv = [str(DATA / arg) if arg.endswith(".txt") else arg for arg in [*base, *option]]
+    code, output = run_cli(argv)
+    error = json.loads(output).get("error", {})
+    assert (option[0] in _named_unread(error)) == (option[0] not in _options_read(argv)), error
+    assert code == (1 if error else 0)
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
@@ -643,9 +798,13 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv, state_text):
     assert code in (0, 1, 2), argv
     if code == 2:
         return
+    given = {arg for arg in argv if arg.startswith("--")}
+    if code == 0:
+        assert given <= _options_read(argv), argv
     if "csv" in argv:
         assert out.getvalue().startswith("key,value\n")
         return
     envelope = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     jsonschema.validate(envelope, load_schema())
     assert ("error" in envelope) == (code == 1)
+    assert _named_unread(envelope.get("error", {})) <= given - _options_read(argv), argv
