@@ -6,10 +6,13 @@ exactly as numpy's ``Philox(key=seed)`` generates it: the key words are
 ``seed & (2**64 - 1)`` and ``seed >> 64``, the counter starts at 1, and each
 64-bit word ``w`` gives the draw ``(w >> 11) * 2**-53``.  A beam of at most
 ``SMALL_BEAM`` atoms computes the same words in pure Python, so it never
-imports numpy; a larger beam draws them with numpy in chunks.  Each draw is
+imports numpy; a larger beam draws them with numpy in chunks, one thread per
+usable CPU, each thread drawing its own contiguous range of whole Philox
+blocks (block ``b`` depends only on the seed and ``b``).  Each draw is
 sampled by inverse CDF over the three outcomes in the fixed order
 (+1, 0, -1).  Identical (seed, count, hypothesis) triples therefore
-reproduce identical counts bit for bit, independent of platform and path.
+reproduce identical counts bit for bit, independent of platform, path and
+number of threads.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ DEFAULT_CRITICAL = 5.991
 SPIN_VALUES = (1, 0, -1)
 
 #: Most atoms one beam draws.  Time grows with the count while memory stays
-#: at one chunk: a cold ``beam`` took 0.4-0.5 s at 10**7 atoms and 1.2-1.6 s
-#: at 10**8.
+#: at one chunk: a cold ``beam`` took 0.3-0.4 s at 10**7 atoms and 0.8-0.9 s
+#: at 10**8 on 2 usable cores (1.1-1.4 s on one thread).
 MAX_ATOMS = 10**8
 
-#: Draws made at once.  Chunked ``random()`` calls continue one Philox stream,
-#: so the counts do not depend on it; it bounds the memory of a large beam.
-DRAW_CHUNK = 1 << 20
+#: Draws made at once, shared by the threads of a large beam: each has a
+#: ``DRAW_CHUNK // threads`` buffer.  Chunked ``random()`` calls continue one
+#: Philox stream, so the counts do not depend on it; it bounds the memory of a
+#: large beam, and a beam of at most one chunk starts no thread.
+DRAW_CHUNK = 1 << 18
 
 #: Largest beam drawn in pure Python.  There one draw costs 1.2-1.7 us, so
 #: 4096 draws take about 6 ms, while a cold import of numpy and
@@ -144,18 +149,52 @@ def _count_in_python(seed: int, n: int, edges: list[float]) -> list[int]:
     return [sum(m <= limit for m in mantissas) for limit in limits]
 
 
-def _count_with_numpy(seed: int, n: int, edges: list[float]) -> list[int]:
+def _usable_cpus() -> int:
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _count_range(seed: int, start: int, stop: int, chunk: int, edges: list[float]) -> list[int]:
+    # Words start..stop of the stream; ``start`` is a multiple of 4, so
+    # skipping start // 4 whole blocks lands on word ``start``.
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    bits = np.random.Philox(key=seed)
+    bits.advance(start // 4)
+    rng = np.random.Generator(bits)
     at_or_below = [0] * len(edges)
-    buffer = np.empty(min(DRAW_CHUNK, n))
-    for start in range(0, n, DRAW_CHUNK):
-        draws = buffer[: min(DRAW_CHUNK, n - start)]
+    buffer = np.empty(min(chunk, stop - start))
+    for lo in range(start, stop, chunk):
+        draws = buffer[: min(chunk, stop - lo)]
         rng.random(out=draws)
         for i, edge in enumerate(edges):
             at_or_below[i] += int(np.count_nonzero(draws <= edge))
     return at_or_below
+
+
+def _count_with_numpy(seed: int, n: int, edges: list[float]) -> list[int]:
+    # Philox block b depends only on (seed, b), so each worker counts its own
+    # contiguous range of whole blocks and the sums do not depend on the
+    # number of workers.  numpy fills and compares without the GIL, so
+    # threads run the ranges in parallel; their buffers share one DRAW_CHUNK.
+    workers = min(_usable_cpus(), -(-n // DRAW_CHUNK))
+    if workers <= 1:
+        return _count_range(seed, 0, n, DRAW_CHUNK, edges)
+    from concurrent.futures import ThreadPoolExecutor
+
+    span = 4 * -(-n // (4 * workers))  # words per worker, in whole blocks
+
+    def count(start: int) -> list[int]:
+        return _count_range(seed, start, min(start + span, n), DRAW_CHUNK // workers, edges)
+
+    # map re-raises a worker's error here, when its result is read.
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(count, range(0, n, span)))
+    return [sum(part) for part in zip(*parts)]
 
 
 def simulate_beam(config: BeamConfig) -> BeamResult:

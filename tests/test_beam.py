@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinstat import beam
 from spinstat.beam import (
     DRAW_CHUNK,
     MAX_ATOMS,
@@ -56,6 +58,19 @@ def test_chunked_draws_match_one_shot_draws(hypothesis, seed):
 
 
 @pytest.mark.parametrize("hypothesis", ["uniform", "paper"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
+def test_counts_do_not_depend_on_the_worker_count(monkeypatch, hypothesis, seed):
+    # Each worker starts on a whole Philox block; the chunk count caps the
+    # workers, so 5 of them split only the largest beam five ways.
+    sizes = (SMALL_BEAM + 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3, 4 * DRAW_CHUNK + 12345)
+    for n in sizes:
+        expected = numpy_counts(n, hypothesis, seed)
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(beam, "_usable_cpus", lambda workers=workers: workers)
+            assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected, (n, workers)
+
+
+@pytest.mark.parametrize("hypothesis", ["uniform", "paper"])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**128 - 1])
 def test_pure_python_draws_match_numpy_philox(hypothesis, seed):
     # Both sides of SMALL_BEAM, and the partial and whole blocks of 4 words.
@@ -73,9 +88,12 @@ def test_small_beams_follow_the_numpy_philox_stream(n, hypothesis, seed):
     assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed)
 
 
-def test_beam_memory_stays_at_one_chunk():
-    # Warm up above SMALL_BEAM: numpy.random's lazy import is not the beam's.
-    simulate_beam(BeamConfig(SMALL_BEAM + 1, "uniform", seed=3))
+def test_beam_memory_stays_at_one_chunk(monkeypatch):
+    # The workers' buffers together stay within one chunk, whatever the CPUs.
+    monkeypatch.setattr(beam, "_usable_cpus", lambda: 3)
+    # Warm up above one chunk: the lazy imports of numpy.random and the
+    # thread pool are not the beam's.
+    simulate_beam(BeamConfig(DRAW_CHUNK + 1, "uniform", seed=3))
     tracemalloc.start()
     try:
         simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
@@ -83,6 +101,38 @@ def test_beam_memory_stays_at_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * DRAW_CHUNK * np.dtype(np.float64).itemsize
+
+
+def test_beams_of_one_chunk_start_no_thread(monkeypatch):
+    monkeypatch.setattr(beam, "_usable_cpus", lambda: 4)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for n in (SMALL_BEAM + 1, DRAW_CHUNK):
+        simulate_beam(BeamConfig(n, "uniform", seed=3))
+    assert started == []
+    # The positive control: one more atom makes two chunks and two workers.
+    simulate_beam(BeamConfig(DRAW_CHUNK + 1, "uniform", seed=3))
+    assert started
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(beam, "_usable_cpus", lambda: 2)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+
+    def count_nonzero(*args, **kwargs):
+        raise RuntimeError("count failed")
+
+    monkeypatch.setattr(np, "count_nonzero", count_nonzero)
+    with pytest.raises(RuntimeError, match="count failed"):
+        simulate_beam(BeamConfig(2 * DRAW_CHUNK + 3, "uniform", seed=3))
+    assert unhandled == []
 
 
 def test_empty_beam():

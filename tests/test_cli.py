@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import site
 import subprocess
 import sys
 import tempfile
@@ -565,6 +566,37 @@ def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
     assert completed.returncode == 0, completed.stderr
     modules = ",".join(sorted(CLI_MODULES | SUBCOMMAND_MODULES[argv[0]]))
     assert completed.stdout.split() == [str(exit_code), str(loads_numpy), "False", modules]
+
+
+THREAD_MODULES_AFTER_MAIN = """
+import contextlib, io, sys
+from spinstat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *(m for m in ('threading', 'concurrent.futures') if m in sys.modules))
+"""
+
+
+# A beam of at most one chunk starts no thread, so a cold one loads no thread
+# pool.  The child runs with -S, because a site .pth file may import
+# threading before any spinstat code runs; numpy comes from the site
+# directories on PYTHONPATH.  Above SMALL_BEAM numpy may load threading.
+@pytest.mark.parametrize(
+    "atoms, absent", [(100, {"threading", "concurrent.futures"}), (SMALL_BEAM + 1, {"concurrent.futures"})]
+)
+def test_cold_beams_load_no_thread_pool(atoms, absent):
+    root = Path(__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-S", "-c", THREAD_MODULES_AFTER_MAIN, "beam", "--atoms", str(atoms)],
+        capture_output=True,
+        text=True,
+        cwd=str(root),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), *site.getsitepackages()])},
+    )
+    assert completed.returncode == 0, completed.stderr
+    code, *loaded = completed.stdout.split()
+    assert code == "0"
+    assert not absent & set(loaded)
 
 
 # ---------------------------------------------------------------------------
