@@ -4,15 +4,17 @@ Draws come from the counter-based Philox4x64-10 stream keyed by the seed
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
 exactly as numpy's ``Philox(key=seed)`` generates it: the key words are
 ``seed & (2**64 - 1)`` and ``seed >> 64``, the counter starts at 1, and each
-64-bit word ``w`` gives the draw ``(w >> 11) * 2**-53``.  A beam of at most
-``SMALL_BEAM`` atoms computes the same words in pure Python, so it never
-imports numpy; a larger beam draws them with numpy in chunks, one thread per
-usable CPU, each thread drawing its own contiguous range of whole Philox
-blocks (block ``b`` depends only on the seed and ``b``).  Each draw is
+64-bit word ``w`` gives the draw ``(w >> 11) * 2**-53``.  Each draw is
 sampled by inverse CDF over the three outcomes in the fixed order
-(+1, 0, -1).  Identical (seed, count, hypothesis) triples therefore
-reproduce identical counts bit for bit, independent of platform, path and
-number of threads.
+(+1, 0, -1).  A beam of at most ``SMALL_BEAM`` atoms computes the words in
+pure Python, so it never imports numpy; a larger beam draws them with
+numpy's ``Philox.random_raw`` in chunks, one thread per usable CPU, each
+thread drawing its own contiguous range of whole Philox blocks (block ``b``
+depends only on the seed and ``b``).  Both paths compare raw words: a draw is
+at most a CDF edge exactly when its word is at most the edge's integer limit
+(:func:`_word_limit`), so no float draw is formed.  Identical
+(seed, count, hypothesis) triples therefore reproduce identical counts bit
+for bit, independent of platform, path and number of threads.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ DEFAULT_CRITICAL = 5.991
 SPIN_VALUES = (1, 0, -1)
 
 #: Most atoms one beam draws.  Time grows with the count while memory stays
-#: at one chunk: a cold ``beam`` took 0.3-0.4 s at 10**7 atoms and 0.8-0.9 s
-#: at 10**8 on 2 usable cores (1.1-1.4 s on one thread).
+#: at one chunk: a cold ``beam`` took 0.3-0.4 s at 10**7 atoms and 0.5-0.75 s
+#: at 10**8 on 2 usable cores (1.0-1.4 s on one thread) of a shared x86
+#: machine.
 MAX_ATOMS = 10**8
 
-#: Draws made at once, shared by the threads of a large beam: each has a
-#: ``DRAW_CHUNK // threads`` buffer.  Chunked ``random()`` calls continue one
-#: Philox stream, so the counts do not depend on it; it bounds the memory of a
-#: large beam, and a beam of at most one chunk starts no thread.
+#: Words drawn at once, shared by the threads of a large beam: each holds one
+#: ``DRAW_CHUNK // threads`` chunk of ``random_raw`` words at a time.  The
+#: chunks continue one Philox stream, so the counts do not depend on it; it
+#: bounds the memory of a large beam, and a beam of at most one chunk starts
+#: no thread.
 DRAW_CHUNK = 1 << 18
 
 #: Largest beam drawn in pure Python.  There one draw costs 1.2-1.7 us, so
@@ -141,12 +145,19 @@ def _philox_words(seed: int, n: int) -> list[int]:
     return words[:n]
 
 
+def _word_limit(edge: float) -> int:
+    """Largest word whose draw ``(w >> 11) * 2**-53`` is at most ``edge``.
+
+    Scaling by 2**53 is exact, so the draw is at most ``edge`` exactly when
+    its mantissa ``w >> 11`` is at most ``int(edge * 2**53)``; an edge of 1
+    or more admits every word.
+    """
+    return min((int(edge * 2**53) << 11) | 0x7FF, _WORD)
+
+
 def _count_in_python(seed: int, n: int, edges: list[float]) -> list[int]:
-    # A draw (w >> 11) * 2**-53 is at most an edge exactly when its integer
-    # mantissa is at most int(edge * 2**53); scaling by 2**53 is exact.
-    mantissas = [w >> 11 for w in _philox_words(seed, n)]
-    limits = [int(edge * 2**53) for edge in edges]
-    return [sum(m <= limit for m in mantissas) for limit in limits]
+    words = _philox_words(seed, n)
+    return [sum(w <= top for w in words) for top in map(_word_limit, edges)]
 
 
 def _usable_cpus() -> int:
@@ -165,14 +176,13 @@ def _count_range(seed: int, start: int, stop: int, chunk: int, edges: list[float
 
     bits = np.random.Philox(key=seed)
     bits.advance(start // 4)
-    rng = np.random.Generator(bits)
+    tops = [np.uint64(_word_limit(edge)) for edge in edges]
     at_or_below = [0] * len(edges)
-    buffer = np.empty(min(chunk, stop - start))
     for lo in range(start, stop, chunk):
-        draws = buffer[: min(chunk, stop - lo)]
-        rng.random(out=draws)
-        for i, edge in enumerate(edges):
-            at_or_below[i] += int(np.count_nonzero(draws <= edge))
+        words = bits.random_raw(min(chunk, stop - lo))
+        for i, top in enumerate(tops):
+            at_or_below[i] += int(np.count_nonzero(words <= top))
+        del words  # freed before the next chunk is drawn
     return at_or_below
 
 

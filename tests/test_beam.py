@@ -88,6 +88,23 @@ def test_small_beams_follow_the_numpy_philox_stream(n, hypothesis, seed):
     assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed)
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0, math.nextafter(0.25, 0), math.nextafter(0.25, 1)],
+)
+def test_word_limit_is_the_draw_test(edge):
+    # Both paths count a word w as at or below the edge when w <= top; that
+    # must be exactly the draw (w >> 11) * 2**-53 at or below it.  At 1.0 the
+    # limit is clamped to the largest word.
+    top = beam._word_limit(edge)
+    m = int(edge * 2**53)
+    candidates = {0, 2**64 - 1, (m << 11) - 1, m << 11, (m << 11) | 0x7FF, (m + 1) << 11}
+    words = sorted(w for w in candidates if 0 <= w < 2**64)
+    expected = [(w >> 11) * 2**-53 <= edge for w in words]
+    assert [w <= top for w in words] == expected
+    assert (np.array(words, dtype=np.uint64) <= np.uint64(top)).tolist() == expected
+
+
 def test_beam_memory_stays_at_one_chunk(monkeypatch):
     # The workers' buffers together stay within one chunk, whatever the CPUs.
     monkeypatch.setattr(beam, "_usable_cpus", lambda: 3)

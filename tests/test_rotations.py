@@ -11,9 +11,13 @@ from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, Siz
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, Permutation, index_of_m, inner_product, permute_slots
 from spinstat.rotations import (
+    EXTRA_GRID_ANGLES,
     MAX_GRID,
     MAX_SINGLET_SPIN,
     STATE_TAGS,
+    _ISC_PATTERNS,
+    _isc_deviation,
+    _paired_rotation,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
     grid_angles,
@@ -136,6 +140,12 @@ def test_invariance_in_float_mode():
     assert not bad.invariant
 
 
+@pytest.mark.parametrize("grid", [1, 7, 90, 360, 1200, MAX_GRID])
+def test_grid_angles_are_the_scalar_formula(grid):
+    expected = [2 * math.pi * k / grid for k in range(grid)] + list(EXTRA_GRID_ANGLES)
+    assert grid_angles(grid).tolist() == expected
+
+
 def _kron_rotated(ket, c, angles):
     """Oracle: the flat amplitudes, and np.kron(R, R) @ vec at each angle in turn."""
     vec = np.array([complex(ket.amplitude(label)) for label in [(0, 0), (0, 1), (1, 0), (1, 1)]])
@@ -166,12 +176,17 @@ def test_grid_checks_match_a_kron_oracle(rng, c):
         worst = max(deviations)
         result = is_isc(ket, c=c, grid=90)
         assert result.max_deviation == pytest.approx(worst, abs=1e-13)
+        # The cell-by-cell deviation is exactly the broadcast over both patterns.
+        p = np.abs(_paired_rotation(ket, c, angles)) ** 2
+        broadcast = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)
+        assert np.array_equal(_isc_deviation(p), broadcast)
         if worst < 1e-12:
             assert result.isc and result.witness_angle is None
         else:
             assert not result.isc
             first = next(t for t, d in zip(angles, deviations) if d >= worst - 1e-9)
             assert result.witness_angle == first
+            assert type(result.witness_angle) is float
 
 
 def test_zero_rate_is_rejected():
