@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, Mapping, Sequence
 
 from .errors import (
     IncompatibleRadicandsError,
@@ -338,3 +338,34 @@ def index_of_m(dim: int, m: Rational) -> int:
     if idx.denominator != 1 or not 0 <= idx <= dim - 1:
         raise ShapeError(f"projection {m} not in a dimension-{dim} basis")
     return int(idx)
+
+
+def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> ExactScalar:
+    """sqrt((j-m)(j+m+1)) for raising, sqrt((j+m)(j-m+1)) for lowering."""
+    if direction == "+":
+        return ExactScalar.sqrt((j - m) * (j + m + 1))
+    return ExactScalar.sqrt((j + m) * (j - m + 1))
+
+
+def ladder(j: Fraction, direction: Literal["+", "-"], step: int = 1) -> list[Ket]:
+    """Each basis ket's image under ``step * L±`` on one slot whose basis is ``spin_values(j, step)``."""
+    values = spin_values(j, step)
+    shift = -1 if direction == "+" else 1  # L+ moves label k to k - 1; a step off either end vanishes
+    dims = (len(values),)
+    return [
+        Ket(dims, {(k + shift,): ladder_factor(j, m, direction) * step} if 0 <= k + shift < len(values) else {})
+        for k, m in enumerate(values)
+    ]
+
+
+def apply_to_slot(images: Sequence[Ket], ket: Ket, slot: int) -> Ket:
+    """Apply to ``slot`` the operator that sends its label ``k`` to the one-slot ket ``images[k]``."""
+    if ket.mode == FLOAT:  # exact images act on a float ket through their complex values
+        images = [image.to_float() for image in images]
+    amps: dict[Label, Scalar] = {}
+    for label, amp in ket.amplitudes.items():
+        for (k,), factor in images[label[slot]].amplitudes.items():
+            target = label[:slot] + (k,) + label[slot + 1 :]
+            value = amp * factor
+            amps[target] = amps[target] + value if target in amps else value
+    return Ket(ket.dims, amps)

@@ -10,6 +10,8 @@ full-angle photon behavior).  A two-particle state is rotationally
 invariant when ``(R ⊗ R)|psi> = |psi>`` for every angle; it is perfectly
 spin-correlated ("isotropic" correlation) when in every rotated basis the
 joint outcome distribution sits on two complementary cells of weight 1/2.
+Spinor conjugation (``L- - L+`` at spin 1/2) and the exact rotations apply
+one-slot images through :func:`~spinstat.kets.apply_to_slot`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from .exact import ExactScalar, Rational
-from .kets import FLOAT, Ket, check_spin
+from .kets import FLOAT, Ket, apply_to_slot, check_spin, ladder
 
 # Functions that compute with arrays import numpy themselves, so exact
 # callers, and most CLI subcommands, never load it.
@@ -123,31 +125,24 @@ def spin_j_singlet(j: Rational) -> Ket:
     return Ket((dim, dim), amps)
 
 
-STATE_TAGS = (
-    "singlet",
-    "improper_singlet",
-    "excluded_combination",
-    "triplet_plus",
-    "triplet_zero",
-    "triplet_minus",
-    "spin_j_singlet",
-)
+_BUILDERS = {
+    "singlet": singlet,
+    "improper_singlet": improper_singlet,
+    "excluded_combination": excluded_combination,
+    "triplet_plus": lambda: triplet(1),
+    "triplet_zero": lambda: triplet(0),
+    "triplet_minus": lambda: triplet(-1),
+}
+
+STATE_TAGS = (*_BUILDERS, "spin_j_singlet")
 
 
 def make_state(tag: str, j: Rational | None = None) -> Ket:
     """Build a cataloged state by tag; ``spin_j_singlet`` needs ``j``, and no other tag takes one."""
-    builders = {
-        "singlet": singlet,
-        "improper_singlet": improper_singlet,
-        "excluded_combination": excluded_combination,
-        "triplet_plus": lambda: triplet(1),
-        "triplet_zero": lambda: triplet(0),
-        "triplet_minus": lambda: triplet(-1),
-    }
-    if tag in builders:
+    if tag in _BUILDERS:
         if j is not None:
             raise InvalidValueError(f"{tag} takes no spin value j")
-        return builders[tag]()
+        return _BUILDERS[tag]()
     if tag == "spin_j_singlet":
         if j is None:
             raise UnknownTagError("spin_j_singlet requires a spin value j")
@@ -258,13 +253,12 @@ def _exactly_isc(ket: Ket) -> bool:
     so a continuous table cannot switch between them: the pair is perfectly
     correlated iff its table is one and the same pattern at those 5 angles.
     """
-    psi = [[ket.amplitude((j, l)) for l in range(2)] for j in range(2)]
     tables = set()
     for cos, sin in _EXACT_ISC_ANGLES:
-        r = ((cos, sin), (-sin, cos))
-        # First slot, then second: rows[i][l] = sum_j R[i][j] psi[j][l].
-        rows = [[r[i][0] * psi[0][l] + r[i][1] * psi[1][l] for l in range(2)] for i in range(2)]
-        amps = [r[k][0] * rows[i][0] + r[k][1] * rows[i][1] for i in range(2) for k in range(2)]
+        # Label j goes to column j of R(a).
+        r = [Ket((2,), {(0,): cos, (1,): -sin}), Ket((2,), {(0,): sin, (1,): cos})]
+        rotated = apply_to_slot(r, apply_to_slot(r, ket, 0), 1)
+        amps = [rotated.amplitude(label) for label in ((0, 0), (0, 1), (1, 0), (1, 1))]
         tables.add(tuple(a * a for a in amps))
     return len(tables) == 1 and tables <= _EXACT_ISC_PATTERNS
 
@@ -323,7 +317,7 @@ def is_isc(
 
 
 def conjugate_spinor_slot(ket: Ket, slot: int) -> Ket:
-    """Apply the antisymmetric conjugation |+> -> |->, |-> -> -|+> to a slot.
+    """Apply the antisymmetric conjugation |+> -> |->, |-> -> -|+>, ``L- - L+`` at spin 1/2, to a slot.
 
     Turns the correlated pair state into the anticorrelated one (and back,
     up to a global sign); applying it twice negates the ket.
@@ -332,13 +326,8 @@ def conjugate_spinor_slot(ket: Ket, slot: int) -> Ket:
         raise ShapeError(f"slot {slot} out of range for {ket.n_particles} particles")
     if ket.dims[slot] != 2:
         raise ShapeError(f"spinor conjugation needs a 2-dimensional slot, got {ket.dims[slot]}")
-    amps = {}
-    for label, amp in ket.amplitudes.items():
-        if label[slot] == 0:
-            amps[label[:slot] + (1,) + label[slot + 1 :]] = amp
-        else:
-            amps[label[:slot] + (0,) + label[slot + 1 :]] = -amp
-    return Ket(ket.dims, amps)
+    images = [lower - upper for upper, lower in zip(ladder(HALF, "+"), ladder(HALF, "-"))]
+    return apply_to_slot(images, ket, slot)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""The spin-j ladder, the rescaled ladder algebra, and coupling tables.
+"""The rescaled ladder algebra and the coupling tables.
 
 The spin operators have one form: the ladder
-``L± |j,m> = sqrt((j∓m)(j±m+1)) |j,m±1>`` of :func:`ladder_factor`, applied
-sparsely and exactly.  :func:`ladder_apply` applies it to the product
-expansion of a coupled pair, and :func:`verify_rescaled_algebra` applies
-``L+``, ``L-`` and ``L_z`` to each basis ket ``|j,m>`` of one slot.  The
+``L± |j,m> = sqrt((j∓m)(j±m+1)) |j,m±1>`` of :func:`~spinstat.kets.ladder`,
+applied to one slot at a time by :func:`~spinstat.kets.apply_to_slot`.
+:func:`ladder_apply` and the coupling tables apply it to both slots of a
+pair, and :func:`verify_rescaled_algebra` to each basis ket ``|j,m>``.  The
 y-component is purely imaginary, so the check writes ``L_y = i*Y`` with the
 real ``Y = (L- - L+)/2``; every commutator identity then reduces to an
 identity between real exact kets, and residuals come out exactly zero
@@ -20,48 +20,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
-from .kets import Ket, check_spin, spin_values
+from .kets import Ket, apply_to_slot, check_spin, ladder, ladder_factor, spin_values
 
 MAX_COUPLED_SPIN = Fraction(9)
-
-
-def ladder_factor(j: Fraction, m: Fraction, direction: Literal["+", "-"]) -> ExactScalar:
-    """sqrt((j-m)(j+m+1)) for raising, sqrt((j+m)(j-m+1)) for lowering."""
-    if direction == "+":
-        return ExactScalar.sqrt((j - m) * (j + m + 1))
-    return ExactScalar.sqrt((j + m) * (j - m + 1))
 
 
 def _spin_operators(j: Fraction) -> tuple[list[Ket], ...]:
     """Each basis ket's image under ``L_z``, ``L+``, ``L-``, ``L_x`` and ``Y``, on one spin-j slot.
 
-    Label ``k`` holds ``m = j - k``, the order of :func:`spin_values`, so
-    ``L+`` moves label ``k`` to ``k - 1`` and ``L-`` moves it to ``k + 1``.
-    ``L_x = (L+ + L-)/2``, and the real ``Y = (L- - L+)/2`` gives
-    ``L_y = i*Y``.
+    ``L_x = (L+ + L-)/2``, and the real ``Y = (L- - L+)/2`` gives ``L_y = i*Y``.
     """
     dims = (int(2 * j) + 1,)
-    lz, lplus, lminus = [], [], []
-    for k, m in enumerate(spin_values(j)):
-        lz.append(Ket(dims, {(k,): m}))
-        lplus.append(Ket(dims, {(k - 1,): ladder_factor(j, m, "+")} if m < j else {}))
-        lminus.append(Ket(dims, {(k + 1,): ladder_factor(j, m, "-")} if m > -j else {}))
+    lz = [Ket(dims, {(k,): m}) for k, m in enumerate(spin_values(j))]
+    lplus, lminus = ladder(j, "+"), ladder(j, "-")
     half = Fraction(1, 2)
     lx = [(p + q).scale(half) for p, q in zip(lplus, lminus)]
     y = [(q - p).scale(half) for p, q in zip(lplus, lminus)]
     return lz, lplus, lminus, lx, y
-
-
-def _apply(images: Sequence[Ket], ket: Ket) -> Ket:
-    """Apply to a one-slot ket the operator that sends basis label ``k`` to ``images[k]``."""
-    out = Ket.zero(ket.dims)
-    for (k,), amp in ket.amplitudes.items():
-        out = out + images[k].scale(amp)
-    return out
 
 
 @dataclass(frozen=True)
@@ -98,18 +77,18 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     residuals = []
     for k in range(len(lz)):
         # [Sx, Sy] = i(Sx Y' - Y' Sx) with Y' = n*Y must equal i*n*Sz.
-        residuals.append(_apply(sx, sy_imag[k]) - _apply(sy_imag, sx[k]) - sz[k].scale(n))
+        residuals.append(apply_to_slot(sx, sy_imag[k], 0) - apply_to_slot(sy_imag, sx[k], 0) - sz[k].scale(n))
         # [Sy, Sz] = i(Y' Sz - Sz Y') must equal i*n*Sx.
-        residuals.append(_apply(sy_imag, sz[k]) - _apply(sz, sy_imag[k]) - sx[k].scale(n))
+        residuals.append(apply_to_slot(sy_imag, sz[k], 0) - apply_to_slot(sz, sy_imag[k], 0) - sx[k].scale(n))
         # [Sz, Sx] is real and must equal i*n*Sy = -n*Y'.
-        residuals.append(_apply(sz, sx[k]) - _apply(sx, sz[k]) + sy_imag[k].scale(n))
+        residuals.append(apply_to_slot(sz, sx[k], 0) - apply_to_slot(sx, sz[k], 0) + sy_imag[k].scale(n))
     max_residual = max(
         (abs(float(a)) for r in residuals for a in r.amplitudes.values()), default=0.0
     )
     n2 = n * n
     ladder_ok = all(
-        _apply(sminus, splus[k]) == _apply(lminus, lplus[k]).scale(n2)
-        and _apply(splus, sminus[k]) == _apply(lplus, lminus[k]).scale(n2)
+        apply_to_slot(sminus, splus[k], 0) == apply_to_slot(lminus, lplus[k], 0).scale(n2)
+        and apply_to_slot(splus, sminus[k], 0) == apply_to_slot(lplus, lminus[k], 0).scale(n2)
         for k in range(len(lz))
     )
     return RescaledAlgebraCheck(n, j, max_residual, ladder_ok)
@@ -175,36 +154,30 @@ class CoupledState:
         return Ket((len(values1), len(values2)), amps)
 
 
+def _coupled_row(s: Fraction, m: Fraction, j1: Fraction, j2: Fraction, ket: Ket, step: int) -> CoupledState:
+    """The coupled state ``|s, m>`` whose product expansion is ``ket``."""
+    values1, values2 = spin_values(j1, step), spin_values(j2, step)
+    amps = {(values1[a], values2[b]): amp for (a, b), amp in ket.amplitudes.items()}
+    return CoupledState(s, m, j1, j2, amps, step)
+
+
 def ladder_apply(
     direction: Literal["+", "-"],
     state: CoupledState,
 ) -> CoupledState:
     """Apply ``S± = S1± + S2±`` on the product expansion, unnormalized.
 
-    Each constituent term picks up ``n * sqrt((j∓m)(j±m+1))`` and moves its
-    projection by ``n``, the state's ``step``; terms stepping outside the
-    basis vanish, and the empty result at the end of a ladder is returned as
-    a zero state.
+    Each slot steps through :func:`~spinstat.kets.ladder` at the state's
+    ``step``; the empty result at the end of a ladder is a zero state.
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    n = state.step
-    delta = n if direction == "+" else -n
-    spins = (state.j1, state.j2)
-    amps: dict[tuple[Fraction, Fraction], ExactScalar] = {}
-    for (m1, m2), amp in state.amplitudes.items():
-        for slot, m_slot in ((0, m1), (1, m2)):
-            new_m = m_slot + delta
-            if not -spins[slot] <= new_m <= spins[slot]:
-                continue
-            factor = ladder_factor(spins[slot], m_slot, direction) * n
-            target = (new_m, m2) if slot == 0 else (m1, new_m)
-            contribution = amp * factor
-            if target in amps:
-                amps[target] = amps[target] + contribution
-            else:
-                amps[target] = contribution
-    return CoupledState(state.s, state.m + delta, state.j1, state.j2, amps, state.step)
+    n, ket = state.step, state.to_ket()
+    moved = apply_to_slot(ladder(state.j1, direction, n), ket, 0) + apply_to_slot(
+        ladder(state.j2, direction, n), ket, 1
+    )
+    m = state.m + (n if direction == "+" else -n)
+    return _coupled_row(state.s, m, state.j1, state.j2, moved, n)
 
 
 def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction, step: int) -> CoupledState:
@@ -229,14 +202,16 @@ def _couple(j1: Fraction, j2: Fraction, step: int) -> dict[tuple[Fraction, Fract
     Each block starts from its highest-weight state and is laddered down
     ``step`` at a time to m = -s.
     """
+    lower1, lower2 = ladder(j1, "-", step), ladder(j2, "-", step)
     table: dict[tuple[Fraction, Fraction], CoupledState] = {}
     for s in spin_values(j1 + j2, step):
         if s < abs(j1 - j2):
             break
-        state = table[(s, s)] = _highest_weight(j1, j2, s, step)
-        while state.m > -s:
-            state = ladder_apply("-", state).normalized()
-            table[(s, state.m)] = state
+        table[(s, s)] = _highest_weight(j1, j2, s, step)
+        ket = table[(s, s)].to_ket()
+        for m in spin_values(s, step)[1:]:
+            ket = (apply_to_slot(lower1, ket, 0) + apply_to_slot(lower2, ket, 1)).normalized()
+            table[(s, m)] = _coupled_row(s, m, j1, j2, ket, step)
     return table
 
 

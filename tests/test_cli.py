@@ -536,8 +536,8 @@ COLD_COMMANDS = {
 CLI_MODULES = {"cli", "errors", "exact", "kets"}
 SUBCOMMAND_MODULES = {
     "state": {"rotations"},
-    "bell": {"measurement", "rotations"},
-    "wigner": {"measurement", "rotations"},
+    "bell": {"measurement"},
+    "wigner": {"measurement"},
     "perm": {"permstats"},
     "cg": {"spin_algebra"},
     "algebra": {"spin_algebra"},

@@ -2,8 +2,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_exact_ket, random_float_ket
@@ -17,6 +18,7 @@ from spinstat.exact import ExactScalar, parse_scalar
 from spinstat.kets import (
     Ket,
     Permutation,
+    apply_to_slot,
     index_of_m,
     inner_product,
     permute_slots,
@@ -186,3 +188,36 @@ def test_spin_values_descend_by_the_step_from_j(j, step):
         dim = int(2 * j + 1)
         assert len(values) == dim
         assert [index_of_m(dim, m) for m in values] == list(range(dim))
+
+
+# Exact amplitudes q*sqrt(r) over a few radicands, so sums mix radicals.
+exact_amplitudes = st.builds(
+    ExactScalar, st.fractions(min_value=-3, max_value=3, max_denominator=4), st.sampled_from([1, 2, 3])
+)
+
+
+@st.composite
+def kets_with_slot_images(draw):
+    """A ket of 1-3 slots of mixed dimension, exact or float, and exact images for every slot."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    labels = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    ket = Ket(dims, draw(st.dictionaries(labels, exact_amplitudes, max_size=6)))
+    if draw(st.booleans()):
+        ket = ket.to_float().scale(complex(0.6, 0.8))
+    one_slot = lambda d: st.dictionaries(st.tuples(st.integers(0, d - 1)), exact_amplitudes, max_size=d)
+    images = [[Ket((d,), draw(one_slot(d))) for _ in range(d)] for d in dims]
+    return ket, images
+
+
+@settings(deadline=None)
+@given(kets_with_slot_images())
+def test_apply_to_slot_matches_a_dense_contraction(case):
+    ket, images = case
+    for slot, slot_images in enumerate(images):
+        out = apply_to_slot(slot_images, ket, slot)
+        assert out.dims == ket.dims
+        assert out.mode in (ket.mode, None)
+        # Column k of the image matrix is images[k]; contract it with the slot's axis.
+        matrix = np.array([image.to_array() for image in slot_images]).T
+        expected = np.moveaxis(np.tensordot(matrix, ket.to_array(), axes=([1], [slot])), 0, slot)
+        np.testing.assert_allclose(out.to_array(), expected, atol=1e-12)

@@ -89,16 +89,22 @@ def test_unknown_name_raises_attribute_error():
 
 
 
+def _root(dotted):
+    """``x`` for ``spinstat.x...``, otherwise the first part of the dotted name."""
+    parts = dotted.split(".")
+    return parts[1] if parts[0] == "spinstat" and len(parts) > 1 else parts[0]
+
+
 def _imported_roots(name, module_scope_only=False):
-    """The top-level names module ``name`` imports; ``from .x import`` and ``from . import x`` count as ``x``."""
+    """The top-level names module ``name`` imports; ``from .x import``, ``from . import x`` and ``import spinstat.x`` count as ``x``."""
     tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
     nodes = tree.body if module_scope_only else ast.walk(tree)
     roots = set()
     for node in nodes:
         if isinstance(node, ast.Import):
-            roots |= {alias.name.split(".")[0] for alias in node.names}
+            roots |= {_root(alias.name) for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module:
-            roots.add(node.module.split(".")[0])
+            roots.add(_root(node.module))
         elif isinstance(node, ast.ImportFrom):
             roots |= {alias.name for alias in node.names}
     return roots
@@ -112,10 +118,36 @@ def test_only_the_float_layers_import_numpy():
     assert {name for name in SUBMODULES if "numpy" in _imported_roots(name)} == NUMPY_MODULES
 
 
-# The spin basis lives in kets.  rotations holds the named states and the
-# float rotations, and spin_algebra the coupling tables; a module that loads
-# either at import makes every user of that module pay for it.
+# The spin basis and the ladder live in kets.  rotations holds the named
+# states and the float rotations, and spin_algebra the coupling tables; a
+# module that loads either at import makes every user of that module pay for it.
 def test_rotations_and_spin_algebra_load_only_where_needed():
     module_scope = {name: _imported_roots(name, module_scope_only=True) for name in SUBMODULES}
-    assert {name for name, roots in module_scope.items() if "rotations" in roots} == {"measurement"}
+    assert {name for name, roots in module_scope.items() if "rotations" in roots} == set()
     assert not any("spin_algebra" in roots for roots in module_scope.values())
+
+
+def _names_from(name, source):
+    """The names module ``name`` binds with ``from .source import ...``."""
+    tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == source
+        for alias in node.names
+    }
+
+
+# One slot-operator kernel: the ladder and the one-slot operator images live
+# in kets, and both rotations and spin_algebra apply them from there.
+SLOT_KERNEL = {"ladder_factor", "ladder", "apply_to_slot"}
+
+
+def test_kets_is_the_single_owner_of_the_slot_kernel():
+    for name in SUBMODULES:
+        tree = ast.parse(Path(spinstat.__path__[0], f"{name}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert defined & SLOT_KERNEL == (SLOT_KERNEL if name == "kets" else set()), name
+    assert _names_from("spin_algebra", "kets") >= SLOT_KERNEL
+    assert _names_from("rotations", "kets") >= {"ladder", "apply_to_slot"}
+    assert "spin_algebra" not in _imported_roots("rotations")

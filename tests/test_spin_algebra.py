@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from spinstat import spin_algebra
-from spinstat.errors import SizeLimitError
+from spinstat import kets
+from spinstat.errors import InvalidValueError, SizeLimitError
 from spinstat.exact import ExactScalar
-from spinstat.kets import Ket, inner_product, spin_values
+from spinstat.kets import Ket, apply_to_slot, inner_product, ladder, ladder_factor, spin_values
 from spinstat.rotations import spin_j_singlet
 from spinstat.spin_algebra import (
     MAX_COUPLED_SPIN,
     CoupledState,
-    _apply,
     _spin_operators,
     cg_decompose,
     ladder_apply,
-    ladder_factor,
     photon_pair_table,
     verify_rescaled_algebra,
 )
@@ -36,8 +34,12 @@ def basis(j):
     return [Ket.basis((dim,), (k,)) for k in range(dim)]
 
 
+def act(images, ket):
+    return apply_to_slot(images, ket, 0)
+
+
 def commutator(a, b, ket):
-    return _apply(a, _apply(b, ket)) - _apply(b, _apply(a, ket))
+    return act(a, act(b, ket)) - act(b, act(a, ket))
 
 
 def test_lz_is_diagonal_projection_ladder():
@@ -63,7 +65,7 @@ def test_casimir_is_j_j_plus_one():
     for j in SPINS:
         lz, _, _, lx, y = _spin_operators(j)
         for k, ket in enumerate(basis(j)):
-            casimir = _apply(lx, lx[k]) - _apply(y, y[k]) + _apply(lz, lz[k])
+            casimir = act(lx, lx[k]) - act(y, y[k]) + act(lz, lz[k])
             assert casimir == ket.scale(j * (j + 1))
 
 
@@ -71,9 +73,9 @@ def test_ladder_commutators_exact():
     for j in SPINS:
         lz, lplus, lminus, _, _ = _spin_operators(j)
         for ket in basis(j):
-            assert commutator(lz, lplus, ket) == _apply(lplus, ket)
-            assert commutator(lminus, lz, ket) == _apply(lminus, ket)
-            assert commutator(lplus, lminus, ket) == _apply(lz, ket).scale(2)
+            assert commutator(lz, lplus, ket) == act(lplus, ket)
+            assert commutator(lminus, lz, ket) == act(lminus, ket)
+            assert commutator(lplus, lminus, ket) == act(lz, ket).scale(2)
 
 
 def test_xy_commutator_is_lz():
@@ -81,7 +83,7 @@ def test_xy_commutator_is_lz():
         lz, _, _, lx, y = _spin_operators(j)
         for ket in basis(j):
             # [L_x, L_y] = i*L_z with L_y = i*Y is the real identity [L_x, Y] = L_z.
-            assert commutator(lx, y, ket) == _apply(lz, ket)
+            assert commutator(lx, y, ket) == act(lz, ket)
 
 
 @pytest.mark.parametrize("j", [Fraction(k, 2) for k in range(2 * int(MAX_COUPLED_SPIN) + 1)])
@@ -111,10 +113,25 @@ def test_algebra_check_fails_on_a_wrong_ladder(monkeypatch):
     def wrong(j, m, direction):
         return ExactScalar.sqrt((j - m) * (j + m))
 
-    monkeypatch.setattr(spin_algebra, "ladder_factor", wrong)
+    monkeypatch.setattr(kets, "ladder_factor", wrong)
     check = verify_rescaled_algebra(1, 1)
     assert check.max_residual > 0
     assert not check.holds
+    # The coupling tables lower through the same ladder: L-|1,1> now
+    # vanishes, so the s = 2 block cannot be normalized below its top.
+    with pytest.raises(InvalidValueError, match="zero ket"):
+        cg_decompose(1, 1)
+
+
+def test_photon_constituents_lower_two_steps_at_once():
+    # The constituents carry m = 1, -1 only: 2*L- sends |1> to 2*sqrt(2)|-1>, and |-1> to 0.
+    lower = ladder(Fraction(1), "-", 2)
+    assert lower == [Ket((2,), {(1,): sq(8)}), Ket.zero((2,))]
+    table = photon_pair_table()
+    top = table[(Fraction(2), Fraction(2))].to_ket()
+    lowered = apply_to_slot(lower, top, 0) + apply_to_slot(lower, top, 1)
+    assert lowered == ladder_apply("-", table[(Fraction(2), Fraction(2))]).to_ket()
+    assert lowered.normalized() == table[(Fraction(2), Fraction(0))].to_ket()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
