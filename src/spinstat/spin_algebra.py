@@ -10,6 +10,11 @@ real ``Y = (L- - L+)/2``; every commutator identity then reduces to an
 identity between real exact kets, and residuals come out exactly zero
 rather than at rounding level.
 
+A row of a coupling table, :class:`CoupledState`, is a two-slot
+:class:`~spinstat.kets.Ket` over the product basis together with its
+quantum numbers ``s, m, j1, j2`` and ladder step; its ``amplitudes`` are
+the read-only view of that ket keyed by projection pair ``(m1, m2)``.
+
 The rescaled operators ``S_i = n * L_i`` obey ``[S_i, S_j] = i*n*e_ijk*S_k``
 and their ladder steps move the projection by ``n`` at a time, which is
 what lets a two-valued spin-1 pair (photon-style, no m=0 reading) be
@@ -18,11 +23,13 @@ laddered without ever stepping onto the missing projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Literal, Mapping
 
-from .errors import InvalidValueError, ShapeError, SizeLimitError
+from .errors import IncompatibleRadicandsError, InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Rational
 from .kets import Ket, apply_to_slot, check_spin, ladder, ladder_factor, spin_values
 
@@ -96,8 +103,10 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
 
 @dataclass(frozen=True)
 class CoupledState:
-    """A total-spin eigenstate expanded over the product basis |m1,m2>.
+    """A total-spin eigenstate ``|s, m>`` and its expansion over the product basis.
 
+    ``ket`` is a two-slot :class:`~spinstat.kets.Ket` indexed like every
+    ket: slot label ``k`` holds projection ``spin_values(j, step)[k]``.
     ``step`` is the ladder step size: 1 for the full basis, ``n`` for a
     rescaled pair whose constituents skip intermediate projections.
     """
@@ -106,59 +115,43 @@ class CoupledState:
     m: Fraction
     j1: Fraction
     j2: Fraction
-    amplitudes: Mapping[tuple[Fraction, Fraction], ExactScalar]
+    ket: Ket
     step: int = 1
 
     def __post_init__(self) -> None:
-        values1 = set(spin_values(self.j1, self.step))
-        values2 = set(spin_values(self.j2, self.step))
-        amps = {}
-        for (m1, m2), amp in self.amplitudes.items():
-            m1, m2 = Fraction(m1), Fraction(m2)
-            if m1 not in values1 or m2 not in values2:
-                raise ShapeError(f"projection ({m1},{m2}) outside the basis")
-            if m1 + m2 != self.m:
-                raise ShapeError(f"projections ({m1},{m2}) do not sum to m={self.m}")
-            if not amp.is_zero:
-                amps[(m1, m2)] = amp
-        object.__setattr__(self, "amplitudes", amps)
+        values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
+        if self.ket.dims != (len(values1), len(values2)):
+            raise ShapeError(
+                f"ket dims {self.ket.dims} do not fit spins ({self.j1}, {self.j2}) at step {self.step}"
+            )
+        # Label (a, b) holds m1 + m2 = j1 + j2 - step*(a + b).
+        level = (self.j1 + self.j2 - self.m) / self.step
+        for a, b in self.ket.amplitudes:
+            if a + b != level:
+                raise ShapeError(f"projections ({values1[a]},{values2[b]}) do not sum to m={self.m}")
 
-    def norm_squared(self) -> Fraction:
-        return sum((a.squared() for a in self.amplitudes.values()), Fraction(0))
+    @cached_property
+    def amplitudes(self) -> Mapping[tuple[Fraction, Fraction], ExactScalar]:
+        """The nonzero amplitudes keyed by projection pair ``(m1, m2)``: a read-only view of ``ket``."""
+        values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
+        return MappingProxyType({(values1[a], values2[b]): amp for (a, b), amp in self.ket.amplitudes.items()})
+
+    def norm_squared(self) -> Fraction | ExactScalar:
+        return self.ket.norm_squared()
 
     def norm(self) -> ExactScalar:
-        return ExactScalar.sqrt(self.norm_squared())
+        n2 = self.norm_squared()
+        if isinstance(n2, ExactScalar):
+            raise IncompatibleRadicandsError(f"squared norm {n2} is irrational; no exact norm")
+        return ExactScalar.sqrt(n2)
 
     def normalized(self) -> "CoupledState":
-        n2 = self.norm_squared()
-        if n2 == 0:
-            raise InvalidValueError("cannot normalize an empty state")
-        scale = ExactScalar.sqrt(Fraction(1) / n2)
-        return CoupledState(
-            self.s,
-            self.m,
-            self.j1,
-            self.j2,
-            {k: a * scale for k, a in self.amplitudes.items()},
-            self.step,
-        )
-
-    def to_ket(self) -> Ket:
-        """Render over index labels ordered by descending projection."""
-        values1 = spin_values(self.j1, self.step)
-        values2 = spin_values(self.j2, self.step)
-        amps = {
-            (values1.index(m1), values2.index(m2)): a
-            for (m1, m2), a in self.amplitudes.items()
-        }
-        return Ket((len(values1), len(values2)), amps)
+        return replace(self, ket=self.ket.normalized())
 
 
-def _coupled_row(s: Fraction, m: Fraction, j1: Fraction, j2: Fraction, ket: Ket, step: int) -> CoupledState:
-    """The coupled state ``|s, m>`` whose product expansion is ``ket``."""
-    values1, values2 = spin_values(j1, step), spin_values(j2, step)
-    amps = {(values1[a], values2[b]): amp for (a, b), amp in ket.amplitudes.items()}
-    return CoupledState(s, m, j1, j2, amps, step)
+def _pair_ladder(images1: list[Ket], images2: list[Ket], ket: Ket) -> Ket:
+    """``S± = S1± + S2±`` on a pair's product expansion, given each slot's ladder images."""
+    return apply_to_slot(images1, ket, 0) + apply_to_slot(images2, ket, 1)
 
 
 def ladder_apply(
@@ -172,12 +165,9 @@ def ladder_apply(
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    n, ket = state.step, state.to_ket()
-    moved = apply_to_slot(ladder(state.j1, direction, n), ket, 0) + apply_to_slot(
-        ladder(state.j2, direction, n), ket, 1
-    )
-    m = state.m + (n if direction == "+" else -n)
-    return _coupled_row(state.s, m, state.j1, state.j2, moved, n)
+    n = state.step
+    moved = _pair_ladder(ladder(state.j1, direction, n), ladder(state.j2, direction, n), state.ket)
+    return replace(state, m=state.m + (n if direction == "+" else -n), ket=moved)
 
 
 def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction, step: int) -> CoupledState:
@@ -186,14 +176,16 @@ def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction, step: int) -> Coupl
     Raising couples consecutive labels of the m = s level pairwise, so the
     kernel direction follows from a two-term recursion whose ratios stay
     single-radical; the sign convention fixes the highest-m1 coefficient
-    positive.  At s = j1 + j2 the level holds the single label (j1, j2).
+    positive.  At s = j1 + j2 the level holds the single label (0, 0).
     """
-    labels = [(m1, s - m1) for m1 in spin_values(j1, step) if abs(s - m1) <= j2]
+    values1, values2 = spin_values(j1, step), spin_values(j2, step)
+    level = int((j1 + j2 - s) / step)  # a + b on the m = s level
+    labels = [(a, level - a) for a in range(len(values1)) if 0 <= level - a < len(values2)]
     amps = {labels[0]: ExactScalar(1)}
-    for (x, y), nxt in zip(labels, labels[1:]):
-        ratio = ladder_factor(j2, y, "+") / ladder_factor(j1, x - step, "+")
-        amps[nxt] = -amps[(x, y)] * ratio
-    return CoupledState(s, s, j1, j2, amps, step).normalized()
+    for (a, b), nxt in zip(labels, labels[1:]):
+        ratio = ladder_factor(j2, values2[b], "+") / ladder_factor(j1, values1[a + 1], "+")
+        amps[nxt] = -amps[(a, b)] * ratio
+    return CoupledState(s, s, j1, j2, Ket((len(values1), len(values2)), amps).normalized(), step)
 
 
 def _couple(j1: Fraction, j2: Fraction, step: int) -> dict[tuple[Fraction, Fraction], CoupledState]:
@@ -207,11 +199,9 @@ def _couple(j1: Fraction, j2: Fraction, step: int) -> dict[tuple[Fraction, Fract
     for s in spin_values(j1 + j2, step):
         if s < abs(j1 - j2):
             break
-        table[(s, s)] = _highest_weight(j1, j2, s, step)
-        ket = table[(s, s)].to_ket()
+        row = table[(s, s)] = _highest_weight(j1, j2, s, step)
         for m in spin_values(s, step)[1:]:
-            ket = (apply_to_slot(lower1, ket, 0) + apply_to_slot(lower2, ket, 1)).normalized()
-            table[(s, m)] = _coupled_row(s, m, j1, j2, ket, step)
+            row = table[(s, m)] = replace(row, m=m, ket=_pair_ladder(lower1, lower2, row.ket).normalized())
     return table
 
 

@@ -144,7 +144,7 @@ def test_criterion_5_coupling_tables():
         and table[(s2, Fraction(-2))].amplitudes == {(Fraction(-1), Fraction(-1)): one}
     )
     half_table = cg_decompose(HALF, HALF)
-    pair_singlet = half_table[(Fraction(0), Fraction(0))].to_ket()
+    pair_singlet = half_table[(Fraction(0), Fraction(0))].ket
     anticorrelated_ok = pair_singlet == make_state("singlet")
     improper = make_state("improper_singlet")
     correlated_ok = conjugate_spinor_slot(pair_singlet, 1) in (improper, -improper)

@@ -151,3 +151,33 @@ def test_kets_is_the_single_owner_of_the_slot_kernel():
     assert _names_from("spin_algebra", "kets") >= SLOT_KERNEL
     assert _names_from("rotations", "kets") >= {"ladder", "apply_to_slot"}
     assert "spin_algebra" not in _imported_roots("rotations")
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_after():
+    pass
+"""
+
+
+def test_a_failing_property_reports_its_example_under_the_repo_config(tmp_path):
+    """A failing ``@given`` test is one failure with its falsifying example, not an aborted session."""
+    root = Path(__file__).parent.parent
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_property.py"],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+    )
+    assert completed.returncode == 1, completed.stdout + completed.stderr
+    assert "Falsifying example" in completed.stdout
+    assert "1 failed, 1 passed" in completed.stdout

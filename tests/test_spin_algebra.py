@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from spinstat import kets
-from spinstat.errors import InvalidValueError, SizeLimitError
+from spinstat.errors import IncompatibleRadicandsError, InvalidValueError, ShapeError, SizeLimitError
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, apply_to_slot, inner_product, ladder, ladder_factor, spin_values
 from spinstat.rotations import spin_j_singlet
@@ -128,10 +132,10 @@ def test_photon_constituents_lower_two_steps_at_once():
     lower = ladder(Fraction(1), "-", 2)
     assert lower == [Ket((2,), {(1,): sq(8)}), Ket.zero((2,))]
     table = photon_pair_table()
-    top = table[(Fraction(2), Fraction(2))].to_ket()
+    top = table[(Fraction(2), Fraction(2))].ket
     lowered = apply_to_slot(lower, top, 0) + apply_to_slot(lower, top, 1)
-    assert lowered == ladder_apply("-", table[(Fraction(2), Fraction(2))]).to_ket()
-    assert lowered.normalized() == table[(Fraction(2), Fraction(0))].to_ket()
+    assert lowered == ladder_apply("-", table[(Fraction(2), Fraction(2))]).ket
+    assert lowered.normalized() == table[(Fraction(2), Fraction(0))].ket
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -149,11 +153,29 @@ def test_rescaled_algebra_named_cases():
 
 
 def coupled(s, m, j1, j2, amps, step=1):
-    return CoupledState(
-        Fraction(s), Fraction(m), Fraction(j1), Fraction(j2),
-        {(Fraction(a), Fraction(b)): v for (a, b), v in amps.items()},
-        step,
+    """The row ``|s, m>`` with amplitude ``amps[(m1, m2)]`` on each product state."""
+    values1, values2 = spin_values(Fraction(j1), step), spin_values(Fraction(j2), step)
+    ket = Ket(
+        (len(values1), len(values2)),
+        {(values1.index(Fraction(a)), values2.index(Fraction(b))): v for (a, b), v in amps.items()},
     )
+    return CoupledState(Fraction(s), Fraction(m), Fraction(j1), Fraction(j2), ket, step)
+
+
+def test_coupled_state_refuses_a_ket_of_the_wrong_dims():
+    # A (1/2, 1/2) pair has 2 x 2 product states; at step 2 a spin-1 slot has 2, not 3.
+    with pytest.raises(ShapeError, match="dims"):
+        CoupledState(Fraction(1), Fraction(1), HALF, HALF, Ket((3, 2), {(0, 0): UNIT}))
+    with pytest.raises(ShapeError, match="dims"):
+        CoupledState(Fraction(2), Fraction(2), Fraction(1), Fraction(1), Ket((3, 3), {(0, 0): UNIT}), 2)
+
+
+def test_coupled_state_refuses_projections_off_its_m():
+    # Label (0, 0) is (m1, m2) = (1/2, 1/2), which sums to 1, not 0.
+    with pytest.raises(ShapeError, match="do not sum to m=0"):
+        CoupledState(Fraction(1), Fraction(0), HALF, HALF, Ket((2, 2), {(0, 1): UNIT, (0, 0): UNIT}))
+    with pytest.raises(ShapeError, match="do not sum"):
+        coupled(1, 0, 1, 1, {(1, -1): UNIT, (0, 1): UNIT})
 
 
 def test_photon_ladder_reproduces_printed_steps():
@@ -183,6 +205,16 @@ def test_unrescaled_ladder_on_two_half_spins():
     assert lowered.norm() == sq(2)
     expected = cg_decompose(HALF, HALF)[(Fraction(1), Fraction(0))]
     assert lowered.normalized() == expected
+
+
+def test_irrational_squared_norm_has_no_exact_norm():
+    row = coupled(1, 0, HALF, HALF, {(HALF, -HALF): UNIT, (-HALF, HALF): sq(2)})
+    lowered = ladder_apply("-", row)
+    assert lowered.amplitudes == {(-HALF, -HALF): UNIT + sq(2)}
+    with pytest.raises(IncompatibleRadicandsError):
+        lowered.norm()
+    with pytest.raises(IncompatibleRadicandsError):
+        lowered.normalized()
 
 
 def test_half_half_table():
@@ -236,7 +268,7 @@ def test_one_half_table_has_exact_mixed_radicals():
 )
 def test_table_rows_are_exactly_orthonormal(j1, j2):
     table = cg_decompose(j1, j2)
-    kets = {key: state.to_ket() for key, state in table.items()}
+    kets = {key: state.ket for key, state in table.items()}
     for a, b in itertools.combinations_with_replacement(sorted(kets), 2):
         value = inner_product(kets[a], kets[b])
         assert value == (ExactScalar(1) if a == b else ExactScalar(0))
@@ -256,8 +288,8 @@ def test_rows_are_total_spin_eigenvectors(j1, j2):
     S_z needs no check: a CoupledState only holds terms with m1 + m2 = m.
     """
     for (s, m), state in cg_decompose(j1, j2).items():
-        ket = state.to_ket()
-        lowered_raised = ladder_apply("-", ladder_apply("+", state)).to_ket()
+        ket = state.ket
+        lowered_raised = ladder_apply("-", ladder_apply("+", state)).ket
         assert lowered_raised + m * (m + 1) * ket == s * (s + 1) * ket, (s, m)
         assert state.norm_squared() == 1
 
@@ -275,10 +307,43 @@ def test_photon_table_matches_restricted_pair_block():
     assert renormalized == photon[(Fraction(2), Fraction(0))]
 
 
+# perfbench's workloads import their inputs module and numpy; running them in
+# a child without bytecode leaves nothing written under perfbench/.
+BENCHMARK_TABLE_CHECKS = """
+from spinstat.spin_algebra import cg_decompose, photon_pair_table
+from workloads import REFERENCE, SPINS, check_row_orthonormality, table_digest
+
+tables = {f"{j1},{j2}": (cg_decompose(j1, j2), REFERENCE["cg"][f"{j1},{j2}"]) for j1 in SPINS for j2 in SPINS}
+tables["photon"] = (photon_pair_table(), REFERENCE["photon"])
+for name, (table, expected) in tables.items():
+    assert table_digest(table) == expected, name
+    check_row_orthonormality(table)
+print(len(tables))
+"""
+
+
+def test_tables_match_the_benchmark_reference():
+    """The benchmark reads rows through ``amplitudes``; its seed digests and orthonormality check must hold."""
+    root = Path(__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-c", BENCHMARK_TABLE_CHECKS],
+        capture_output=True,
+        text=True,
+        cwd=str(root),
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["37"]
+
+
 def test_pair_singlets_agree_across_modules():
     for j in (HALF, 1, Fraction(3, 2), 2):
         row = cg_decompose(j, j)[(Fraction(0), Fraction(0))]
-        assert row.to_ket() in (spin_j_singlet(j), -spin_j_singlet(j))
+        assert row.ket in (spin_j_singlet(j), -spin_j_singlet(j))
 
 
 def cg_cells(j1, j2):
