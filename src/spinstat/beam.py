@@ -6,10 +6,10 @@ exactly as numpy's ``Philox(key=seed)`` generates it: the key words are
 ``seed & (2**64 - 1)`` and ``seed >> 64``, the counter starts at 1, and each
 64-bit word ``w`` gives the draw ``(w >> 11) * 2**-53``.  Each draw is
 sampled by inverse CDF over the three outcomes in the fixed order
-(+1, 0, -1).  A beam of at most ``SMALL_BEAM`` atoms computes the words in
-pure Python, so it never imports numpy; a larger beam draws them with
-numpy's ``Philox.random_raw`` in chunks, one thread per usable CPU, each
-thread drawing its own contiguous range of whole Philox blocks (block ``b``
+(+1, 0, -1).  A beam of at most ``SMALL_BEAM`` atoms, drawn in a process
+that has not loaded numpy, computes the words in pure Python and so never
+imports it; any other beam draws them with numpy's ``Philox.random_raw`` in
+chunks, one thread per usable CPU, each thread drawing its own contiguous range of whole Philox blocks (block ``b``
 depends only on the seed and ``b``).  Both paths compare raw words: a draw is
 at most a CDF edge exactly when its word is at most the edge's integer limit
 (:func:`_word_limit`), so no float draw is formed.  Identical
@@ -20,12 +20,13 @@ for bit, independent of platform, path and number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .condprob import SpinDistribution
 from .errors import InsufficientSampleError, InvalidValueError, SizeLimitError, UnknownTagError
+from .exact import Frozen
 
 #: Critical value of the chi-square distribution with 2 degrees of freedom
 #: at the conventional 5% level.
@@ -49,10 +50,9 @@ DRAW_CHUNK = 1 << 18
 #: Largest beam drawn in pure Python.  There one draw costs 1.2-1.7 us, so
 #: 4096 draws take about 6 ms, while a cold import of numpy and
 #: ``numpy.random`` takes about 155 ms (Python 3.11, numpy 2.4, a shared
-#: 2-core x86 machine).  The price is paid in a warm process, where a beam of
-#: at most ``SMALL_BEAM`` atoms costs up to about 6 ms more than numpy would.
-#: It stays below the 10**4-atom beams of the calibration tests, which run
-#: thousands of beams in one process.
+#: 2-core x86 machine).  A process that has already loaded numpy draws
+#: every beam with it: warm, 1000 atoms take about 0.06 ms that way and
+#: 2 ms in pure Python.
 SMALL_BEAM = 4096
 
 _WORD = (1 << 64) - 1
@@ -84,34 +84,38 @@ def hypothesis_distribution(name: str) -> SpinDistribution:
         raise UnknownTagError(f"unknown hypothesis {name!r}") from None
 
 
-@dataclass(frozen=True)
-class BeamConfig:
+class BeamConfig(Frozen):
+    __slots__ = ("n_atoms", "hypothesis", "seed")
     n_atoms: int
     hypothesis: str
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.n_atoms < 0:
+    def __init__(self, n_atoms: int, hypothesis: str, seed: int) -> None:
+        if n_atoms < 0:
             raise InvalidValueError("atom count must be nonnegative")
-        if self.n_atoms > MAX_ATOMS:
+        if n_atoms > MAX_ATOMS:
             raise SizeLimitError(f"the beam supports up to {MAX_ATOMS} atoms")
-        if not 0 <= self.seed < 2**128:
+        if not 0 <= seed < 2**128:
             raise InvalidValueError("seed must be in [0, 2**128), the Philox key range")
-        hypothesis_distribution(self.hypothesis)  # validates the name
+        hypothesis_distribution(hypothesis)  # validates the name
+        object.__setattr__(self, "n_atoms", n_atoms)
+        object.__setattr__(self, "hypothesis", hypothesis)
+        object.__setattr__(self, "seed", seed)
 
     def distribution(self) -> SpinDistribution:
         return hypothesis_distribution(self.hypothesis)
 
 
-@dataclass(frozen=True)
-class BeamResult:
+class BeamResult(Frozen):
+    __slots__ = ("config", "counts")
     config: BeamConfig
     counts: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        counts = {int(v): int(self.counts.get(v, 0)) for v in SPIN_VALUES}
-        if sum(counts.values()) != self.config.n_atoms:
+    def __init__(self, config: BeamConfig, counts: Mapping[int, int]) -> None:
+        counts = {int(v): int(counts.get(v, 0)) for v in SPIN_VALUES}
+        if sum(counts.values()) != config.n_atoms:
             raise ValueError("counts do not sum to the atom count")
+        object.__setattr__(self, "config", config)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -214,13 +218,13 @@ def simulate_beam(config: BeamConfig) -> BeamResult:
     edges = list(accumulate(float(dist.probability(v)) for v in SPIN_VALUES[:-1]))
     # A draw falls in cell i when it lies above edge i-1 and at most at edge
     # i, so counting the draws at or below each edge gives every cell.
-    count = _count_in_python if n <= SMALL_BEAM else _count_with_numpy
+    # Both paths give equal counts; pure Python only saves a small beam numpy's import.
+    count = _count_in_python if n <= SMALL_BEAM and "numpy" not in sys.modules else _count_with_numpy
     bounds = [0, *count(config.seed, n, edges), n]
     return BeamResult(config, {v: hi - lo for v, lo, hi in zip(SPIN_VALUES, bounds, bounds[1:])})
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
+class ChiSquareReport(NamedTuple):
     statistic: float
     degrees_of_freedom: int
     critical: float

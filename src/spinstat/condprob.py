@@ -8,26 +8,25 @@ state.  All probability arithmetic is exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidValueError, ShapeError, UndefinedConditionalError
-from .exact import Rational
+from .exact import Frozen, Rational
 from .kets import check_spin, spin_values
 
 
-@dataclass(frozen=True)
-class SpinDistribution:
+class SpinDistribution(Frozen):
     """Law of a single particle's projection, P(M = m) for m = j ... -j."""
 
+    __slots__ = ("j", "probabilities")
     j: Fraction
     probabilities: Mapping[Fraction, Fraction]
 
-    def __post_init__(self) -> None:
-        j = check_spin(self.j)
+    def __init__(self, j: Rational, probabilities: Mapping[Rational, Rational]) -> None:
+        j = check_spin(j)
         values = spin_values(j)
-        probs = {Fraction(m): Fraction(p) for m, p in self.probabilities.items()}
+        probs = {Fraction(m): Fraction(p) for m, p in probabilities.items()}
         if set(probs) != set(values):
             raise ShapeError(f"need one probability for each of {values}")
         if any(p < 0 for p in probs.values()):
@@ -53,26 +52,26 @@ class SpinDistribution:
         return self.probabilities.get(Fraction(m), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(Frozen):
     """P(M1 = m1, M2 = m2 | M1 + M2 = total), exact and normalized."""
 
+    __slots__ = ("total", "cells")
     total: Fraction
     cells: Mapping[tuple[Fraction, Fraction], Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, total: Rational, cells: Mapping[tuple[Rational, Rational], Rational]) -> None:
         cells = {
             (Fraction(m1), Fraction(m2)): Fraction(p)
-            for (m1, m2), p in self.cells.items()
+            for (m1, m2), p in cells.items()
         }
         for (m1, m2), p in cells.items():
-            if m1 + m2 != self.total:
-                raise ShapeError(f"cell ({m1},{m2}) does not sum to {self.total}")
+            if m1 + m2 != total:
+                raise ShapeError(f"cell ({m1},{m2}) does not sum to {total}")
             if p < 0:
                 raise ValueError("probabilities must be nonnegative")
         if sum(cells.values()) != 1:
             raise ValueError(f"cells sum to {sum(cells.values())}, not 1")
-        object.__setattr__(self, "total", Fraction(self.total))
+        object.__setattr__(self, "total", Fraction(total))
         object.__setattr__(self, "cells", cells)
 
     def probability(self, m1: Rational, m2: Rational) -> Fraction:
@@ -103,8 +102,7 @@ def conditional_given_total(
     return ConditionalTable(total, {k: p / event for k, p in joint.items()})
 
 
-@dataclass(frozen=True)
-class CgComparison:
+class CgComparison(NamedTuple):
     """Cell-by-cell gap between a conditional table and squared coefficients."""
 
     total: Fraction

@@ -5,13 +5,14 @@ integers, whose square roots are linearly independent over the rationals
 (Besicovitch, J. London Math. Soc. 1940): the sorted terms are a canonical
 form and ``==`` is exact.  This covers every coefficient of the states,
 Clebsch-Gordan tables, and probability identities in the rest of the package.
+:class:`Frozen` is the immutable ``__slots__`` base of :class:`ExactScalar`
+and of the package's other validating value classes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompatibleRadicandsError, SizeLimitError
@@ -58,8 +59,57 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square, rest * m
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ExactScalar:
+def _field_names(cls: type) -> list[str]:
+    return [name for name in cls.__slots__ if name[0] != "_"]
+
+
+def _restore(cls: type, values: tuple) -> "Frozen":
+    new = object.__new__(cls)
+    for name, value in zip(_field_names(cls), values):
+        object.__setattr__(new, name, value)
+    return new
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and stores them once, in
+    ``__init__``, with ``object.__setattr__``; a slot whose name starts with
+    ``_`` holds a cache and is not a field.  Instances of one class are equal
+    when their fields are, hash by their fields (a ``dict`` field by its
+    items), print as ``Name(field=value, ...)``, pickle and copy, and refuse
+    assignment.  Unlike a tuple, an instance has no length, iteration or
+    sequence operators.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in _field_names(type(self))])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._values()))
+
+    def __repr__(self) -> str:
+        fields = zip(_field_names(type(self)), self._values())
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), self._values())
+
+
+class ExactScalar(Frozen):
     """A real number ``sum(q * sqrt(r) for r, q in terms)`` in canonical form.
 
     ``ExactScalar(q, r)`` is the single term ``q*sqrt(r)``, with the square
@@ -69,6 +119,7 @@ class ExactScalar:
     ``squared``, ``inverse`` and ``abs`` raise on a sum of several terms.
     """
 
+    __slots__ = ("terms",)
     terms: Terms
 
     def __init__(self, coefficient: Rational, radicand: int = 1) -> None:
@@ -195,6 +246,14 @@ class ExactScalar:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExactScalar:
+            return NotImplemented
+        return self.terms == other.terms  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     def __str__(self) -> str:
         return format_scalar(self)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Literal, Mapping, Sequence
 
@@ -23,7 +22,7 @@ from .errors import (
     NotPermutableError,
     ShapeError,
 )
-from .exact import ZERO, ExactScalar, Rational
+from .exact import ZERO, ExactScalar, Frozen, Rational
 
 # Functions that compute with arrays import numpy themselves, so exact
 # callers, and most CLI subcommands, never load it.
@@ -62,16 +61,17 @@ def join_modes(a: str | None, b: str | None) -> str | None:
     return a
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of slot indices ``0..n-1``, stored as its image tuple."""
 
+    __slots__ = ("image",)
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
+    def __init__(self, image: Sequence[int]) -> None:
+        image = tuple(image)
+        if sorted(image) != list(range(len(image))):
+            raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def swap(cls, n: int, i: int, j: int) -> "Permutation":
@@ -122,8 +122,7 @@ class Permutation:
         return "(" + ",".join(str(i) for i in self.image) + ")"
 
 
-@dataclass(frozen=True)
-class Ket:
+class Ket(Frozen):
     """An n-particle state with sparse amplitudes.
 
     ``dims[i]`` is the local dimension of slot ``i``; absent labels carry
@@ -131,16 +130,17 @@ class Ket:
     entries below 1e-15 are dropped.
     """
 
+    __slots__ = ("dims", "amplitudes")
     dims: tuple[int, ...]
-    amplitudes: Mapping[Label, Scalar] = field(default_factory=dict)
+    amplitudes: Mapping[Label, Scalar]
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims: Sequence[int], amplitudes: Mapping[Label, Scalar] | None = None) -> None:
+        dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise ShapeError("local dimensions must be positive")
         cleaned: dict[Label, Scalar] = {}
         mode: str | None = None
-        for label, raw in self.amplitudes.items():
+        for label, raw in (amplitudes or {}).items():
             label = tuple(int(i) for i in label)
             if len(label) != len(dims) or any(
                 not 0 <= idx < d for idx, d in zip(label, dims)

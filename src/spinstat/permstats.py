@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, InvalidValueError, ShapeError, SizeLimitError
-from .exact import ExactScalar
+from .exact import ExactScalar, Frozen
 from .kets import EXACT, FLOAT, Ket, Label, Permutation, Scalar, join_modes, permute_slots
 
 MAX_PARTICLES = 6
@@ -101,22 +100,22 @@ class StatisticsClass(Enum):
     NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class PermutationExpansion:
+class PermutationExpansion(Frozen):
     """Coefficients ``c_sigma`` over all n! slot permutations of n states.
 
     The coefficients are constants (independent of which concrete states
     are plugged in) and normalized so their squares sum to one.
     """
 
+    __slots__ = ("states", "coefficients")
     states: tuple[Ket, ...]
     coefficients: Mapping[Permutation, ExactScalar]
 
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
+    def __init__(self, states: Sequence[Ket], coefficients: Mapping[Permutation, ExactScalar]) -> None:
+        states = tuple(states)
         _check_states(states)
         n = len(states)
-        coeffs = dict(self.coefficients)
+        coeffs = dict(coefficients)
         if set(coeffs) != set(Permutation.all_of(n)):
             raise ShapeError(f"need one coefficient per permutation of {n} slots")
         total = sum(c.squared() for c in coeffs.values())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -330,16 +329,14 @@ def conjugate_spinor_slot(ket: Ket, slot: int) -> Ket:
     return apply_to_slot(images, ket, slot)
 
 
-@dataclass(frozen=True)
-class PairComponent:
+class PairComponent(NamedTuple):
     """The |m,-m>, |-m,m> portion of a spin-j pair singlet, at unit weight."""
 
     m: Fraction
     ket: Ket
 
 
-@dataclass(frozen=True)
-class SingletDecomposition:
+class SingletDecomposition(NamedTuple):
     j: Fraction
     pairs: tuple[PairComponent, ...]
     center: Ket | None

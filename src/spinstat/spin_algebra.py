@@ -23,14 +23,12 @@ laddered without ever stepping onto the missing projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .errors import IncompatibleRadicandsError, InvalidValueError, ShapeError, SizeLimitError
-from .exact import ExactScalar, Rational
+from .exact import ExactScalar, Frozen, Rational
 from .kets import Ket, apply_to_slot, check_spin, ladder, ladder_factor, spin_values
 
 MAX_COUPLED_SPIN = Fraction(9)
@@ -50,8 +48,7 @@ def _spin_operators(j: Fraction) -> tuple[list[Ket], ...]:
     return lz, lplus, lminus, lx, y
 
 
-@dataclass(frozen=True)
-class RescaledAlgebraCheck:
+class RescaledAlgebraCheck(NamedTuple):
     """Residuals of ``[S_i, S_j] = i*n*e_ijk*S_k`` for ``S = n*L``."""
 
     n: int
@@ -101,8 +98,7 @@ def verify_rescaled_algebra(n: int, j: Rational) -> RescaledAlgebraCheck:
     return RescaledAlgebraCheck(n, j, max_residual, ladder_ok)
 
 
-@dataclass(frozen=True)
-class CoupledState:
+class CoupledState(Frozen):
     """A total-spin eigenstate ``|s, m>`` and its expansion over the product basis.
 
     ``ket`` is a two-slot :class:`~spinstat.kets.Ket` indexed like every
@@ -111,30 +107,36 @@ class CoupledState:
     rescaled pair whose constituents skip intermediate projections.
     """
 
+    __slots__ = ("s", "m", "j1", "j2", "ket", "step", "_amplitudes")
     s: Fraction
     m: Fraction
     j1: Fraction
     j2: Fraction
     ket: Ket
-    step: int = 1
+    step: int
 
-    def __post_init__(self) -> None:
-        values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
-        if self.ket.dims != (len(values1), len(values2)):
-            raise ShapeError(
-                f"ket dims {self.ket.dims} do not fit spins ({self.j1}, {self.j2}) at step {self.step}"
-            )
+    def __init__(self, s: Fraction, m: Fraction, j1: Fraction, j2: Fraction, ket: Ket, step: int = 1) -> None:
+        values1, values2 = spin_values(j1, step), spin_values(j2, step)
+        if ket.dims != (len(values1), len(values2)):
+            raise ShapeError(f"ket dims {ket.dims} do not fit spins ({j1}, {j2}) at step {step}")
         # Label (a, b) holds m1 + m2 = j1 + j2 - step*(a + b).
-        level = (self.j1 + self.j2 - self.m) / self.step
-        for a, b in self.ket.amplitudes:
+        level = (j1 + j2 - m) / step
+        for a, b in ket.amplitudes:
             if a + b != level:
-                raise ShapeError(f"projections ({values1[a]},{values2[b]}) do not sum to m={self.m}")
+                raise ShapeError(f"projections ({values1[a]},{values2[b]}) do not sum to m={m}")
+        for name, value in zip(self.__slots__, (s, m, j1, j2, ket, step)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
+    @property
     def amplitudes(self) -> Mapping[tuple[Fraction, Fraction], ExactScalar]:
         """The nonzero amplitudes keyed by projection pair ``(m1, m2)``: a read-only view of ``ket``."""
-        values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
-        return MappingProxyType({(values1[a], values2[b]): amp for (a, b), amp in self.ket.amplitudes.items()})
+        try:
+            return self._amplitudes
+        except AttributeError:  # built on first use
+            values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
+            view = MappingProxyType({(values1[a], values2[b]): amp for (a, b), amp in self.ket.amplitudes.items()})
+            object.__setattr__(self, "_amplitudes", view)
+            return view
 
     def norm_squared(self) -> Fraction | ExactScalar:
         return self.ket.norm_squared()
@@ -146,7 +148,7 @@ class CoupledState:
         return ExactScalar.sqrt(n2)
 
     def normalized(self) -> "CoupledState":
-        return replace(self, ket=self.ket.normalized())
+        return CoupledState(self.s, self.m, self.j1, self.j2, self.ket.normalized(), self.step)
 
 
 def _pair_ladder(images1: list[Ket], images2: list[Ket], ket: Ket) -> Ket:
@@ -167,7 +169,8 @@ def ladder_apply(
         raise ValueError("direction must be '+' or '-'")
     n = state.step
     moved = _pair_ladder(ladder(state.j1, direction, n), ladder(state.j2, direction, n), state.ket)
-    return replace(state, m=state.m + (n if direction == "+" else -n), ket=moved)
+    m = state.m + (n if direction == "+" else -n)
+    return CoupledState(state.s, m, state.j1, state.j2, moved, n)
 
 
 def _highest_weight(j1: Fraction, j2: Fraction, s: Fraction, step: int) -> CoupledState:
@@ -201,7 +204,8 @@ def _couple(j1: Fraction, j2: Fraction, step: int) -> dict[tuple[Fraction, Fract
             break
         row = table[(s, s)] = _highest_weight(j1, j2, s, step)
         for m in spin_values(s, step)[1:]:
-            row = table[(s, m)] = replace(row, m=m, ket=_pair_ladder(lower1, lower2, row.ket).normalized())
+            ket = _pair_ladder(lower1, lower2, row.ket).normalized()
+            row = table[(s, m)] = CoupledState(s, m, j1, j2, ket, step)
     return table
 
 

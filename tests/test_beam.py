@@ -1,6 +1,8 @@
 import math
+import sys
 import threading
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -70,12 +72,27 @@ def test_counts_do_not_depend_on_the_worker_count(monkeypatch, hypothesis, seed)
             assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected, (n, workers)
 
 
+def python_counts(n, hypothesis, seed):
+    """Draws at or below each CDF edge, counted by the pure-Python path."""
+    dist = hypothesis_distribution(hypothesis)
+    edges = list(accumulate(float(dist.probability(v)) for v in SPIN_VALUES[:-1]))
+    return beam._count_in_python(seed, n, edges)
+
+
+def at_or_below_edges(counts):
+    return list(accumulate(counts[v] for v in SPIN_VALUES[:-1]))
+
+
+# This process has loaded numpy, so simulate_beam draws every beam with it;
+# these tests call the pure-Python path, which a cold process takes, directly.
 @pytest.mark.parametrize("hypothesis", ["uniform", "paper"])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**128 - 1])
 def test_pure_python_draws_match_numpy_philox(hypothesis, seed):
     # Both sides of SMALL_BEAM, and the partial and whole blocks of 4 words.
     for n in (0, 1, 2, 3, 4, 5, SMALL_BEAM - 1, SMALL_BEAM, SMALL_BEAM + 1):
-        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed), n
+        expected = numpy_counts(n, hypothesis, seed)
+        assert python_counts(n, hypothesis, seed) == at_or_below_edges(expected), n
+        assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == expected, n
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,7 +102,20 @@ def test_pure_python_draws_match_numpy_philox(hypothesis, seed):
     seed=st.integers(0, 2**128 - 1),
 )
 def test_small_beams_follow_the_numpy_philox_stream(n, hypothesis, seed):
-    assert simulate_beam(BeamConfig(n, hypothesis, seed)).counts == numpy_counts(n, hypothesis, seed)
+    assert python_counts(n, hypothesis, seed) == at_or_below_edges(numpy_counts(n, hypothesis, seed))
+
+
+def test_pure_python_draws_only_while_numpy_is_not_loaded(monkeypatch):
+    calls = []
+    monkeypatch.setattr(beam, "_count_in_python", lambda seed, n, edges: calls.append("python") or [0, 0])
+    monkeypatch.setattr(beam, "_count_with_numpy", lambda seed, n, edges: calls.append("numpy") or [0, 0])
+    for n in (0, SMALL_BEAM, SMALL_BEAM + 1):
+        simulate_beam(BeamConfig(n, "paper", 1))
+    # The stubs import nothing, so hiding numpy cannot load a second copy.
+    monkeypatch.delitem(sys.modules, "numpy")
+    for n in (0, SMALL_BEAM, SMALL_BEAM + 1):
+        simulate_beam(BeamConfig(n, "paper", 1))
+    assert calls == ["numpy", "numpy", "numpy", "python", "python", "numpy"]
 
 
 @pytest.mark.parametrize(

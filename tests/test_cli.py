@@ -551,21 +551,29 @@ from spinstat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 spinstat_modules = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('spinstat.'))
-print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, ','.join(spinstat_modules))
+print(code, *(m in sys.modules for m in ('numpy', 'scipy', 'dataclasses', 'inspect')), ','.join(spinstat_modules))
 """
 
 
+# The child runs with -S, so that a site .pth file cannot load dataclasses or
+# inspect before any spinstat code runs; numpy comes from the site
+# directories on PYTHONPATH.  numpy itself imports inspect, so an array
+# command is checked for dataclasses alone.
 @pytest.mark.parametrize("argv, exit_code, loads_numpy", COLD_COMMANDS.values(), ids=COLD_COMMANDS)
 def test_only_array_commands_import_numpy(argv, exit_code, loads_numpy):
+    root = Path(__file__).parent.parent
     completed = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+        [sys.executable, "-S", "-c", MODULES_AFTER_MAIN, *argv],
         capture_output=True,
         text=True,
-        cwd=str(Path(__file__).parent.parent),
+        cwd=str(root),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), *site.getsitepackages()])},
     )
     assert completed.returncode == 0, completed.stderr
-    modules = ",".join(sorted(CLI_MODULES | SUBCOMMAND_MODULES[argv[0]]))
-    assert completed.stdout.split() == [str(exit_code), str(loads_numpy), "False", modules]
+    code, numpy, scipy, dataclasses, inspect, modules = completed.stdout.split()
+    assert (code, numpy, scipy, dataclasses) == (str(exit_code), str(loads_numpy), "False", "False")
+    assert loads_numpy or inspect == "False"
+    assert modules == ",".join(sorted(CLI_MODULES | SUBCOMMAND_MODULES[argv[0]]))
 
 
 THREAD_MODULES_AFTER_MAIN = """

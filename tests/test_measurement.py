@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_float_ket
 from spinstat import measurement
@@ -12,6 +14,7 @@ from spinstat.errors import ShapeError, SizeLimitError
 from spinstat.kets import Ket
 from spinstat.measurement import (
     MAX_SEARCH_DENOMINATOR,
+    SLACK,
     GridViolation,
     angle_to_radians,
     bell_inequality,
@@ -51,6 +54,81 @@ def test_rational_cosine_table():
     assert exact_sin_squared(Fraction(1, 3)) == Fraction(3, 4)
     assert exact_sin_squared(Fraction(1, 6)) == Fraction(1, 4)
     assert exact_sin_squared(Fraction(1, 12)) is None
+
+
+# The Fraction-keyed lookup the gap kernel used before it worked on integers,
+# kept as the oracle: cos(t*pi) for the multiples t in [0, 2) where it is rational.
+ORACLE_COS_PI = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 3): Fraction(1, 2),
+    Fraction(1, 2): Fraction(0),
+    Fraction(2, 3): Fraction(-1, 2),
+    Fraction(1): Fraction(-1),
+    Fraction(4, 3): Fraction(-1, 2),
+    Fraction(3, 2): Fraction(0),
+    Fraction(5, 3): Fraction(1, 2),
+}
+
+
+def oracle_cos_pi(multiple):
+    return ORACLE_COS_PI.get(Fraction(multiple) % 2)
+
+
+def oracle_sin_squared(multiple):
+    c = oracle_cos_pi(2 * multiple)
+    return None if c is None else (1 - c) / 2
+
+
+def oracle_gap_term(gap, mode):
+    if isinstance(gap, Fraction):
+        s2 = oracle_sin_squared(gap / 2 if mode == "half" else gap)
+        if s2 is not None:
+            return s2 / 2
+        gap = float(gap - 2 * int(gap / 2)) * math.pi
+    angle = gap / 2 if mode == "half" else gap
+    return math.sin(angle) ** 2 / 2
+
+
+def assert_same(value, expected):
+    assert type(value) is type(expected) and value == expected, (value, expected)
+
+
+def assert_kernel_matches_oracle(multiple):
+    assert_same(rational_cos_pi(multiple), oracle_cos_pi(multiple))
+    assert_same(exact_sin_squared(multiple), oracle_sin_squared(multiple))
+    for mode in ("half", "full"):
+        assert_same(measurement._gap_term(multiple, mode), oracle_gap_term(multiple, mode))
+
+
+def test_integer_gap_kernel_matches_the_fraction_oracle():
+    for d in range(1, 61):
+        for k in range(-4 * d, 4 * d + 1):
+            assert_kernel_matches_oracle(Fraction(k, d))
+    # An int is a multiple of pi for the cosine and sine, but radians for a gap.
+    for k in range(-9, 10):
+        assert_kernel_matches_oracle(k)
+
+
+@given(st.fractions())
+def test_integer_gap_kernel_matches_the_oracle_on_any_fraction(gap):
+    assert_kernel_matches_oracle(gap)
+
+
+def test_bell_inequality_matches_the_oracle_on_the_twelfths_grid():
+    grid = [Fraction(k, 12) for k in range(24)]
+    for mode in ("half", "full"):
+        terms = {gap: oracle_gap_term(gap, mode) for gap in grid}
+        for ij, jk, ki in itertools.product(grid, repeat=3):
+            lhs, first, second = terms[ki], terms[jk], terms[ij]
+            ev = bell_inequality(ij, jk, ki, mode)
+            if all(isinstance(t, Fraction) for t in (lhs, first, second)):
+                rhs, violated = first + second, lhs > first + second
+            else:
+                lhs, rhs = float(lhs), float(first) + float(second)
+                violated = lhs > rhs + SLACK
+            assert_same(ev.lhs, lhs)
+            assert_same(ev.rhs, rhs)
+            assert ev.violated == violated
 
 
 def test_joint_distribution_singlet_equal_angles():

@@ -1,13 +1,18 @@
 import ast
 import importlib
+import pickle
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import spinstat
+from spinstat import beam, condprob, measurement, permstats, rotations, spin_algebra
+from spinstat.exact import ExactScalar
+from spinstat.kets import Ket, Permutation
 
 SUBMODULES = [info.name for info in pkgutil.iter_modules(spinstat.__path__) if not info.ispkg]
 
@@ -181,3 +186,108 @@ def test_a_failing_property_reports_its_example_under_the_repo_config(tmp_path):
     assert completed.returncode == 1, completed.stdout + completed.stderr
     assert "Falsifying example" in completed.stdout
     assert "1 failed, 1 passed" in completed.stdout
+
+
+HALF = Fraction(1, 2)
+
+
+def _record_cases():
+    """Each immutable value class and result record: a builder of one value, and of a different one."""
+    up, down = Ket.basis((2,), (0,)), Ket.basis((2,), (1,))
+    third = Fraction(1, 3)
+    return {
+        "ExactScalar": (lambda: ExactScalar(1, 2), lambda: ExactScalar(1, 3)),
+        "Permutation": (lambda: Permutation((1, 0)), lambda: Permutation((0, 1))),
+        "Ket": (lambda: Ket((2, 2), {(0, 1): 1}), lambda: Ket((2, 2), {(1, 0): 1})),
+        "PermutationExpansion": (
+            lambda: permstats.PermutationExpansion.fermi_dirac([up, down]),
+            lambda: permstats.PermutationExpansion.bose_einstein([up, down]),
+        ),
+        "PairComponent": (
+            lambda: rotations.decompose_spin_j_singlet(1).pairs[0],
+            lambda: rotations.decompose_spin_j_singlet(2).pairs[0],
+        ),
+        "SingletDecomposition": (
+            lambda: rotations.decompose_spin_j_singlet(1),
+            lambda: rotations.decompose_spin_j_singlet(2),
+        ),
+        "SpinDistribution": (condprob.SpinDistribution.uniform, condprob.SpinDistribution.half_weighted),
+        "ConditionalTable": (
+            lambda: condprob.ConditionalTable(0, {(HALF, -HALF): 1}),
+            lambda: condprob.ConditionalTable(1, {(HALF, HALF): 1}),
+        ),
+        "CgComparison": (
+            lambda: condprob.compare_with_cg(condprob.SpinDistribution.half_weighted(), 0),
+            lambda: condprob.compare_with_cg(condprob.SpinDistribution.uniform(), 0),
+        ),
+        "BeamConfig": (lambda: beam.BeamConfig(10, "paper", 1), lambda: beam.BeamConfig(10, "paper", 2)),
+        "BeamResult": (
+            lambda: beam.BeamResult(beam.BeamConfig(2, "paper", 1), {1: 1, 0: 1}),
+            lambda: beam.BeamResult(beam.BeamConfig(2, "paper", 1), {1: 1, -1: 1}),
+        ),
+        "ChiSquareReport": (
+            lambda: beam.chi_square_discriminate(beam.simulate_beam(beam.BeamConfig(100, "paper", 1)), "uniform"),
+            lambda: beam.chi_square_discriminate(beam.simulate_beam(beam.BeamConfig(100, "paper", 2)), "uniform"),
+        ),
+        "RescaledAlgebraCheck": (
+            lambda: spin_algebra.verify_rescaled_algebra(1, HALF),
+            lambda: spin_algebra.verify_rescaled_algebra(2, HALF),
+        ),
+        "CoupledState": (
+            lambda: spin_algebra.cg_decompose(HALF, HALF)[(1, 0)],
+            lambda: spin_algebra.cg_decompose(HALF, HALF)[(0, 0)],
+        ),
+        "ProbabilityTable": (
+            lambda: measurement.ProbabilityTable({("+",): 1.0}),
+            lambda: measurement.ProbabilityTable({("-",): 1.0}),
+        ),
+        "BellEvaluation": (
+            lambda: measurement.bell_inequality(third, third, 2 * third),
+            lambda: measurement.bell_inequality(third, third, third),
+        ),
+        "GridViolation": (lambda: measurement.search_violations(3)[0], lambda: measurement.search_violations(3)[1]),
+        "WignerReport": (
+            lambda: measurement.wigner_argument(0, third, 2 * third),
+            lambda: measurement.wigner_argument(0, third, third),
+        ),
+    }
+
+
+RECORD_CASES = _record_cases()
+# Result records holding a dict, which no tuple can hash (nor could the dataclasses they were).
+UNHASHABLE_RECORDS = {"CgComparison", "ChiSquareReport", "WignerReport"}
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+def test_value_classes_are_immutable_and_compare_by_fields(name):
+    make, make_other = RECORD_CASES[name]
+    value, same, other = make(), make(), make_other()
+    assert type(value).__name__ == name and same is not value
+    assert value == same and not value != same
+    assert value != other and not value == other
+    if name in UNHASHABLE_RECORDS:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+    assert pickle.loads(pickle.dumps(value)) == value
+    if isinstance(value, tuple):  # a NamedTuple result record
+        fields = type(value)._fields
+        assert value == tuple(getattr(value, field) for field in fields)
+    else:
+        assert not isinstance(value, tuple)
+        fields = [slot for slot in type(value).__slots__ if not slot.startswith("_")]
+        with pytest.raises(TypeError):
+            value + (1,)  # noqa: B018
+        with pytest.raises(TypeError):
+            len(value)
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], getattr(other, fields[0]))
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert value == same
+    if name == "ExactScalar":  # the documented q*sqrt(r) form
+        assert repr(value) == "ExactScalar(Fraction(1, 1), 2)"
+    else:
+        shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in fields)
+        assert repr(value) == f"{name}({shown})"
