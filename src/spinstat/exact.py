@@ -76,10 +76,10 @@ class Frozen:
     A subclass names its fields in ``__slots__`` and stores them once, in
     ``__init__``, with ``object.__setattr__``; a slot whose name starts with
     ``_`` holds a cache and is not a field.  Instances of one class are equal
-    when their fields are, hash by their fields (a ``dict`` field by its
-    items), print as ``Name(field=value, ...)``, pickle and copy, and refuse
-    assignment.  Unlike a tuple, an instance has no length, iteration or
-    sequence operators.
+    when their fields are, hash by their fields (so a ``dict`` field makes
+    an instance unhashable), print as ``Name(field=value, ...)``, pickle and
+    copy, and refuse assignment.  Unlike a tuple, an instance has no length,
+    iteration or sequence operators.
     """
 
     __slots__ = ()
@@ -93,7 +93,7 @@ class Frozen:
         return self._values() == other._values()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._values()))
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = zip(_field_names(type(self)), self._values())
@@ -246,14 +246,6 @@ class ExactScalar(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ExactScalar:
-            return NotImplemented
-        return self.terms == other.terms  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     def __str__(self) -> str:
         return format_scalar(self)

@@ -64,33 +64,12 @@ def angle_to_radians(angle: Angle) -> float:
 #: cos(k*pi/6) for k = 0..11, or ``None`` where it is irrational.  By
 #: Niven's theorem (Irrational Numbers, 1956) cos(t*pi) at a rational t is
 #: rational only when it is 0, ±1/2 or ±1, so only at these angles.
-_COS_SIXTHS = tuple(
-    None if c is None else Fraction(c)
-    for c in (1, None, "1/2", 0, "-1/2", None, -1, None, "-1/2", 0, "1/2", None)
-)
-#: sin^2(k*pi/12) = (1 - cos(k*pi/6))/2 at the same k.
-_SIN_SQUARED_SIXTHS = tuple(None if c is None else (1 - c) / 2 for c in _COS_SIXTHS)
+_COS_SIXTHS = (1, None, "1/2", 0, "-1/2", None, -1, None, "-1/2", 0, "1/2", None)
 #: (1 - cos(k*pi/6))/4, the Bell gap term: k/8 for an integer 0 <= k <= 4.
-_GAP_TERM_SIXTHS = tuple(None if c is None else (1 - c) / 4 for c in _COS_SIXTHS)
+_GAP_TERM_SIXTHS = tuple(None if c is None else (1 - Fraction(c)) / 4 for c in _COS_SIXTHS)
 
 #: Margin a float left side must clear to count as larger than the right.
 SLACK = 1e-12
-
-
-def _at_sixths(table: tuple, multiple: Rational, times: int = 1) -> Fraction | None:
-    """``table[k % 12]`` when ``times * multiple`` is ``k/6`` for an integer ``k``; otherwise ``None``."""
-    sixths, rest = divmod(6 * times * multiple.numerator, multiple.denominator)
-    return None if rest else table[sixths % 12]
-
-
-def rational_cos_pi(multiple: Rational) -> Fraction | None:
-    """cos(multiple*pi) when rational (0, ±1/2, ±1); otherwise ``None``."""
-    return _at_sixths(_COS_SIXTHS, multiple)
-
-
-def exact_sin_squared(multiple: Rational) -> Fraction | None:
-    """sin^2(multiple*pi) as an exact fraction when representable."""
-    return _at_sixths(_SIN_SQUARED_SIXTHS, multiple, 2)
 
 
 class ProbabilityTable(Frozen):
@@ -172,7 +151,9 @@ def _gap_term(gap: Angle, mode: BellMode) -> Fraction | float:
     """1/2 * sin^2(gap/2) (half mode) or 1/2 * sin^2(gap) (full mode)."""
     if isinstance(gap, Fraction):
         # 1/2 * sin^2(x/2) = (1 - cos(x))/4, with x = gap (half) or 2*gap (full).
-        term = _at_sixths(_GAP_TERM_SIXTHS, gap, 1 if mode == "half" else 2)
+        # The term is rational only where x is k*pi/6 for an integer k.
+        sixths, rest = divmod((6 if mode == "half" else 12) * gap.numerator, gap.denominator)
+        term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
         if term is not None:
             return term
         # Whole turns leave sin^2 unchanged; dropping them keeps float() in range.
@@ -237,19 +218,15 @@ def search_violations(
     # two steps (j - i, k - j), so each term is computed once and each step
     # pair decided once, as bell_inequality(*gaps) would decide it.
     terms = [_gap_term(step, mode) for step in steps]
-    # A rational term is k/8, and three of them are decided on their integer
-    # eighths; a pair with a float term keeps _exceeds' float test.
-    eighths = [8 * t.numerator // t.denominator if isinstance(t, Fraction) else None for t in terms]
+    # A rational term is k/8 with 0 <= k <= 4.  Such terms and the sum of two
+    # are exact in binary floating point, and a true gap between them is at
+    # least 1/8, so the float test with SLACK decides them exactly as well.
     floats = [float(t) for t in terms]
     violating = []
     for a in range(1, n):
-        ea, fa = eighths[a], floats[a]
+        fa = floats[a]
         for b in range(1, n - a):
-            eb, ec = eighths[b], eighths[a + b]
-            if ea is not None and eb is not None and ec is not None:
-                violated = ec > eb + ea
-            else:
-                violated = floats[a + b] > floats[b] + fa + SLACK
+            violated = floats[a + b] > floats[b] + fa + SLACK
             if violated:
                 lhs, rhs, _ = _exceeds(terms[a + b], terms[b], terms[a])
                 gaps = (steps[a], steps[b], steps[a + b])

@@ -18,11 +18,9 @@ from spinstat.measurement import (
     GridViolation,
     angle_to_radians,
     bell_inequality,
-    exact_sin_squared,
     format_pi_angle,
     joint_distribution,
     parse_pi_angle,
-    rational_cos_pi,
     search_violations,
     wigner_argument,
 )
@@ -46,14 +44,16 @@ def test_parse_and_format_pi_angles():
 
 
 def test_rational_cosine_table():
-    assert rational_cos_pi(Fraction(0)) == 1
-    assert rational_cos_pi(Fraction(1, 3)) == HALF
-    assert rational_cos_pi(Fraction(1, 2)) == 0
-    assert rational_cos_pi(Fraction(7, 3)) == HALF
-    assert rational_cos_pi(Fraction(1, 5)) is None
-    assert exact_sin_squared(Fraction(1, 3)) == Fraction(3, 4)
-    assert exact_sin_squared(Fraction(1, 6)) == Fraction(1, 4)
-    assert exact_sin_squared(Fraction(1, 12)) is None
+    # A half-mode term is (1 - cos(t*pi))/4 and a full-mode one sin^2(t*pi)/2.
+    gap_term = measurement._gap_term
+    assert gap_term(Fraction(0), "half") == 0
+    assert gap_term(Fraction(1, 3), "half") == Fraction(1, 8)
+    assert gap_term(Fraction(1, 2), "half") == Fraction(1, 4)
+    assert gap_term(Fraction(7, 3), "half") == Fraction(1, 8)
+    assert type(gap_term(Fraction(1, 5), "half")) is float
+    assert gap_term(Fraction(1, 3), "full") == Fraction(3, 8)
+    assert gap_term(Fraction(1, 6), "full") == Fraction(1, 8)
+    assert type(gap_term(Fraction(1, 12), "full")) is float
 
 
 # The Fraction-keyed lookup the gap kernel used before it worked on integers,
@@ -94,8 +94,6 @@ def assert_same(value, expected):
 
 
 def assert_kernel_matches_oracle(multiple):
-    assert_same(rational_cos_pi(multiple), oracle_cos_pi(multiple))
-    assert_same(exact_sin_squared(multiple), oracle_sin_squared(multiple))
     for mode in ("half", "full"):
         assert_same(measurement._gap_term(multiple, mode), oracle_gap_term(multiple, mode))
 
@@ -104,7 +102,7 @@ def test_integer_gap_kernel_matches_the_fraction_oracle():
     for d in range(1, 61):
         for k in range(-4 * d, 4 * d + 1):
             assert_kernel_matches_oracle(Fraction(k, d))
-    # An int is a multiple of pi for the cosine and sine, but radians for a gap.
+    # An int gap is in radians, not a multiple of pi.
     for k in range(-9, 10):
         assert_kernel_matches_oracle(k)
 
@@ -342,7 +340,7 @@ def test_wigner_verdict_is_the_bell_verdict_on_its_gaps():
         ij, jk, ki = _wigner_gaps(*angles)
         for mode in ("half", "full"):
             bell = bell_inequality(ij, jk, ki, mode)
-            cos = rational_cos_pi(ki if mode == "half" else 2 * ki) if isinstance(ki, Fraction) else None
+            cos = oracle_cos_pi(ki if mode == "half" else 2 * ki) if isinstance(ki, Fraction) else None
             for variant in ("same-state", "singlet-inclusive"):
                 report = wigner_argument(*angles, variant=variant, mode=mode)
                 assert report.consistent == (not bell.violated), (angles, mode, variant)
