@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Literal, Mapping, NamedTuple, Sequence
 
-from .errors import ShapeError, SizeLimitError
+from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import Frozen, Rational
 from .kets import Ket
 
@@ -23,6 +23,12 @@ from .kets import Ket
 #: warm process, and a cold ``bell --search --denominator 48`` takes
 #: 0.12-0.15 s (Python 3.11, a shared 2-core x86 machine).
 MAX_SEARCH_DENOMINATOR = 48
+
+#: Most slots ``joint_distribution`` reads.  Its table holds ``2**n``
+#: outcomes, and each slot more doubles its time and memory: one table of
+#: a dense 16-slot ket takes 0.5-0.6 s, and the process, ket included,
+#: peaks near 140 MB (Python 3.11, a shared 2-core x86 machine).
+MAX_JOINT_PARTICLES = 16
 
 Angle = Fraction | float  # Fraction means a rational multiple of pi
 Outcome = tuple[str, ...]
@@ -84,16 +90,46 @@ class ProbabilityTable(Frozen):
         for outcome, p in entries.items():
             p = float(p)
             if p < -1e-12:
-                raise ValueError(f"negative probability {p} for {outcome}")
+                raise InvalidValueError(f"negative probability {p} for {outcome}")
             p = max(p, 0.0)
             total += p
             cleaned[tuple(outcome)] = p
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        # Written so that a NaN or infinite entry, which makes the total
+        # NaN or infinite, fails it too.
+        if not abs(total - 1.0) <= 1e-12:
+            raise InvalidValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", cleaned)
 
     def items(self):
         return self.entries.items()
+
+
+# Outcome keys, the dense index of each label, and each slot's index pairs.
+_Layout = tuple[list[Outcome], dict[tuple[int, ...], int], list[list[tuple[int, int]]]]
+_LAYOUTS: dict[int, _Layout] = {}
+#: Layouts up to this many slots stay cached; a larger one, up to half a
+#: million index pairs at ``MAX_JOINT_PARTICLES``, is rebuilt per call.
+_CACHED_LAYOUT_PARTICLES = 8
+
+
+def _layout(n: int) -> _Layout:
+    """The dense layout of ``n`` spin-1/2 slots.
+
+    Index ``i`` holds the label whose slots are the bits of ``i``, slot 0
+    the highest, so the keys follow ``itertools.product("+-")``.  A slot's
+    pairs are the indices that differ only in that slot's bit.
+    """
+    layout = _LAYOUTS.get(n)
+    if layout is None:
+        size = 1 << n
+        layout = (
+            list(itertools.product("+-", repeat=n)),
+            {label: i for i, label in enumerate(itertools.product((0, 1), repeat=n))},
+            [[(i, i | bit) for i in range(size) if not i & bit] for bit in (size >> (s + 1) for s in range(n))],
+        )
+        if n <= _CACHED_LAYOUT_PARTICLES:
+            _LAYOUTS[n] = layout
+    return layout
 
 
 def joint_distribution(
@@ -101,26 +137,34 @@ def joint_distribution(
     angles: Sequence[Angle],
     c: Rational | float = Fraction(1, 2),
 ) -> ProbabilityTable:
-    """Joint outcome distribution when slot ``i`` is read along ``angles[i]``."""
-    import numpy as np
+    """Joint outcome distribution when slot ``i`` is read along ``angles[i]``.
 
-    # Imported here so that bell and wigner never load rotations.  The absolute
-    # form skips relative-name resolution, which measured 2 us of this ~25 us call.
-    import spinstat.rotations
-
+    Slot ``i`` is rotated by ``[[cos t, sin t], [-sin t, cos t]]`` with
+    ``t = c * angles[i]``, one slot at a time on the dense amplitudes, and
+    each outcome's probability is its squared modulus.
+    """
     if any(d != 2 for d in ket.dims):
         raise ShapeError(f"measurement needs spin-1/2 slots, got dims {ket.dims}")
-    if len(angles) != ket.n_particles:
-        raise ShapeError(
-            f"{len(angles)} angles for {ket.n_particles} particles"
-        )
     n = ket.n_particles
-    r = spinstat.rotations.rotation_matrix([angle_to_radians(a) for a in angles], c)
-    # Slot s is contracted with its own matrix: amp[o...] = Σ Π_s r[s, o_s, l_s] psi[l...].
-    operands = [x for s in range(n) for x in (r[s], [n + s, s])]
-    amp = np.einsum(*operands, ket.to_array(), list(range(n)), list(range(n, 2 * n)))
-    probs = (np.abs(amp) ** 2).ravel().tolist()
-    return ProbabilityTable(dict(zip(itertools.product("+-", repeat=n), probs)))
+    if len(angles) != n:
+        raise ShapeError(f"{len(angles)} angles for {n} particles")
+    if n > MAX_JOINT_PARTICLES:
+        raise SizeLimitError(f"joint tables support up to {MAX_JOINT_PARTICLES} particles")
+    keys, index, slot_pairs = _layout(n)
+    rate = float(c)
+    amp = [0j] * len(keys)
+    for label, a in ket.amplitudes.items():
+        amp[index[label]] = complex(a)
+    for pairs, angle in zip(slot_pairs, angles):
+        t = rate * angle_to_radians(angle)
+        if not math.isfinite(t):
+            raise InvalidValueError(f"rotation angle {c} * {angle!r} is not finite")
+        cos, sin = math.cos(t), math.sin(t)
+        for i, j in pairs:
+            x, y = amp[i], amp[j]
+            amp[i] = cos * x + sin * y
+            amp[j] = cos * y - sin * x
+    return ProbabilityTable(dict(zip(keys, [abs(z) ** 2 for z in amp])))
 
 
 BellMode = Literal["half", "full"]
@@ -158,6 +202,8 @@ def _gap_term(gap: Angle, mode: BellMode) -> Fraction | float:
             return term
         # Whole turns leave sin^2 unchanged; dropping them keeps float() in range.
         gap = float(gap - 2 * int(gap / 2)) * math.pi
+    elif not math.isfinite(gap):
+        raise InvalidValueError(f"angle gap {gap!r} is not finite")
     angle = gap / 2 if mode == "half" else gap
     return math.sin(angle) ** 2 / 2
 
@@ -230,14 +276,17 @@ def search_violations(
             if violated:
                 lhs, rhs, _ = _exceeds(terms[a + b], terms[b], terms[a])
                 gaps = (steps[a], steps[b], steps[a + b])
-                violating.append((a, b, gaps, BellEvaluation(*gaps, lhs, rhs, True, mode)))
+                violating.append((a, a + b, gaps, BellEvaluation(*gaps, lhs, rhs, True, mode)))
     # For each i, the pairs in (a, b) order give (i, i + a, i + a + b) in the
-    # lexicographic order of itertools.combinations.
+    # lexicographic order of itertools.combinations.  tuple.__new__ builds
+    # each record in C; GridViolation(...) would run namedtuple's Python-level
+    # __new__, which took half the search's time.
+    new = tuple.__new__
     return [
-        GridViolation((steps[i], steps[i + a], steps[i + a + b]), gaps, ev)
-        for i in range(n)
-        for a, b, gaps, ev in violating
-        if i + a + b < n
+        new(GridViolation, ((steps[i], steps[i + a], steps[i + span]), gaps, ev))
+        for i, limit in zip(range(n), range(n, 0, -1))
+        for a, span, gaps, ev in violating
+        if span < limit
     ]
 
 

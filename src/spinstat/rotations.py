@@ -59,8 +59,7 @@ def rotation_matrix(theta: float | np.ndarray, c: Rational | float = HALF) -> np
 
     a = float(c) * np.asarray(theta, dtype=float)
     cos, sin = np.cos(a), np.sin(a)
-    # Filling one array is a few times faster than nested np.stack, which
-    # matters for the small joint tables that call this once per table.
+    # Filling one array is a few times faster than nested np.stack.
     r = np.empty(a.shape + (2, 2))
     r[..., 0, 0] = cos
     r[..., 0, 1] = sin

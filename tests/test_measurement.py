@@ -1,19 +1,26 @@
 import itertools
 import math
+import os
 import random
+import site
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_float_ket
+from conftest import random_exact_ket, random_float_ket
 from spinstat import measurement
-from spinstat.errors import ShapeError, SizeLimitError
+from spinstat.errors import InvalidValueError, ShapeError, SizeLimitError
 from spinstat.kets import Ket
 from spinstat.measurement import (
+    MAX_JOINT_PARTICLES,
     MAX_SEARCH_DENOMINATOR,
+    ProbabilityTable,
     SLACK,
     GridViolation,
     angle_to_radians,
@@ -176,22 +183,131 @@ def test_joint_distribution_shape_guards():
         joint_distribution(Ket.basis((3, 3), (0, 0)), (0.0, 0.0))
 
 
+def test_joint_tables_refuse_more_slots_than_the_limit():
+    # One amplitude: the guard must act before any 2**n table is built.
+    n = MAX_JOINT_PARTICLES + 1
+    with pytest.raises(SizeLimitError):
+        joint_distribution(Ket.basis((2,) * n, (0,) * n), (0.0,) * n)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "angles, c",
+    [
+        ((NAN, 0.0), HALF),
+        ((INF, 0.0), HALF),
+        ((0.0, -INF), 1),
+        ((2.0, 0.0), 1e308),  # c * angle overflows
+        ((Fraction(1), 0.0), 1e308),
+        ((0.0, 0.0), NAN),
+        ((0.0, 0.0), INF),  # inf * 0 is NaN
+    ],
+)
+def test_joint_tables_refuse_a_non_finite_rotation(angles, c):
+    with pytest.raises(InvalidValueError, match="not finite"):
+        joint_distribution(make_state("singlet"), angles, c=c)
+
+
+def test_a_huge_rate_at_angle_zero_is_the_identity():
+    table = joint_distribution(make_state("singlet"), (0.0, 0.0), c=1e308)
+    assert table.entries[("+", "-")] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_probability_tables_refuse_non_finite_entries(bad):
+    with pytest.raises(InvalidValueError):
+        ProbabilityTable({("+",): bad})
+    with pytest.raises(InvalidValueError):
+        ProbabilityTable({("+",): 1.0, ("-",): bad})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_inequality(NAN, 0.5, 0.5),
+        lambda: bell_inequality(0.5, INF, 0.5),
+        lambda: bell_inequality(0.5, 0.5, -INF, mode="full"),
+        lambda: wigner_argument(0.0, NAN, 1.0),
+        lambda: wigner_argument(INF, 0.0, 1.0),
+        lambda: wigner_argument(1e308, -1e308, 0.0),  # the gap overflows
+        lambda: wigner_argument(Fraction(0), Fraction(1, 3), NAN, variant="singlet-inclusive"),
+    ],
+)
+def test_bell_and_wigner_refuse_non_finite_gaps(call):
+    with pytest.raises(InvalidValueError, match="not finite"):
+        call()
+
+
+JOINT_MODULES = """
+import sys
+from fractions import Fraction
+from spinstat.kets import Ket
+from spinstat.measurement import joint_distribution
+table = joint_distribution(Ket((2, 2), {(0, 1): 0.6, (1, 0): -0.8}), (Fraction(1, 3), 0.4))
+print(round(sum(table.entries.values()), 12), "numpy" in sys.modules, "spinstat.rotations" in sys.modules)
+"""
+
+
+# The child runs with -S, so that a site .pth file cannot load numpy first;
+# numpy stays importable from the site directories on PYTHONPATH.
+def test_joint_tables_load_neither_numpy_nor_rotations():
+    root = Path(__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-S", "-c", JOINT_MODULES],
+        capture_output=True,
+        text=True,
+        cwd=str(root),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), *site.getsitepackages()])},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["1.0", "False", "False"]
+
+
+def kron_probabilities(ket, angles, c):
+    """Outcome probabilities in ``itertools.product("+-")`` order, from the Kronecker product of the slot rotations."""
+    matrix = np.eye(1)
+    for angle in angles:
+        a = float(c) * (float(angle) * math.pi if isinstance(angle, Fraction) else angle)
+        matrix = np.kron(matrix, np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]))
+    labels = itertools.product(range(2), repeat=len(angles))
+    return np.abs(matrix @ np.array([complex(ket.amplitude(label)) for label in labels])) ** 2
+
+
+def assert_matches_kron_oracle(ket, angles, c):
+    table = joint_distribution(ket, angles, c=c)
+    n = len(angles)
+    assert list(table.entries) == list(itertools.product("+-", repeat=n))
+    for outcome, p in zip(itertools.product("+-", repeat=n), kron_probabilities(ket, angles, c)):
+        assert table.entries[outcome] == pytest.approx(p, abs=1e-13)
+
+
 def test_three_particle_tables_match_a_kron_oracle(rng):
     for _ in range(50):
         ket = random_float_ket(rng, (2, 2, 2), support=5).normalized()
         angles = [Fraction(rng.randrange(24), 12), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
         rng.shuffle(angles)
-        c = rng.choice([HALF, 1])
-        rotations = []
-        for angle in angles:
-            a = float(c) * (float(angle) * math.pi if isinstance(angle, Fraction) else angle)
-            rotations.append(np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]))
-        labels = itertools.product(range(2), repeat=3)
-        vec = np.array([complex(ket.amplitude(label)) for label in labels])
-        probs = np.abs(np.kron(np.kron(rotations[0], rotations[1]), rotations[2]) @ vec) ** 2
-        table = joint_distribution(ket, angles, c=c)
-        for outcome, p in zip(itertools.product("+-", repeat=3), probs):
-            assert table.entries[outcome] == pytest.approx(p, abs=1e-13)
+        assert_matches_kron_oracle(ket, angles, rng.choice([HALF, 1]))
+
+
+@st.composite
+def joint_cases(draw):
+    """A normalized exact or float ket on 1-6 slots, an angle per slot, and a rate."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    make = random_exact_ket if draw(st.booleans()) else random_float_ket
+    ket = make(rng, (2,) * n, support=draw(st.integers(1, 2**n))).normalized()
+    pi_multiple = st.builds(Fraction, st.integers(-48, 48), st.integers(1, 12))
+    angles = draw(st.lists(st.one_of(pi_multiple, st.floats(-10, 10)), min_size=n, max_size=n))
+    c = draw(st.sampled_from([HALF, 1, Fraction(3, 2)]) | st.floats(-3, 3))
+    return ket, angles, c
+
+
+@settings(deadline=None)
+@given(joint_cases())
+def test_tables_match_the_kron_oracle_for_any_slot_count(case):
+    assert_matches_kron_oracle(*case)
 
 
 def test_tables_sum_to_one_on_random_states(rng):
@@ -294,6 +410,30 @@ def test_search_decides_each_gap_pair_once(monkeypatch, mode):
         found = search_violations(d, mode)
         assert 0 < calls <= 2 * d
         assert repr(found) == expected
+
+
+@pytest.mark.parametrize("mode", ["half", "full"])
+def test_search_equals_the_naive_scan(mode):
+    # The naive scan evaluates bell_inequality on every itertools.combinations
+    # triple.  A triple's gaps (tj - ti, tk - tj, tk - ti) are the steps
+    # (j - i, k - j, k - i), so its evaluation is taken once per step pair.
+    # The angle the search returned for each step, and the gaps and
+    # evaluation for each step pair, are compared by repr once, and every
+    # record by equality with those objects.  Every denominator up to 24 and
+    # the limit are checked: all 48 would take 5 s, mostly in the d**3 triples
+    # of the largest.
+    for d in [*range(1, 25), MAX_SEARCH_DENOMINATOR]:
+        n = 2 * d
+        steps = [Fraction(k, d) for k in range(n)]
+        evaluations = [[bell_inequality(steps[a], steps[b], steps[a + b], mode) for b in range(n - a)] for a in range(n)]
+        expected = [t for t in itertools.combinations(range(n), 3) if evaluations[t[1] - t[0]][t[2] - t[1]].violated]
+        found = search_violations(d, mode)
+        assert all(type(v) is GridViolation for v in found)
+        angle = dict(zip(itertools.chain.from_iterable(expected), itertools.chain.from_iterable(v.angles for v in found)))
+        pair = {(j - i, k - j): v[1:] for v, (i, j, k) in zip(found, expected)}
+        assert repr(angle) == repr({k: steps[k] for k in angle})
+        assert repr(pair) == repr({(a, b): ((steps[a], steps[b], steps[a + b]), evaluations[a][b]) for a, b in pair})
+        assert found == [((angle[i], angle[j], angle[k]), *pair[j - i, k - j]) for i, j, k in expected]
 
 
 def test_search_at_its_size_limit():

@@ -115,12 +115,17 @@ def _imported_roots(name, module_scope_only=False):
     return roots
 
 
-# The float layers; every other module computes exactly and never needs numpy.
-NUMPY_MODULES = {"kets", "rotations", "measurement", "beam"}
+# The array layers; every other module, measurement's float tables included,
+# computes in plain Python and never needs numpy.
+NUMPY_MODULES = {"kets", "rotations", "beam"}
 
 
 def test_only_the_float_layers_import_numpy():
     assert {name for name in SUBMODULES if "numpy" in _imported_roots(name)} == NUMPY_MODULES
+
+
+def test_measurement_depends_on_kets_exact_and_errors_alone():
+    assert _imported_roots("measurement") & set(SUBMODULES) == {"kets", "exact", "errors"}
 
 
 # The spin basis and the ladder live in kets.  rotations holds the named
