@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from fractions import Fraction
 from typing import Literal, Mapping, NamedTuple, Sequence
@@ -19,9 +20,9 @@ from .exact import Frozen, Rational
 from .kets import Ket
 
 #: Finest angle grid ``search_violations`` scans.  The list it returns grows
-#: as ``denominator**3``: 48 finds 69 184 violating triples in 60-80 ms in a
+#: as ``denominator**3``: 48 finds 69 184 violating triples in 60-75 ms in a
 #: warm process, and a cold ``bell --search --denominator 48`` takes
-#: 0.12-0.15 s (Python 3.11, a shared 2-core x86 machine).
+#: 0.14-0.20 s (Python 3.11, a shared 2-core x86 machine).
 MAX_SEARCH_DENOMINATOR = 48
 
 #: Most slots ``joint_distribution`` reads.  Its table holds ``2**n``
@@ -168,6 +169,12 @@ def joint_distribution(
 
 
 BellMode = Literal["half", "full"]
+_BELL_MODES = ("half", "full")
+
+
+def _check_mode(mode: BellMode) -> None:
+    if mode not in _BELL_MODES:
+        raise InvalidValueError(f"unknown Bell mode {mode!r}; use one of {', '.join(_BELL_MODES)}")
 
 
 class BellEvaluation(NamedTuple):
@@ -191,18 +198,31 @@ class BellEvaluation(NamedTuple):
         return 2 * self.rhs
 
 
+def _pi_term(p: int, q: int, mode: BellMode) -> Fraction | float:
+    """The gap term of the angle ``(p/q)*pi``, for integers ``p`` and ``q > 0``.
+
+    The pair need not be in lowest terms: the sixths test and the quotient
+    below depend only on the rational ``p/q``.
+    """
+    # 1/2 * sin^2(x/2) = (1 - cos(x))/4, with x = gap (half) or 2*gap (full).
+    # The term is rational only where x is k*pi/6 for an integer k.
+    sixths, rest = divmod((6 if mode == "half" else 12) * p, q)
+    term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
+    if term is not None:
+        return term
+    # Whole turns leave sin^2 unchanged; dropping them from the integers keeps
+    # the quotient in range, and int / int rounds it correctly.
+    r = abs(p) % (2 * q)
+    gap = (r if p >= 0 else -r) / q * math.pi
+    angle = gap / 2 if mode == "half" else gap
+    return math.sin(angle) ** 2 / 2
+
+
 def _gap_term(gap: Angle, mode: BellMode) -> Fraction | float:
     """1/2 * sin^2(gap/2) (half mode) or 1/2 * sin^2(gap) (full mode)."""
     if isinstance(gap, Fraction):
-        # 1/2 * sin^2(x/2) = (1 - cos(x))/4, with x = gap (half) or 2*gap (full).
-        # The term is rational only where x is k*pi/6 for an integer k.
-        sixths, rest = divmod((6 if mode == "half" else 12) * gap.numerator, gap.denominator)
-        term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
-        if term is not None:
-            return term
-        # Whole turns leave sin^2 unchanged; dropping them keeps float() in range.
-        gap = float(gap - 2 * int(gap / 2)) * math.pi
-    elif not math.isfinite(gap):
+        return _pi_term(gap.numerator, gap.denominator, mode)
+    if not math.isfinite(gap):
         raise InvalidValueError(f"angle gap {gap!r} is not finite")
     angle = gap / 2 if mode == "half" else gap
     return math.sin(angle) ** 2 / 2
@@ -236,6 +256,7 @@ def bell_inequality(
     when all three gaps are rational multiples of pi with rational cosine;
     otherwise floats with the fixed margin :data:`SLACK` on the verdict.
     """
+    _check_mode(mode)
     lhs, rhs, violated = _exceeds(*(_gap_term(g, mode) for g in (theta_ki, theta_jk, theta_ij)))
     return BellEvaluation(theta_ij, theta_jk, theta_ki, lhs, rhs, violated, mode)
 
@@ -253,9 +274,14 @@ def search_violations(
     """Scan measurement angle triples on the ``k*pi/denominator`` grid.
 
     Returns every ordered triple (theta_i < theta_j < theta_k in [0, 2pi))
-    whose gap triple violates the inequality.  A denominator above
+    whose gap triple violates the inequality.  A denominator that is not a
+    positive integer raises :class:`InvalidValueError`, and one above
     :data:`MAX_SEARCH_DENOMINATOR` raises :class:`SizeLimitError`.
     """
+    if not isinstance(denominator, numbers.Integral) or denominator < 1:
+        raise InvalidValueError(f"the search denominator must be a positive integer, not {denominator!r}")
+    denominator = int(denominator)
+    _check_mode(mode)
     if denominator > MAX_SEARCH_DENOMINATOR:
         raise SizeLimitError(f"the angle search supports denominators up to {MAX_SEARCH_DENOMINATOR}")
     n = 2 * denominator
@@ -268,20 +294,27 @@ def search_violations(
     # are exact in binary floating point, and a true gap between them is at
     # least 1/8, so the float test with SLACK decides them exactly as well.
     floats = [float(t) for t in terms]
+    exact = [isinstance(t, Fraction) for t in terms]
+    # tuple.__new__ builds each record in C; BellEvaluation(...) and
+    # GridViolation(...) would run namedtuple's Python-level __new__, which
+    # took half the search's time.
+    new = tuple.__new__
     violating = []
     for a in range(1, n):
         fa = floats[a]
         for b in range(1, n - a):
-            violated = floats[a + b] > floats[b] + fa + SLACK
-            if violated:
-                lhs, rhs, _ = _exceeds(terms[a + b], terms[b], terms[a])
-                gaps = (steps[a], steps[b], steps[a + b])
-                violating.append((a, a + b, gaps, BellEvaluation(*gaps, lhs, rhs, True, mode)))
+            span = a + b
+            if floats[span] > floats[b] + fa + SLACK:
+                # The sides _exceeds would report: the fractions where all
+                # three terms are exact, otherwise the same float sum.
+                if exact[span] and exact[b] and exact[a]:
+                    lhs, rhs = terms[span], terms[b] + terms[a]
+                else:
+                    lhs, rhs = floats[span], floats[b] + fa
+                gaps = (steps[a], steps[b], steps[span])
+                violating.append((a, span, gaps, new(BellEvaluation, (*gaps, lhs, rhs, True, mode))))
     # For each i, the pairs in (a, b) order give (i, i + a, i + a + b) in the
-    # lexicographic order of itertools.combinations.  tuple.__new__ builds
-    # each record in C; GridViolation(...) would run namedtuple's Python-level
-    # __new__, which took half the search's time.
-    new = tuple.__new__
+    # lexicographic order of itertools.combinations.
     return [
         new(GridViolation, ((steps[i], steps[i + a], steps[i + span]), gaps, ev))
         for i, limit in zip(range(n), range(n, 0, -1))
@@ -352,20 +385,28 @@ def wigner_argument(
     probability can be at most their sum; the report states whether the
     perfect-correlation probability assignments respect that bound.
     """
-    gaps = {
-        "ij": _angle_gap(theta_i, theta_j),
-        "jk": _angle_gap(theta_j, theta_k),
-        "ki": _angle_gap(theta_i, theta_k),
-    }
+    if variant not in _VARIANTS:
+        raise InvalidValueError(f"unknown Wigner variant {variant!r}; use one of {', '.join(_VARIANTS)}")
+    _check_mode(mode)
+    if isinstance(theta_i, Fraction) and isinstance(theta_j, Fraction) and isinstance(theta_k, Fraction):
+        # |b - a| of two pi multiples is |nb*qa - na*qb| / (qa*qb), a pair
+        # _pi_term takes without reducing it.
+        ni, qi = theta_i.as_integer_ratio()
+        nj, qj = theta_j.as_integer_ratio()
+        nk, qk = theta_k.as_integer_ratio()
+        terms = {
+            "ij": _pi_term(abs(nj * qi - ni * qj), qi * qj, mode),
+            "jk": _pi_term(abs(nk * qj - nj * qk), qj * qk, mode),
+            "ki": _pi_term(abs(nk * qi - ni * qk), qi * qk, mode),
+        }
+    else:
+        terms = {
+            "ij": _gap_term(_angle_gap(theta_i, theta_j), mode),
+            "jk": _gap_term(_angle_gap(theta_j, theta_k), mode),
+            "ki": _gap_term(_angle_gap(theta_i, theta_k), mode),
+        }
     superset, events = _VARIANTS[variant]
-    pair_events = {name: (pair, _gap_term(gaps[key], mode)) for name, key, pair in events}
-    subset_probability = _gap_term(gaps["ki"], mode)
+    pair_events = {name: (pair, terms[key]) for name, key, pair in events}
+    subset_probability = terms["ki"]
     _, _, exceeds = _exceeds(subset_probability, *(p for _, p in pair_events.values()))
-    return WignerReport(
-        variant=variant,
-        subset=_SUBSET,
-        superset=superset,
-        subset_probability=subset_probability,
-        pair_events=pair_events,
-        consistent=not exceeds,
-    )
+    return WignerReport(variant, _SUBSET, superset, subset_probability, pair_events, not exceeds)

@@ -1,11 +1,13 @@
 import itertools
 import math
+import operator
 import os
 import random
 import site
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from spinstat.measurement import (
     MAX_SEARCH_DENOMINATOR,
     ProbabilityTable,
     SLACK,
+    BellEvaluation,
     GridViolation,
     angle_to_radians,
     bell_inequality,
@@ -114,9 +117,39 @@ def test_integer_gap_kernel_matches_the_fraction_oracle():
         assert_kernel_matches_oracle(k)
 
 
-@given(st.fractions())
+@given(st.builds(Fraction, st.integers(), st.integers(min_value=1)))
 def test_integer_gap_kernel_matches_the_oracle_on_any_fraction(gap):
     assert_kernel_matches_oracle(gap)
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        # Denominators above 2**53, where float(p) / float(q) would round twice.
+        Fraction(1, 2**53 + 1),
+        Fraction(3**100, 2**60 + 1),
+        Fraction(-(2**64) - 5, 3 * 2**54 + 1),
+        # Negative numerators, at an irrational and at a rational term.
+        Fraction(-1, 7),
+        Fraction(-29, 12),
+        Fraction(-13, 6),
+        # Thousands of whole turns past 2pi.
+        Fraction(2 * 5003 * 7 + 3, 7),
+        Fraction(-(2 * 7919 * 12) - 5, 12),
+        Fraction(2 * 3001 * 6 + 1, 6),
+        Fraction(2 * 4099 * (2**60 + 1) + 5, 2**60 + 1),
+    ],
+)
+def test_integer_gap_kernel_matches_the_oracle_on_hard_fractions(gap):
+    assert_kernel_matches_oracle(gap)
+
+
+def oracle_sides(lhs, first, second):
+    """``lhs > first + second`` as bell_inequality decides it, from the three terms."""
+    if all(isinstance(t, Fraction) for t in (lhs, first, second)):
+        return lhs, first + second, lhs > first + second
+    lhs, rhs = float(lhs), float(first) + float(second)
+    return lhs, rhs, lhs > rhs + SLACK
 
 
 def test_bell_inequality_matches_the_oracle_on_the_twelfths_grid():
@@ -124,13 +157,8 @@ def test_bell_inequality_matches_the_oracle_on_the_twelfths_grid():
     for mode in ("half", "full"):
         terms = {gap: oracle_gap_term(gap, mode) for gap in grid}
         for ij, jk, ki in itertools.product(grid, repeat=3):
-            lhs, first, second = terms[ki], terms[jk], terms[ij]
+            lhs, rhs, violated = oracle_sides(terms[ki], terms[jk], terms[ij])
             ev = bell_inequality(ij, jk, ki, mode)
-            if all(isinstance(t, Fraction) for t in (lhs, first, second)):
-                rhs, violated = first + second, lhs > first + second
-            else:
-                lhs, rhs = float(lhs), float(first) + float(second)
-                violated = lhs > rhs + SLACK
             assert_same(ev.lhs, lhs)
             assert_same(ev.rhs, rhs)
             assert ev.violated == violated
@@ -412,28 +440,63 @@ def test_search_decides_each_gap_pair_once(monkeypatch, mode):
         assert repr(found) == expected
 
 
+def oracle_step_pairs(denominator, mode):
+    """The grid's steps, and each violating step pair (a, b) with its gaps and evaluation.
+
+    Every pair is decided once from oracle_gap_term, as bell_inequality
+    decides the gap triple (steps[a], steps[b], steps[a + b]); the dict
+    holds the violating pairs in (a, b) order.
+    """
+    n = 2 * denominator
+    steps = [Fraction(k, denominator) for k in range(n)]
+    terms = [oracle_gap_term(step, mode) for step in steps]
+    pairs = {}
+    for a in range(1, n):
+        for b in range(1, n - a):
+            lhs, rhs, violated = oracle_sides(terms[a + b], terms[b], terms[a])
+            if violated:
+                gaps = (steps[a], steps[b], steps[a + b])
+                pairs[a, b] = (gaps, BellEvaluation(*gaps, lhs, rhs, True, mode))
+    return steps, pairs
+
+
 @pytest.mark.parametrize("mode", ["half", "full"])
-def test_search_equals_the_naive_scan(mode):
-    # The naive scan evaluates bell_inequality on every itertools.combinations
-    # triple.  A triple's gaps (tj - ti, tk - tj, tk - ti) are the steps
-    # (j - i, k - j, k - i), so its evaluation is taken once per step pair.
-    # The angle the search returned for each step, and the gaps and
-    # evaluation for each step pair, are compared by repr once, and every
-    # record by equality with those objects.  Every denominator up to 24 and
-    # the limit are checked: all 48 would take 5 s, mostly in the d**3 triples
-    # of the largest.
-    for d in [*range(1, 25), MAX_SEARCH_DENOMINATOR]:
+def test_search_matches_the_oracle_on_every_grid(mode):
+    # A triple (i, i + a, i + a + b) violates exactly when its step pair
+    # (a, b) does, and (i, a, b) order is the lexicographic order of
+    # itertools.combinations.  So the records from start 0 hold each
+    # violating pair once, in (a, b) order, and start i repeats those with
+    # a + b < n - i, moved on by i steps.  The start-0 gaps and evaluations
+    # are compared by repr with the oracle's, which bell_inequality must also
+    # give; the whole list then column by column, with those objects and by
+    # the step index of each angle's object.  A repr of every record, found
+    # and expected, would take about 15 s per mode.
+    for d in range(1, MAX_SEARCH_DENOMINATOR + 1):
         n = 2 * d
-        steps = [Fraction(k, d) for k in range(n)]
-        evaluations = [[bell_inequality(steps[a], steps[b], steps[a + b], mode) for b in range(n - a)] for a in range(n)]
-        expected = [t for t in itertools.combinations(range(n), 3) if evaluations[t[1] - t[0]][t[2] - t[1]].violated]
+        steps, pairs = oracle_step_pairs(d, mode)
         found = search_violations(d, mode)
-        assert all(type(v) is GridViolation for v in found)
-        angle = dict(zip(itertools.chain.from_iterable(expected), itertools.chain.from_iterable(v.angles for v in found)))
-        pair = {(j - i, k - j): v[1:] for v, (i, j, k) in zip(found, expected)}
-        assert repr(angle) == repr({k: steps[k] for k in angle})
-        assert repr(pair) == repr({(a, b): ((steps[a], steps[b], steps[a + b]), evaluations[a][b]) for a, b in pair})
-        assert found == [((angle[i], angle[j], angle[k]), *pair[j - i, k - j]) for i, j, k in expected]
+        assert set(map(type, found)) <= {GridViolation}
+        head = found[: len(pairs)]
+        assert repr(list(map(itemgetter(1, 2), head))) == repr(list(pairs.values()))
+        assert repr([bell_inequality(*gaps, mode) for gaps, _ in pairs.values()]) == repr([ev for _, ev in pairs.values()])
+        # kept[i][p]: pair p fits on the grid from start i.
+        kept = [[a + b < n - i for a, b in pairs] for i in range(n)]
+
+        def expand(per_pair):
+            """One value per record: start by start, each kept pair's value."""
+            return list(itertools.chain.from_iterable(map(itertools.compress, itertools.repeat(per_pair), kept)))
+
+        assert list(map(itemgetter(1), found)) == expand([v.gaps for v in head])
+        assert list(map(itemgetter(2), found)) == expand([v.evaluation for v in head])
+        columns = [list(map(itemgetter(c), map(itemgetter(0), found))) for c in range(3)]
+        distinct = {}
+        for column in columns:
+            distinct.update(zip(map(id, column), column))
+        index = {key: steps.index(angle) for key, angle in distinct.items()}
+        assert repr(list(distinct.values())) == repr([steps[k] for k in index.values()])
+        start = list(itertools.chain.from_iterable(map(itertools.repeat, range(n), map(sum, kept))))
+        for column, offsets in zip(columns, ([0] * len(pairs), [a for a, _ in pairs], [a + b for a, b in pairs])):
+            assert list(map(index.__getitem__, map(id, column))) == list(map(operator.add, start, expand(offsets)))
 
 
 def test_search_at_its_size_limit():
@@ -444,6 +507,37 @@ def test_search_at_its_size_limit():
 def test_search_refuses_a_grid_beyond_the_limit():
     with pytest.raises(SizeLimitError):
         search_violations(MAX_SEARCH_DENOMINATOR + 1)
+
+
+REFERENCE = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: search_violations(0),
+        lambda: search_violations(-6),
+        lambda: search_violations(2.5),
+        lambda: search_violations(Fraction(6)),
+        lambda: search_violations("6"),
+        lambda: search_violations(6, mode="bogus"),
+        lambda: search_violations(MAX_SEARCH_DENOMINATOR + 1, mode="bogus"),
+        lambda: bell_inequality(*REFERENCE, mode="bogus"),
+        lambda: bell_inequality(0.1, 0.1, 0.2, mode="Half"),
+        lambda: wigner_argument(*REFERENCE, mode="bogus"),
+        lambda: wigner_argument(0.0, 0.5, 1.0, variant="bogus"),
+        lambda: wigner_argument(*REFERENCE, variant="singlet"),
+    ],
+)
+def test_bell_search_and_wigner_refuse_bad_arguments(call):
+    # Before, a bad denominator returned [] or raised TypeError, a bad mode
+    # ran the full formula and a bad variant raised KeyError.
+    with pytest.raises(InvalidValueError):
+        call()
+
+
+def test_search_takes_any_integral_denominator():
+    assert repr(search_violations(np.int64(6), "full")) == repr(search_violations(6, "full"))
 
 
 def test_wigner_same_state_contradiction():
@@ -492,6 +586,38 @@ def test_wigner_verdict_is_the_bell_verdict_on_its_gaps():
         report = wigner_argument(Fraction(0), Fraction(1, 12), Fraction(1, 3), variant=variant)
         assert type(report.subset_probability) is Fraction
         assert report.subset_probability == Fraction(1, 8)
+
+
+def assert_wigner_terms(report, ij, jk, ki):
+    """The report's subset term is ki and its pair events' terms are ij and jk, by type and value."""
+    got = (report.subset_probability, *[p for _, p in report.pair_events.values()])
+    want = (ki, jk, ij) if report.variant == "same-state" else (ki, ij, jk)
+    assert got == want and tuple(map(type, got)) == tuple(map(type, want)), (got, want)
+
+
+def test_wigner_terms_match_the_oracle_on_every_twelfths_triple():
+    # Every triple of k*pi/12 with -24 <= k < 24: gaps of either sign, beyond
+    # a turn, and between angles of unequal denominators.  The four
+    # (variant, mode) pairs take turns from triple to triple, so each runs on
+    # a quarter of the 110 592 triples; all four on every triple would add
+    # 3 s to the suite.  A term's gap in twelfths is the difference of two k,
+    # so the oracle is tabled on it.
+    angles = {k: Fraction(k, 12) for k in range(-24, 24)}
+    oracle = {mode: [oracle_gap_term(Fraction(m, 12), mode) for m in range(48)] for mode in ("half", "full")}
+    combos = list(itertools.product(("same-state", "singlet-inclusive"), ("half", "full")))
+    for (i, ti), (j, tj), (k, tk) in itertools.product(angles.items(), repeat=3):
+        variant, mode = combos[(i + 2 * j + k) % 4]
+        terms = oracle[mode]
+        report = wigner_argument(ti, tj, tk, variant, mode)
+        assert_wigner_terms(report, terms[abs(j - i)], terms[abs(k - j)], terms[abs(k - i)])
+    # A triple with a float angle takes its gaps in radians.
+    rng = random.Random(23)
+    for _ in range(400):
+        triple = tuple(rng.choice((Fraction(rng.randrange(-48, 48), 12), rng.uniform(-7, 7))) for _ in range(3))
+        for mode in ("half", "full"):
+            ij, jk, ki = (oracle_gap_term(gap, mode) for gap in _wigner_gaps(*triple))
+            for variant in ("same-state", "singlet-inclusive"):
+                assert_wigner_terms(wigner_argument(*triple, variant, mode), ij, jk, ki)
 
 
 def test_wigner_equal_angles_consistent():
