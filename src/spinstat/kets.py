@@ -105,9 +105,6 @@ class Permutation(Frozen):
         )
         return -1 if inversions % 2 else 1
 
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, v in enumerate(self.image):
@@ -297,6 +294,11 @@ def inner_product(a: Ket, b: Ket) -> Scalar:
     return total
 
 
+def relabel_slots(amplitudes: Mapping[Label, Scalar], image: Sequence[int]) -> dict[Label, Scalar]:
+    """The amplitudes with each label ``L`` moved to ``(L[image[0]], ..., L[image[n-1]])``."""
+    return {tuple([label[k] for k in image]): amp for label, amp in amplitudes.items()}
+
+
 def permute_slots(ket: Ket, perm: Permutation) -> Ket:
     """Rearrange particle slots: the result's label ``L`` comes from ``L∘p``.
 
@@ -306,12 +308,7 @@ def permute_slots(ket: Ket, perm: Permutation) -> Ket:
         raise ShapeError(f"permutation acts on {perm.size} slots, ket has {ket.n_particles}")
     if len(set(ket.dims)) > 1:
         raise NotPermutableError(f"slots of unequal dimension {ket.dims} are not permutable")
-    inv = perm.inverse()
-    amps = {
-        tuple(label[inv.image[i]] for i in range(perm.size)): amp
-        for label, amp in ket.amplitudes.items()
-    }
-    return Ket(ket.dims, amps)
+    return Ket(ket.dims, relabel_slots(ket.amplitudes, perm.inverse().image))
 
 
 def check_spin(j: Rational) -> Fraction:

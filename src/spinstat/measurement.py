@@ -210,10 +210,9 @@ def _pi_term(p: int, q: int, mode: BellMode) -> Fraction | float:
     term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
     if term is not None:
         return term
-    # Whole turns leave sin^2 unchanged; dropping them from the integers keeps
-    # the quotient in range, and int / int rounds it correctly.
-    r = abs(p) % (2 * q)
-    gap = (r if p >= 0 else -r) / q * math.pi
+    # sin^2 is even and whole turns leave it unchanged; dropping both from the
+    # integers keeps the quotient in range, and int / int rounds it correctly.
+    gap = abs(p) % (2 * q) / q * math.pi
     angle = gap / 2 if mode == "half" else gap
     return math.sin(angle) ** 2 / 2
 
@@ -349,11 +348,17 @@ _VARIANTS: dict[str, tuple[tuple[Outcome, ...], tuple[tuple[str, str, tuple[Outc
 }
 
 
-def _angle_gap(a: Angle, b: Angle) -> Angle:
-    """``|b - a|``: exact between two pi multiples, otherwise in radians."""
+def _pair_term(a: Angle, b: Angle, mode: BellMode) -> Fraction | float:
+    """The gap term of ``b - a``, whose sign the even term ignores.
+
+    Between two pi multiples the gap is ``(nb*qa - na*qb) / (qa*qb)``, a pair
+    that _pi_term takes without reducing it; otherwise it is in radians.
+    """
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return abs(b - a)
-    return abs(angle_to_radians(b) - angle_to_radians(a))
+        na, qa = a.as_integer_ratio()
+        nb, qb = b.as_integer_ratio()
+        return _pi_term(nb * qa - na * qb, qa * qb, mode)
+    return _gap_term(angle_to_radians(b) - angle_to_radians(a), mode)
 
 
 class WignerReport(NamedTuple):
@@ -388,23 +393,11 @@ def wigner_argument(
     if variant not in _VARIANTS:
         raise InvalidValueError(f"unknown Wigner variant {variant!r}; use one of {', '.join(_VARIANTS)}")
     _check_mode(mode)
-    if isinstance(theta_i, Fraction) and isinstance(theta_j, Fraction) and isinstance(theta_k, Fraction):
-        # |b - a| of two pi multiples is |nb*qa - na*qb| / (qa*qb), a pair
-        # _pi_term takes without reducing it.
-        ni, qi = theta_i.as_integer_ratio()
-        nj, qj = theta_j.as_integer_ratio()
-        nk, qk = theta_k.as_integer_ratio()
-        terms = {
-            "ij": _pi_term(abs(nj * qi - ni * qj), qi * qj, mode),
-            "jk": _pi_term(abs(nk * qj - nj * qk), qj * qk, mode),
-            "ki": _pi_term(abs(nk * qi - ni * qk), qi * qk, mode),
-        }
-    else:
-        terms = {
-            "ij": _gap_term(_angle_gap(theta_i, theta_j), mode),
-            "jk": _gap_term(_angle_gap(theta_j, theta_k), mode),
-            "ki": _gap_term(_angle_gap(theta_i, theta_k), mode),
-        }
+    terms = {
+        "ij": _pair_term(theta_i, theta_j, mode),
+        "jk": _pair_term(theta_j, theta_k, mode),
+        "ki": _pair_term(theta_i, theta_k, mode),
+    }
     superset, events = _VARIANTS[variant]
     pair_events = {name: (pair, terms[key]) for name, key, pair in events}
     subset_probability = terms["ki"]

@@ -4,10 +4,18 @@ States built from a signed sum over all slot permutations flip sign under
 every transposition (the exclusion-principle form); uniform sums are
 invariant under every permutation; everything else is classified as
 neither.  Sizes are factorial-guarded since expansions carry n! terms.
+
+An expansion builds the tensor product of its states once and adds it n!
+times, each time with its slots relabeled by the permutation through
+:func:`~spinstat.kets.relabel_slots`, the relabeling that
+:func:`~spinstat.kets.permute_slots` uses.  Float amplitudes come out as
+``c_sigma * (v_0 * ... * v_(n-1))`` and may differ in the last bits from
+a product taken in another order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -16,7 +24,9 @@ from typing import Mapping, Sequence
 
 from .errors import CapacityError, InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Frozen
-from .kets import EXACT, FLOAT, Ket, Label, Permutation, Scalar, join_modes, permute_slots
+from .kets import (
+    EXACT, FLOAT, Ket, Label, Permutation, Scalar, join_modes, permute_slots, relabel_slots, tensor_product
+)
 
 MAX_PARTICLES = 6
 MAX_SIGNATURE_PARTICLES = 5
@@ -40,25 +50,22 @@ def _permutation_sum(
 ) -> Ket:
     """Sum of ``c_sigma * |psi_sigma(0)> ⊗ ... ⊗ |psi_sigma(n-1)>`` terms.
 
-    Exact coefficients multiply float states as complex numbers.
+    Term sigma is the product ``|psi_0> ⊗ ... ⊗ |psi_(n-1)>`` with its slots
+    relabeled by ``sigma.image``, so the product is built once.  Exact
+    coefficients multiply float states as complex numbers.
     """
-    n = len(states)
-    dims = states[0].dims * n
     exact = _check_states(states) == EXACT
+    product = functools.reduce(tensor_product, states)
     amps: dict[Label, Scalar] = {}
     for perm, coef in coefficient.items():
         if not exact:
             coef = complex(coef)
         if not coef:
             continue
-        chosen = [states[perm(i)] for i in range(n)]
-        for combo in itertools.product(*(s.amplitudes.items() for s in chosen)):
-            label = tuple(l[0] for l, _ in combo)
-            amp = coef
-            for _, v in combo:
-                amp = amp * v
+        for label, amp in relabel_slots(product.amplitudes, perm.image).items():
+            amp = coef * amp
             amps[label] = amps[label] + amp if label in amps else amp
-    return Ket(dims, amps)
+    return Ket(product.dims, amps)
 
 
 def _uniform_weight(states: Sequence[Ket]) -> ExactScalar:

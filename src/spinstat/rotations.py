@@ -227,14 +227,12 @@ def is_rotationally_invariant(
 #: readings the same, or both opposite, each with probability 1/2.
 _ISC_PATTERNS = (((0.5, 0.0), (0.0, 0.5)), ((0.0, 0.5), (0.5, 0.0)))
 
-#: Exact ``(cos a, sin a)`` at the rotation angles ``a = k*pi/6``, k = 0..4,
-#: whose doubles ``2a`` are distinct mod 2*pi.
-_EXACT_ISC_ANGLES = (
-    (ExactScalar(1), ExactScalar(0)),
-    (ExactScalar(HALF, 3), ExactScalar(HALF)),
-    (ExactScalar(HALF), ExactScalar(HALF, 3)),
-    (ExactScalar(0), ExactScalar(1)),
-    (ExactScalar(-HALF), ExactScalar(HALF, 3)),
+#: Rational ``(cos a, sin a) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2))`` at the
+#: rotation angles ``a = 2*arctan(t)``, t = 0..4.  Their doubles
+#: ``2a = 4*arctan(t)`` lie in [0, 2*pi) and are distinct mod 2*pi.
+_EXACT_ISC_ANGLES = tuple(
+    (ExactScalar(Fraction(1 - t * t, 1 + t * t)), ExactScalar(Fraction(2 * t, 1 + t * t)))
+    for t in range(5)
 )
 
 #: :data:`_ISC_PATTERNS` as exact cells, in the order ``++, +-, -+, --``.
@@ -246,8 +244,9 @@ def _exactly_isc(ket: Ket) -> bool:
 
     Under R(a) ⊗ R(a) each amplitude is a quadratic form in (cos a, sin a),
     a trigonometric polynomial of degree 1 in 2a, so each joint probability
-    has degree 2 in 2a and is fixed by its values at 5 angles whose 2a are
-    distinct mod 2*pi.  The two valid patterns differ by 1/2 in every cell,
+    has degree 2 in 2a and is fixed by its values at any 5 angles whose 2a
+    are distinct mod 2*pi; the 5 rational points of :data:`_EXACT_ISC_ANGLES`
+    are such angles.  The two valid patterns differ by 1/2 in every cell,
     so a continuous table cannot switch between them: the pair is perfectly
     correlated iff its table is one and the same pattern at those 5 angles.
     """

@@ -122,26 +122,33 @@ def test_integer_gap_kernel_matches_the_oracle_on_any_fraction(gap):
     assert_kernel_matches_oracle(gap)
 
 
-@pytest.mark.parametrize(
-    "gap",
-    [
-        # Denominators above 2**53, where float(p) / float(q) would round twice.
-        Fraction(1, 2**53 + 1),
-        Fraction(3**100, 2**60 + 1),
-        Fraction(-(2**64) - 5, 3 * 2**54 + 1),
-        # Negative numerators, at an irrational and at a rational term.
-        Fraction(-1, 7),
-        Fraction(-29, 12),
-        Fraction(-13, 6),
-        # Thousands of whole turns past 2pi.
-        Fraction(2 * 5003 * 7 + 3, 7),
-        Fraction(-(2 * 7919 * 12) - 5, 12),
-        Fraction(2 * 3001 * 6 + 1, 6),
-        Fraction(2 * 4099 * (2**60 + 1) + 5, 2**60 + 1),
-    ],
-)
+HARD_FRACTIONS = [
+    # Denominators above 2**53, where float(p) / float(q) would round twice.
+    Fraction(1, 2**53 + 1),
+    Fraction(3**100, 2**60 + 1),
+    Fraction(-(2**64) - 5, 3 * 2**54 + 1),
+    # Negative numerators, at an irrational and at a rational term.
+    Fraction(-1, 7),
+    Fraction(-29, 12),
+    Fraction(-13, 6),
+    # Thousands of whole turns past 2pi.
+    Fraction(2 * 5003 * 7 + 3, 7),
+    Fraction(-(2 * 7919 * 12) - 5, 12),
+    Fraction(2 * 3001 * 6 + 1, 6),
+    Fraction(2 * 4099 * (2**60 + 1) + 5, 2**60 + 1),
+]
+
+
+@pytest.mark.parametrize("gap", HARD_FRACTIONS)
 def test_integer_gap_kernel_matches_the_oracle_on_hard_fractions(gap):
     assert_kernel_matches_oracle(gap)
+
+
+@pytest.mark.parametrize("gap", HARD_FRACTIONS)
+def test_integer_gap_kernel_ignores_the_sign_of_the_gap(gap):
+    p, q = gap.as_integer_ratio()
+    for mode in ("half", "full"):
+        assert repr(measurement._pi_term(-p, q, mode)) == repr(measurement._pi_term(p, q, mode))
 
 
 def oracle_sides(lhs, first, second):

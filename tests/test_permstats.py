@@ -2,11 +2,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_exact_ket, random_orthonormal_kets
 from spinstat.errors import CapacityError, ShapeError, SizeLimitError
-from spinstat.exact import ExactScalar
+from spinstat.exact import ZERO, ExactScalar, parse_scalar
 from spinstat.kets import Ket, Permutation, inner_product, permute_slots, tensor_product
 from spinstat.permstats import (
     PermutationExpansion,
@@ -60,6 +63,54 @@ def naive_uniform_sum(states):
             term = tensor_product(term, states[i])
         total = term if total is None else total + term
     return total.normalized()
+
+
+def dense_expansion(states, coefficients):
+    """``sum c_sigma * |psi_sigma(0)> ⊗ ... ⊗ |psi_sigma(n-1)>`` from numpy alone.
+
+    Term sigma puts state sigma(i) in slot i: the outer product of the states
+    in input order with its axes reordered by ``sigma.image``.
+    """
+    axes = "abcdef"[: len(states)]
+    outer = np.einsum(",".join(axes) + "->" + axes, *(s.to_array() for s in states))
+    return sum(complex(c) * np.transpose(outer, p.image) for p, c in coefficients.items())
+
+
+# One-term amplitudes, and sums of two such as 1/6*sqrt(3) - 1/6*sqrt(6).
+_terms = st.builds(
+    ExactScalar, st.fractions(min_value=-2, max_value=2, max_denominator=6), st.sampled_from([1, 2, 3, 6])
+)
+_amplitudes = st.one_of(
+    st.just(parse_scalar("1/6*sqrt(3) - 1/6*sqrt(6)")),
+    st.lists(_terms, min_size=1, max_size=2).map(lambda terms: sum(terms, ZERO)),
+)
+
+
+@st.composite
+def state_lists(draw):
+    """2-5 one-slot states with repeats, all exact or all float; n = 5 only in dimension 3 or less."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 3 if n == 5 else 4))
+    one_slot = st.dictionaries(st.tuples(st.integers(0, d - 1)), _amplitudes, min_size=1, max_size=d)
+    distinct = [Ket((d,), amps) for amps in draw(st.lists(one_slot, min_size=1, max_size=n))]
+    states = [distinct[i] for i in draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        states = [s.to_float().scale(complex(0.6, 0.8)) for s in states]
+    return states
+
+
+@settings(max_examples=30, deadline=None)
+@given(state_lists())
+# Only mixed expansions of 4 or more states give some sigma and its inverse
+# different coefficients, so only they tell a relabeling by sigma from one by
+# its inverse; random draws reach such a case too rarely to rely on.
+@example([Ket.basis((4,), (i,)) for i in range(4)])
+def test_expansions_match_a_dense_oracle(states):
+    for build in (PermutationExpansion.fermi_dirac, PermutationExpansion.bose_einstein, PermutationExpansion.mixed):
+        expansion = build(states)
+        realized = expansion.realize()
+        assert realized.mode in ({s.mode for s in states} | {None})
+        np.testing.assert_allclose(realized.to_array(), dense_expansion(states, expansion.coefficients), atol=1e-12)
 
 
 def test_two_spinors_antisymmetrize_to_singlet():
