@@ -252,9 +252,7 @@ class Ket(Frozen):
         """Amplitude-wise comparison after converting both kets to floats."""
         if self.dims != other.dims:
             return False
-        a, b = self.to_float(), other.to_float()
-        labels = set(a.amplitudes) | set(b.amplitudes)
-        return all(abs(a.amplitude(l) - b.amplitude(l)) < tol for l in labels)
+        return amplitudes_close(self.to_float().amplitudes, other.to_float().amplitudes, tol)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -267,14 +265,21 @@ class Ket(Frozen):
         return " + ".join(parts)
 
 
-def tensor_product(a: Ket, b: Ket) -> Ket:
-    """Tensor product; slot order is ``a``'s slots followed by ``b``'s."""
-    join_modes(a.mode, b.mode)
-    dims = a.dims + b.dims
-    amps: dict[Label, Scalar] = {}
-    for la, va in a.amplitudes.items():
-        for lb, vb in b.amplitudes.items():
-            amps[la + lb] = va * vb
+def amplitudes_close(a: Mapping[Label, complex], b: Mapping[Label, complex], tol: float = 1e-12) -> bool:
+    """Whether two float amplitude maps differ by less than ``tol`` at every label; a missing label is 0."""
+    return all(abs(a.get(l, 0) - b.get(l, 0)) < tol for l in a.keys() | b.keys())
+
+
+def tensor_product(first: Ket, *rest: Ket) -> Ket:
+    """Tensor product; slot order is the arguments' slots in order.
+
+    Amplitudes multiply left to right into one map, so no partial product is dropped as negligible.
+    """
+    dims, amps, mode = first.dims, first.amplitudes, first.mode
+    for ket in rest:
+        mode = join_modes(mode, ket.mode)
+        dims += ket.dims
+        amps = {la + lb: va * vb for la, va in amps.items() for lb, vb in ket.amplitudes.items()}
     return Ket(dims, amps)
 
 

@@ -5,34 +5,33 @@ every transposition (the exclusion-principle form); uniform sums are
 invariant under every permutation; everything else is classified as
 neither.  Sizes are factorial-guarded since expansions carry n! terms.
 
-An expansion builds the tensor product of its states once and adds it n!
-times, each time with its slots relabeled by the permutation through
-:func:`~spinstat.kets.relabel_slots`, the relabeling that
-:func:`~spinstat.kets.permute_slots` uses.  Float amplitudes come out as
-``c_sigma * (v_0 * ... * v_(n-1))`` and may differ in the last bits from
-a product taken in another order.
+Every permutation is applied by relabeling an amplitude map through
+:func:`~spinstat.kets.relabel_slots`.  An expansion adds the n-ary
+:func:`~spinstat.kets.tensor_product` of its states once per permutation,
+relabeled; float terms are ``c_sigma * (v_0 * ... * v_(n-1))`` and may
+differ in the last bits from another order.  A sign test compares a ket's
+relabeled map with the map and its negation, building no ket per permutation.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError, InvalidValueError, ShapeError, SizeLimitError
+from .errors import CapacityError, InvalidValueError, NotPermutableError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Frozen
 from .kets import (
-    EXACT, FLOAT, Ket, Label, Permutation, Scalar, join_modes, permute_slots, relabel_slots, tensor_product
+    FLOAT, Ket, Label, Permutation, Scalar, amplitudes_close, join_modes, relabel_slots, tensor_product
 )
 
 MAX_PARTICLES = 6
 MAX_SIGNATURE_PARTICLES = 5
 
 
-def _check_states(states: Sequence[Ket]) -> str:
+def _check_states(states: Sequence[Ket]) -> None:
     if not 2 <= len(states) <= MAX_PARTICLES:
         raise SizeLimitError(f"need between 2 and {MAX_PARTICLES} states, got {len(states)}")
     dims = {s.dims for s in states}
@@ -41,7 +40,6 @@ def _check_states(states: Sequence[Ket]) -> str:
     mode = None
     for s in states:
         mode = join_modes(mode, s.mode)
-    return mode or EXACT
 
 
 def _permutation_sum(
@@ -52,10 +50,11 @@ def _permutation_sum(
 
     Term sigma is the product ``|psi_0> ⊗ ... ⊗ |psi_(n-1)>`` with its slots
     relabeled by ``sigma.image``, so the product is built once.  Exact
-    coefficients multiply float states as complex numbers.
+    coefficients multiply float states as complex numbers.  The states were
+    checked when the expansion was built.
     """
-    exact = _check_states(states) == EXACT
-    product = functools.reduce(tensor_product, states)
+    product = tensor_product(*states)
+    exact = product.mode != FLOAT
     amps: dict[Label, Scalar] = {}
     for perm, coef in coefficient.items():
         if not exact:
@@ -81,8 +80,10 @@ def _uniform_weight(states: Sequence[Ket]) -> ExactScalar:
 def antisymmetrize(states: Sequence[Ket]) -> Ket:
     """Signed permutation sum with weight 1/sqrt(n!).
 
-    Yields the zero ket when two input states coincide, and a unit-norm
-    state when the inputs are orthonormal.
+    Yields a unit-norm state when the inputs are orthonormal.  When two
+    input states coincide, exact states cancel exactly to the zero ket;
+    float states cancel only up to rounding, so large amplitudes can leave
+    a residue above the 1e-15 floor below which a ``Ket`` drops entries.
     """
     return PermutationExpansion.fermi_dirac(states).realize()
 
@@ -149,8 +150,8 @@ class PermutationExpansion(Frozen):
     def mixed(cls, states: Sequence[Ket]) -> "PermutationExpansion":
         """An expansion that is neither fully signed nor fully uniform.
 
-        For n >= 3: cycle each state into the first slot with the remaining
-        block symmetrized, except the last block, which is antisymmetrized.
+        For n >= 3: uniform weights, except that the permutations putting
+        the last state first carry the sign of their remaining slots.
         For n == 2 every equal-magnitude choice is already one of the two
         pure classes, so the degenerate single-term expansion is used.
         """
@@ -162,16 +163,7 @@ class PermutationExpansion(Frozen):
                 Permutation((1, 0)): ExactScalar(0),
             }
             return cls(tuple(states), coeffs)
-        coeffs: dict[Permutation, ExactScalar] = {}
-        for first in range(n):
-            rest = [(first + k) % n for k in range(1, n)]
-            for tail in itertools.permutations(rest):
-                perm = Permutation((first,) + tail)
-                if first == n - 1:
-                    sign = Permutation(tuple(rest.index(t) for t in tail)).sign
-                    coeffs[perm] = sign * w
-                else:
-                    coeffs[perm] = w
+        coeffs = {p: Permutation(p.image[1:]).sign * w if p.image[0] == n - 1 else w for p in Permutation.all_of(n)}
         return cls(tuple(states), coeffs)
 
     def realize(self) -> Ket:
@@ -179,18 +171,21 @@ class PermutationExpansion(Frozen):
         return _permutation_sum(self.states, self.coefficients)
 
 
-def _permutation_sign(ket: Ket, p: Permutation) -> int | None:
-    """+1 if permuting the slots by ``p`` keeps ``ket``, -1 if it negates it, else ``None``.
+def _permutation_signs(ket: Ket, perms: Iterable[Permutation]) -> dict[Permutation, int | None]:
+    """Map each ``p`` to +1 if relabeling by ``p.image`` keeps ``ket``, -1 if it negates it, else ``None``.
 
-    Exact kets compare with ``==``, float kets with ``isclose``.
+    Exact maps compare with ``==``, float ones with ``amplitudes_close``.  The relabeling is the
+    inverse P^-1 of ``permute_slots``; the verdict is the same at any tolerance, since Pψ = sψ iff
+    P^-1ψ = sψ for s = ±1, and a relabeling only permutes the labels' gaps to sψ.
     """
-    permuted = permute_slots(ket, p)
-    exact = ket.mode != FLOAT
-    if (permuted == ket) if exact else permuted.isclose(ket):
-        return 1
-    if (permuted == -ket) if exact else permuted.isclose(-ket):
-        return -1
-    return None
+    amps = ket.amplitudes
+    negated = {label: -amp for label, amp in amps.items()}
+    same = operator.eq if ket.mode != FLOAT else amplitudes_close
+    signs: dict[Permutation, int | None] = {}
+    for p in perms:
+        relabeled = relabel_slots(amps, p.image)
+        signs[p] = 1 if same(relabeled, amps) else -1 if same(relabeled, negated) else None
+    return signs
 
 
 def classify_statistics(expansion: PermutationExpansion) -> StatisticsClass:
@@ -202,7 +197,7 @@ def classify_statistics(expansion: PermutationExpansion) -> StatisticsClass:
     ket = expansion.realize()
     if ket.is_zero:
         raise InvalidValueError("expansion realizes the zero ket; statistics undefined")
-    signs = {_permutation_sign(ket, t) for t in Permutation.transpositions(expansion.n_particles)}
+    signs = set(_permutation_signs(ket, Permutation.transpositions(expansion.n_particles)).values())
     if signs == {-1}:
         return StatisticsClass.FERMI_DIRAC
     if signs == {1}:
@@ -220,7 +215,9 @@ def invariance_signature(ket: Ket) -> dict[Permutation, int | None]:
     n = ket.n_particles
     if n > MAX_SIGNATURE_PARTICLES:
         raise SizeLimitError(f"signature supports up to {MAX_SIGNATURE_PARTICLES} slots")
-    return {p: _permutation_sign(ket, p) for p in Permutation.all_of(n)}
+    if len(set(ket.dims)) > 1:
+        raise NotPermutableError(f"slots of unequal dimension {ket.dims} are not permutable")
+    return _permutation_signs(ket, Permutation.all_of(n))
 
 
 def ground_state_energy(

@@ -59,6 +59,11 @@ def test_tensor_is_bilinear(rng):
     assert left == right
 
 
+def test_tensor_of_several_kets_equals_nested_products(rng):
+    a, b, c = (random_exact_ket(rng, (d,)) for d in (2, 3, 2))
+    assert tensor_product(a, b, c) == tensor_product(tensor_product(a, b), c)
+
+
 def test_tensor_mode_mismatch():
     with pytest.raises(ModeMismatchError):
         tensor_product(make_state("singlet"), make_state("singlet").to_float())
@@ -157,6 +162,13 @@ def test_float_and_exact_agree(rng):
         exact = tensor_product(a + b, a - b)
         floats = tensor_product(a.to_float() + b.to_float(), a.to_float() - b.to_float())
         assert exact.to_float().isclose(floats, tol=1e-14)
+
+
+def test_isclose_with_the_zero_ket():
+    zero, small = Ket.zero((2,)), Ket((2,), {(0,): 1e-13 + 0j})
+    assert zero.isclose(small) and small.isclose(zero)
+    assert not zero.isclose(small, tol=1e-14)
+    assert not zero.isclose(Ket((2,), {(0,): 0.5 + 0j}))
 
 
 def test_normalization_exact_and_float(rng):

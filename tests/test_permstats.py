@@ -254,6 +254,48 @@ def test_mixed_three_particle_coefficients():
     }
 
 
+def cyclic_block_mixed_coefficients(n):
+    """The mixed construction as first written: each state cycled to the front, the last block signed."""
+    w = ExactScalar.sqrt(Fraction(1, math.factorial(n)))
+    if n == 2:
+        return {Permutation((0, 1)): ExactScalar(1), Permutation((1, 0)): ExactScalar(0)}
+    coeffs = {}
+    for first in range(n):
+        rest = [(first + k) % n for k in range(1, n)]
+        for tail in itertools.permutations(rest):
+            perm = Permutation((first,) + tail)
+            if first == n - 1:
+                coeffs[perm] = Permutation(tuple(rest.index(t) for t in tail)).sign * w
+            else:
+                coeffs[perm] = w
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mixed_matches_the_cyclic_block_construction(n):
+    states = [Ket.basis((n,), (i,)) for i in range(n)]
+    assert PermutationExpansion.mixed(states).coefficients == cyclic_block_mixed_coefficients(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_float_sign_tests_match_the_exact_ones(rng, n):
+    states = random_orthonormal_kets(rng, n)
+    floats = [s.to_float().scale(complex(0.6, 0.8)) for s in states]
+    for build in (PermutationExpansion.fermi_dirac, PermutationExpansion.bose_einstein, PermutationExpansion.mixed):
+        exact, approx = build(states), build(floats)
+        assert approx.realize().mode == "float"
+        assert classify_statistics(approx) is classify_statistics(exact)
+        assert invariance_signature(approx.realize()) == invariance_signature(exact.realize())
+
+
+def test_tiny_partial_products_survive_in_either_order():
+    tiny_up, tiny_down, huge_up = (Ket((2,), {(i,): v + 0j}) for i, v in ((0, 1e-10), (1, 1e-10), (0, 1e20)))
+    first = PermutationExpansion.bose_einstein([tiny_up, tiny_down, huge_up]).realize()
+    last = PermutationExpansion.bose_einstein([huge_up, tiny_up, tiny_down]).realize()
+    assert not first.is_zero
+    assert first.isclose(last)
+
+
 def test_equal_states_keep_bose_einstein_invariance(rng):
     states = random_orthonormal_kets(rng, 3)
     states[1] = states[0]
