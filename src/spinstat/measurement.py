@@ -8,21 +8,25 @@ is an identity between fractions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
 import re
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Literal, Mapping, NamedTuple
 
 from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import Frozen, Rational
 from .kets import Ket
 
-#: Finest angle grid ``search_violations`` scans.  The list it returns grows
-#: as ``denominator**3``: 48 finds 69 184 violating triples in 60-75 ms in a
-#: warm process, and a cold ``bell --search --denominator 48`` takes
-#: 0.14-0.20 s (Python 3.11, a shared 2-core x86 machine).
+#: Finest angle grid ``search_violations`` scans.  The search decides the
+#: grid's ``C(2d - 1, 2)`` step pairs, so its time grows as ``denominator**2``
+#: (under 1 ms warm at 48); the records it stands for grow as
+#: ``denominator**3`` (69 184 at 48) but are built only when read.  The
+#: limit is where the float verdicts, whose near-ties :data:`SLACK` settles,
+#: have been checked against exact ones; a finer grid needs that check first.
 MAX_SEARCH_DENOMINATOR = 48
 
 #: Most slots ``joint_distribution`` reads.  Its table holds ``2**n``
@@ -74,6 +78,11 @@ def angle_to_radians(angle: Angle) -> float:
 _COS_SIXTHS = (1, None, "1/2", 0, "-1/2", None, -1, None, "-1/2", 0, "1/2", None)
 #: (1 - cos(k*pi/6))/4, the Bell gap term: k/8 for an integer 0 <= k <= 4.
 _GAP_TERM_SIXTHS = tuple(None if c is None else (1 - Fraction(c)) / 4 for c in _COS_SIXTHS)
+#: The same terms as floats, which hold them exactly.
+_GAP_FLOAT_SIXTHS = tuple(None if t is None else float(t) for t in _GAP_TERM_SIXTHS)
+#: Sixths of pi in the angle x of the term (1 - cos(x))/4 per pi of gap:
+#: x is the gap in the half formula and twice it in the full one.
+_SIXTHS_PER_PI = {"half": 6, "full": 12}
 
 #: Margin a float left side must clear to count as larger than the right.
 SLACK = 1e-12
@@ -206,7 +215,7 @@ def _pi_term(p: int, q: int, mode: BellMode) -> Fraction | float:
     """
     # 1/2 * sin^2(x/2) = (1 - cos(x))/4, with x = gap (half) or 2*gap (full).
     # The term is rational only where x is k*pi/6 for an integer k.
-    sixths, rest = divmod((6 if mode == "half" else 12) * p, q)
+    sixths, rest = divmod(_SIXTHS_PER_PI[mode] * p, q)
     term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
     if term is not None:
         return term
@@ -266,16 +275,127 @@ class GridViolation(NamedTuple):
     evaluation: BellEvaluation
 
 
+#: One violating step pair ``(a, b, lhs, rhs)``: the triples
+#: ``(i, i + a, i + a + b)`` violate with these two sides.
+StepPair = tuple[int, int, Fraction | float, Fraction | float]
+
+
+class GridViolations(Frozen, Sequence):
+    """The violating triples of one grid search, a read-only sequence of :class:`GridViolation`.
+
+    A triple ``(i, i + a, i + a + b)`` of the ``2d`` grid steps violates
+    exactly when its step pair ``(a, b)`` does, so the sequence holds only
+    the violating pairs, in ``(a, b)`` order, and the number of records up
+    to each start ``i``, which keeps the pairs with ``a + b < 2d - i``.  The
+    records run start by start, each start's in pair order, which is the
+    order of ``itertools.combinations``; so the first ``len(pairs)``, from
+    start 0, hold each pair once.  A record is built when it is read: an
+    index finds its start by bisection, and iteration and slices build only
+    the records they return.  The steps and each pair's gaps and
+    evaluation are built once, on the first read, and shared by every
+    record.  A slice is a ``list``.  Two searches are equal when their
+    denominator, mode and pairs are; the sequence is not hashable.
+    """
+
+    __slots__ = ("denominator", "mode", "pairs", "_ends", "_shared")
+    denominator: int
+    mode: BellMode
+    pairs: tuple[StepPair, ...]
+
+    def __init__(self, denominator: int, mode: BellMode, pairs: tuple[StepPair, ...]) -> None:
+        # per_span[s] counts the pairs with a + b == s, and start i keeps
+        # those with a + b <= 2d - 1 - i.
+        per_span = [0] * (2 * denominator)
+        for a, b, _, _ in pairs:
+            per_span[a + b] += 1
+        kept_per_start = reversed(list(itertools.accumulate(per_span)))
+        for name, value in (
+            ("denominator", denominator),
+            ("mode", mode),
+            ("pairs", pairs),
+            ("_ends", list(itertools.accumulate(kept_per_start))),
+            ("_shared", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(denominator={self.denominator}, mode={self.mode!r}, count={len(self)})"
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __iter__(self) -> Iterator[GridViolation]:
+        return itertools.chain.from_iterable(self._blocks(range(len(self))))
+
+    def __reversed__(self) -> Iterator[GridViolation]:
+        # Sequence's own __reversed__ reads one index at a time.
+        return iter(self[::-1])
+
+    def __getitem__(self, index: int | slice) -> GridViolation | list[GridViolation]:
+        try:
+            positions = range(len(self))[index]
+        except IndexError:
+            raise IndexError(f"{type(self).__name__} index out of range") from None
+        if isinstance(positions, int):
+            return next(self._blocks(range(positions, positions + 1)))[0]
+        if positions.step > 0:
+            return list(itertools.chain.from_iterable(self._blocks(positions)))
+        return list(itertools.chain.from_iterable(self._blocks(positions[::-1])))[::-1]
+
+    def _parts(self) -> tuple[list[Fraction], list[tuple[int, int, tuple, BellEvaluation]]]:
+        """The grid's steps, and each pair's ``(a, a + b, gaps, evaluation)``."""
+        if self._shared is None:
+            d, mode = self.denominator, self.mode
+            steps = [Fraction(k, d) for k in range(2 * d)]
+            # tuple.__new__ builds a record in C; BellEvaluation(...) would run
+            # namedtuple's Python-level __new__.
+            new = tuple.__new__
+            shared = []
+            for a, b, lhs, rhs in self.pairs:
+                gaps = (steps[a], steps[b], steps[a + b])
+                shared.append((a, a + b, gaps, new(BellEvaluation, (*gaps, lhs, rhs, True, mode))))
+            object.__setattr__(self, "_shared", (steps, shared))
+        return self._shared
+
+    def _blocks(self, positions: range) -> Iterator[list[GridViolation]]:
+        """The records at ``positions``, an ascending range of valid indices, one start at a time."""
+        steps, shared = self._parts()
+        ends, n, new = self._ends, len(steps), tuple.__new__
+        k, stop, stride = positions.start, positions.stop, positions.step
+        # A later start keeps a subset of what an earlier one keeps.
+        kept = shared
+        while k < stop:
+            i = bisect.bisect_right(ends, k)
+            first = ends[i - 1] if i else 0
+            limit = n - i
+            kept = [pair for pair in kept if pair[1] < limit]
+            ahead = steps[i:]
+            start = ahead[0]
+            yield [
+                new(GridViolation, ((start, ahead[a], ahead[span]), gaps, ev))
+                for a, span, gaps, ev in kept[k - first : min(ends[i], stop) - first : stride]
+            ]
+            # The first position past start i.
+            k += -((k - ends[i]) // stride) * stride
+
+
 def search_violations(
     denominator: int = 12,
     mode: BellMode = "half",
-) -> list[GridViolation]:
+) -> Sequence[GridViolation]:
     """Scan measurement angle triples on the ``k*pi/denominator`` grid.
 
     Returns every ordered triple (theta_i < theta_j < theta_k in [0, 2pi))
-    whose gap triple violates the inequality.  A denominator that is not a
-    positive integer raises :class:`InvalidValueError`, and one above
-    :data:`MAX_SEARCH_DENOMINATOR` raises :class:`SizeLimitError`.
+    whose gap triple violates the inequality, in the order of
+    ``itertools.combinations``, as a read-only :class:`GridViolations`
+    sequence that builds each record when it is read.  A denominator that
+    is not a positive integer raises :class:`InvalidValueError`, and one
+    above :data:`MAX_SEARCH_DENOMINATOR` raises :class:`SizeLimitError`.
     """
     if not isinstance(denominator, numbers.Integral) or denominator < 1:
         raise InvalidValueError(f"the search denominator must be a positive integer, not {denominator!r}")
@@ -284,42 +404,35 @@ def search_violations(
     if denominator > MAX_SEARCH_DENOMINATOR:
         raise SizeLimitError(f"the angle search supports denominators up to {MAX_SEARCH_DENOMINATOR}")
     n = 2 * denominator
-    steps = [Fraction(k, denominator) for k in range(n)]
     # A gap term depends only on its step, and a triple's gaps only on its
     # two steps (j - i, k - j), so each term is computed once and each step
     # pair decided once, as bell_inequality(*gaps) would decide it.
-    terms = [_gap_term(step, mode) for step in steps]
+    terms = [_pi_term(k, denominator, mode) for k in range(n)]
     # A rational term is k/8 with 0 <= k <= 4.  Such terms and the sum of two
     # are exact in binary floating point, and a true gap between them is at
     # least 1/8, so the float test with SLACK decides them exactly as well.
-    floats = [float(t) for t in terms]
-    exact = [isinstance(t, Fraction) for t in terms]
-    # tuple.__new__ builds each record in C; BellEvaluation(...) and
-    # GridViolation(...) would run namedtuple's Python-level __new__, which
-    # took half the search's time.
-    new = tuple.__new__
-    violating = []
+    # A rational term's float is read from the table at the index _pi_term
+    # read the term from, so no float(Fraction) runs.
+    scale = _SIXTHS_PER_PI[mode]
+    floats = [
+        t if t.__class__ is float else _GAP_FLOAT_SIXTHS[scale * k // denominator % 12]
+        for k, t in enumerate(terms)
+    ]
+    pairs = []
     for a in range(1, n):
         fa = floats[a]
         for b in range(1, n - a):
             span = a + b
-            if floats[span] > floats[b] + fa + SLACK:
+            rhs = floats[b] + fa
+            if floats[span] > rhs + SLACK:
                 # The sides _exceeds would report: the fractions where all
                 # three terms are exact, otherwise the same float sum.
-                if exact[span] and exact[b] and exact[a]:
-                    lhs, rhs = terms[span], terms[b] + terms[a]
+                lhs, first, second = terms[span], terms[b], terms[a]
+                if lhs.__class__ is float or first.__class__ is float or second.__class__ is float:
+                    pairs.append((a, b, floats[span], rhs))
                 else:
-                    lhs, rhs = floats[span], floats[b] + fa
-                gaps = (steps[a], steps[b], steps[span])
-                violating.append((a, span, gaps, new(BellEvaluation, (*gaps, lhs, rhs, True, mode))))
-    # For each i, the pairs in (a, b) order give (i, i + a, i + a + b) in the
-    # lexicographic order of itertools.combinations.
-    return [
-        new(GridViolation, ((steps[i], steps[i + a], steps[i + span]), gaps, ev))
-        for i, limit in zip(range(n), range(n, 0, -1))
-        for a, span, gaps, ev in violating
-        if span < limit
-    ]
+                    pairs.append((a, b, lhs, first + second))
+    return GridViolations(denominator, mode, tuple(pairs))
 
 
 WignerVariant = Literal["same-state", "singlet-inclusive"]

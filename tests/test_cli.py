@@ -440,6 +440,29 @@ def test_bell_search_subcommand():
     assert payload["violations_found"] > 0
 
 
+@pytest.mark.parametrize("formula", ["half", "full"])
+@pytest.mark.parametrize("denominator", [47, 48])
+def test_bell_search_reports_the_whole_grid(denominator, formula):
+    # 3 does not divide 47, and the full formula violates nowhere at the
+    # reference gaps, so only (48, half) contains them.
+    from spinstat.measurement import format_pi_angle, search_violations
+
+    code, output = run_cli(["bell", "--search", "--denominator", str(denominator), "--formula", formula])
+    assert code == 0
+    payload = json.loads(output)["payload"]
+    records = list(search_violations(denominator, formula))
+    reference = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
+    assert payload["violations_found"] == len(records)
+    assert payload["contains_reference_gaps"] is any(v.gaps == reference for v in records)
+    assert payload["contains_reference_gaps"] is ((denominator, formula) == (48, "half"))
+    assert [v["angles"] for v in payload["first_violations"]] == [
+        [format_pi_angle(a) for a in v.angles] for v in records[:3]
+    ]
+    assert [v["gaps"] for v in payload["first_violations"]] == [
+        [format_pi_angle(g) for g in v.gaps] for v in records[:3]
+    ]
+
+
 def test_cg_photon_subcommand():
     code, output = run_cli(["cg", "--photon"])
     assert code == 0

@@ -2,10 +2,12 @@ import itertools
 import math
 import operator
 import os
+import pickle
 import random
 import site
 import subprocess
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -429,22 +431,22 @@ def naive_search(denominator, mode):
 @pytest.mark.parametrize("mode", ["half", "full"])
 def test_search_decides_each_gap_pair_once(monkeypatch, mode):
     # A gap term depends only on its step, so the search needs at most one
-    # term per step of the 2d-step grid.
+    # term per step of the 2d-step grid, and reading its records needs none.
     calls = 0
-    gap_term = measurement._gap_term
+    pi_term = measurement._pi_term
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return gap_term(*args, **kwargs)
+        return pi_term(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "_gap_term", counting)
+    monkeypatch.setattr(measurement, "_pi_term", counting)
     for d in range(1, 13):
         expected = repr(naive_search(d, mode))
         calls = 0
         found = search_violations(d, mode)
+        assert repr(list(found)) == expected
         assert 0 < calls <= 2 * d
-        assert repr(found) == expected
 
 
 def oracle_step_pairs(denominator, mode):
@@ -477,11 +479,15 @@ def test_search_matches_the_oracle_on_every_grid(mode):
     # are compared by repr with the oracle's, which bell_inequality must also
     # give; the whole list then column by column, with those objects and by
     # the step index of each angle's object.  A repr of every record, found
-    # and expected, would take about 15 s per mode.
+    # and expected, would take about 15 s per mode.  The records are read
+    # once, into a list, since each read of the sequence builds them anew.
     for d in range(1, MAX_SEARCH_DENOMINATOR + 1):
         n = 2 * d
         steps, pairs = oracle_step_pairs(d, mode)
-        found = search_violations(d, mode)
+        violations = search_violations(d, mode)
+        assert len(violations) == sum(n - a - b for a, b in pairs)
+        found = list(violations)
+        assert len(found) == len(violations)
         assert set(map(type, found)) <= {GridViolation}
         head = found[: len(pairs)]
         assert repr(list(map(itemgetter(1, 2), head))) == repr(list(pairs.values()))
@@ -504,6 +510,44 @@ def test_search_matches_the_oracle_on_every_grid(mode):
         start = list(itertools.chain.from_iterable(map(itertools.repeat, range(n), map(sum, kept))))
         for column, offsets in zip(columns, ([0] * len(pairs), [a for a, _ in pairs], [a + b for a, b in pairs])):
             assert list(map(index.__getitem__, map(id, column))) == list(map(operator.add, start, expand(offsets)))
+
+
+SLICE_BOUNDS = (None, -1000, -81, -80, -7, -1, 0, 1, 2, 9, 79, 80, 1000)
+
+
+@pytest.mark.parametrize("d, mode", [(1, "half"), (4, "full"), (6, "half"), (6, "full"), (7, "half")])
+def test_search_results_are_a_read_only_sequence(d, mode):
+    violations = search_violations(d, mode)
+    records = list(violations)
+    assert isinstance(violations, Sequence)
+    assert len(violations) == len(records)
+    assert list(iter(violations)) == records == [violations[k] for k in range(len(records))]
+    assert [violations[-k] for k in range(1, len(records) + 1)] == records[::-1] == list(reversed(violations))
+    for k in (len(records), len(records) + 5, -len(records) - 1, -len(records) - 5):
+        with pytest.raises(IndexError):
+            violations[k]
+    for start, stop, step in itertools.product(SLICE_BOUNDS, SLICE_BOUNDS, (None, 1, 2, 3, 80, -1, -2, -5)):
+        assert violations[start:stop:step] == records[start:stop:step], (start, stop, step)
+    with pytest.raises(ValueError):
+        violations[::0]
+    with pytest.raises(TypeError):
+        violations["0"]
+    # The records of one search share each pair's evaluation object.
+    assert all(r.evaluation is violations[k].evaluation for k, r in enumerate(violations))
+
+    again = search_violations(d, mode)
+    assert again == violations and not again != violations and again is not violations
+    for other in (search_violations(d + 1, mode), search_violations(d, "full" if mode == "half" else "half")):
+        assert other != violations and not other == violations
+    assert violations != records
+    with pytest.raises(TypeError):
+        hash(violations)
+    for name in ("denominator", "mode", "pairs", "_ends", "other"):
+        with pytest.raises(AttributeError):
+            setattr(violations, name, None)
+    assert pickle.loads(pickle.dumps(violations)) == violations
+    assert list(pickle.loads(pickle.dumps(violations))) == records
+    assert repr(violations) == f"GridViolations(denominator={d}, mode={mode!r}, count={len(records)})"
 
 
 def test_search_at_its_size_limit():
