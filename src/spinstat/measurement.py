@@ -347,6 +347,18 @@ class GridViolations(Frozen, Sequence):
             return list(itertools.chain.from_iterable(self._blocks(positions)))
         return list(itertools.chain.from_iterable(self._blocks(positions[::-1])))[::-1]
 
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        """The first position of ``value`` in ``[start:stop]``, with ``list.index``'s bounds and ``ValueError``."""
+        # Sequence's own index reads one index at a time.
+        positions = range(len(self))[start:stop]
+        k = positions.start
+        for block in self._blocks(positions):
+            try:
+                return k + block.index(value)
+            except ValueError:
+                k += len(block)
+        raise ValueError(f"{value!r} is not in the {type(self).__name__}")
+
     def _parts(self) -> tuple[list[Fraction], list[tuple[int, int, tuple, BellEvaluation]]]:
         """The grid's steps, and each pair's ``(a, a + b, gaps, evaluation)``."""
         if self._shared is None:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import operator
@@ -481,35 +482,43 @@ def test_search_matches_the_oracle_on_every_grid(mode):
     # the step index of each angle's object.  A repr of every record, found
     # and expected, would take about 15 s per mode.  The records are read
     # once, into a list, since each read of the sequence builds them anew.
-    for d in range(1, MAX_SEARCH_DENOMINATOR + 1):
-        n = 2 * d
-        steps, pairs = oracle_step_pairs(d, mode)
-        violations = search_violations(d, mode)
-        assert len(violations) == sum(n - a - b for a, b in pairs)
-        found = list(violations)
-        assert len(found) == len(violations)
-        assert set(map(type, found)) <= {GridViolation}
-        head = found[: len(pairs)]
-        assert repr(list(map(itemgetter(1, 2), head))) == repr(list(pairs.values()))
-        assert repr([bell_inequality(*gaps, mode) for gaps, _ in pairs.values()]) == repr([ev for _, ev in pairs.values()])
-        # kept[i][p]: pair p fits on the grid from start i.
-        kept = [[a + b < n - i for a, b in pairs] for i in range(n)]
+    # Each d holds up to 69 184 records and their columns alive, none of them
+    # in a reference cycle, so the cyclic collector only rescans them.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for d in range(1, MAX_SEARCH_DENOMINATOR + 1):
+            n = 2 * d
+            steps, pairs = oracle_step_pairs(d, mode)
+            violations = search_violations(d, mode)
+            assert len(violations) == sum(n - a - b for a, b in pairs)
+            found = list(violations)
+            assert len(found) == len(violations)
+            assert set(map(type, found)) <= {GridViolation}
+            head = found[: len(pairs)]
+            assert repr(list(map(itemgetter(1, 2), head))) == repr(list(pairs.values()))
+            assert repr([bell_inequality(*gaps, mode) for gaps, _ in pairs.values()]) == repr([ev for _, ev in pairs.values()])
+            # kept[i][p]: pair p fits on the grid from start i.
+            kept = [[a + b < n - i for a, b in pairs] for i in range(n)]
 
-        def expand(per_pair):
-            """One value per record: start by start, each kept pair's value."""
-            return list(itertools.chain.from_iterable(map(itertools.compress, itertools.repeat(per_pair), kept)))
+            def expand(per_pair):
+                """One value per record: start by start, each kept pair's value."""
+                return list(itertools.chain.from_iterable(map(itertools.compress, itertools.repeat(per_pair), kept)))
 
-        assert list(map(itemgetter(1), found)) == expand([v.gaps for v in head])
-        assert list(map(itemgetter(2), found)) == expand([v.evaluation for v in head])
-        columns = [list(map(itemgetter(c), map(itemgetter(0), found))) for c in range(3)]
-        distinct = {}
-        for column in columns:
-            distinct.update(zip(map(id, column), column))
-        index = {key: steps.index(angle) for key, angle in distinct.items()}
-        assert repr(list(distinct.values())) == repr([steps[k] for k in index.values()])
-        start = list(itertools.chain.from_iterable(map(itertools.repeat, range(n), map(sum, kept))))
-        for column, offsets in zip(columns, ([0] * len(pairs), [a for a, _ in pairs], [a + b for a, b in pairs])):
-            assert list(map(index.__getitem__, map(id, column))) == list(map(operator.add, start, expand(offsets)))
+            assert list(map(itemgetter(1), found)) == expand([v.gaps for v in head])
+            assert list(map(itemgetter(2), found)) == expand([v.evaluation for v in head])
+            columns = [list(map(itemgetter(c), map(itemgetter(0), found))) for c in range(3)]
+            distinct = {}
+            for column in columns:
+                distinct.update(zip(map(id, column), column))
+            index = {key: steps.index(angle) for key, angle in distinct.items()}
+            assert repr(list(distinct.values())) == repr([steps[k] for k in index.values()])
+            start = list(itertools.chain.from_iterable(map(itertools.repeat, range(n), map(sum, kept))))
+            for column, offsets in zip(columns, ([0] * len(pairs), [a for a, _ in pairs], [a + b for a, b in pairs])):
+                assert list(map(index.__getitem__, map(id, column))) == list(map(operator.add, start, expand(offsets)))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 SLICE_BOUNDS = (None, -1000, -81, -80, -7, -1, 0, 1, 2, 9, 79, 80, 1000)
@@ -534,6 +543,19 @@ def test_search_results_are_a_read_only_sequence(d, mode):
         violations["0"]
     # The records of one search share each pair's evaluation object.
     assert all(r.evaluation is violations[k].evaluation for k, r in enumerate(violations))
+    # index scans like list.index: the same bounds, and ValueError when absent.
+
+    def first_at(sequence, value, start, stop):
+        try:
+            return sequence.index(value, start, stop)
+        except ValueError:
+            return ValueError
+
+    values = [*records[:: max(1, len(records) // 6)], *records[-1:], *map(tuple, records[-1:]), None, *search_violations(d + 1, mode)[:2]]
+    for value in values:
+        for start, stop in itertools.product(SLICE_BOUNDS, SLICE_BOUNDS):
+            bounds = (0 if start is None else start, len(records) if stop is None else stop)
+            assert first_at(violations, value, start, stop) == first_at(records, value, *bounds), (value, start, stop)
 
     again = search_violations(d, mode)
     assert again == violations and not again != violations and again is not violations

@@ -17,7 +17,6 @@ from spinstat.rotations import (
     STATE_TAGS,
     _ISC_PATTERNS,
     _isc_deviation,
-    _paired_rotation,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
     grid_angles,
@@ -147,14 +146,29 @@ def test_grid_angles_are_the_scalar_formula(grid):
 
 
 def _kron_rotated(ket, c, angles):
-    """Oracle: the flat amplitudes, and np.kron(R, R) @ vec at each angle in turn."""
+    """Oracle: the flat amplitudes, and np.kron(R, R) @ vec at each angle, one row per angle."""
     vec = np.array([complex(ket.amplitude(label)) for label in [(0, 0), (0, 1), (1, 0), (1, 1)]])
-    out = []
-    for theta in angles:
-        a = float(c) * theta
-        r = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
-        out.append(np.kron(r, r) @ vec)
-    return vec, out
+    a = [float(c) * theta for theta in angles]
+    cos, sin = np.array([math.cos(x) for x in a]), np.array([math.sin(x) for x in a])
+    r = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
+    # kron[g, 2i + k, 2j + l] = r[g, i, j] * r[g, k, l], which is np.kron(r[g], r[g]).
+    kron = np.einsum("gij,gkl->gikjl", r, r).reshape(-1, 4, 4)
+    assert np.array_equal(kron[-1], np.kron(r[-1], r[-1]))
+    return vec, kron @ vec
+
+
+def _kron_checks(ket, c, grid, tol=1e-12):
+    """Oracle: both grid checks on the kron-rotated amplitudes, as ``(invariance, isc)`` tuples."""
+    angles = grid_angles(grid)
+    vec, rotated = _kron_rotated(ket, c, angles)
+    worst = float(np.linalg.norm(rotated - vec, axis=1).max())
+    invariance = (worst < tol, worst)
+    p = np.abs(rotated.reshape(-1, 2, 2)) ** 2
+    deviation = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)
+    worst = float(deviation.max())
+    if worst < tol:
+        return invariance, (True, None, worst)
+    return invariance, (False, float(angles[np.argmax(deviation >= worst - 1e-9)]), worst)
 
 
 @pytest.mark.parametrize("c", [HALF, 1])
@@ -177,7 +191,7 @@ def test_grid_checks_match_a_kron_oracle(rng, c):
         result = is_isc(ket, c=c, grid=90)
         assert result.max_deviation == pytest.approx(worst, abs=1e-13)
         # The cell-by-cell deviation is exactly the broadcast over both patterns.
-        p = np.abs(_paired_rotation(ket, c, angles)) ** 2
+        p = np.abs(rotated.reshape(-1, 2, 2)) ** 2
         broadcast = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)
         assert np.array_equal(_isc_deviation(p), broadcast)
         if worst < 1e-12:
@@ -187,6 +201,37 @@ def test_grid_checks_match_a_kron_oracle(rng, c):
             first = next(t for t, d in zip(angles, deviations) if d >= worst - 1e-9)
             assert result.witness_angle == first
             assert type(result.witness_angle) is float
+
+
+_PARTS = st.floats(-1, 1)
+_RATES = st.one_of(
+    st.fractions(-12, 12, max_denominator=12),
+    st.floats(-2.8e307, 2.8e307),
+).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=4, max_size=4), _RATES, st.integers(1, 1200))
+def test_closed_form_grid_checks_match_the_kron_oracle(parts, c, grid):
+    # Unnormalized pair kets, rates up to near the float limit, any grid size.
+    ket = Ket((2, 2), {label: z for label, z in zip([(0, 0), (0, 1), (1, 0), (1, 1)], parts) if z})
+    (invariant, worst), (isc, witness, deviation) = _kron_checks(ket, c, grid)
+    invariance = is_rotationally_invariant(ket, c=c, grid=grid)
+    assert invariance.invariant == invariant
+    # Both sides round at the scale of the squared norm, which reaches 8 here.
+    close = 1e-15 * max(1.0, ket.norm_squared())
+    assert invariance.max_deviation == pytest.approx(worst, rel=0, abs=close)
+    result = is_isc(ket, c=c, grid=grid)
+    assert (result.isc, result.witness_angle) == (isc, witness)
+    assert result.max_deviation == pytest.approx(deviation, rel=0, abs=close)
+
+
+def test_closed_form_values_that_are_exact():
+    # The excluded combination's cells are (1/4, 1/4, 1/4, 1/4) at every
+    # angle, and the m = 0 triplet turns fully away at c*theta = pi/2.
+    excluded = is_isc(make_state("excluded_combination"))
+    assert excluded.max_deviation == 0.25 and excluded.witness_angle == 0.0
+    assert is_rotationally_invariant(make_state("triplet_zero"), c=HALF, grid=360) == (False, 2.0)
 
 
 def test_zero_rate_is_rejected():
