@@ -16,7 +16,9 @@ one-slot images through :func:`~spinstat.kets.apply_to_slot`.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -44,11 +46,23 @@ MAX_SINGLET_SPIN = Fraction(100)
 #: ``state triplet_zero --check-isc``, which fails and so builds the grid,
 #: takes about 0.25 s and 44 MB at this grid, and about 0.35 s and 170 MB at
 #: ten times it; ``--check-invariance`` about 0.25 s and 31 MB, and 0.27 s
-#: and 45 MB.
+#: and 45 MB.  The grid part of each check is kept for the last
+#: :data:`_GRID_MEMO_SIZE` ``(c, grid)`` keys, which at this grid holds at
+#: worst 8 MB: 1.6 MB of angles and sines per invariance key, and 2.4 MB of
+#: angles and doublet turns per ISC key.
 MAX_GRID = 100_000
+
+#: ``(c, grid)`` keys each grid memo keeps: one for each of the package's two
+#: physical rates, c = 1/2 for spinors and c = 1 for photons, so a process
+#: that checks states at both builds each table once.
+_GRID_MEMO_SIZE = 2
 
 #: Above this rate the float angle ``c * theta`` overflows within one turn.
 _MAX_FLOAT_RATE = sys.float_info.max / (2 * math.pi)
+
+#: :data:`_MAX_FLOAT_RATE` as a fraction, built once, so an exact rate is
+#: compared with it on integers alone.
+_MAX_EXACT_RATE = Fraction(_MAX_FLOAT_RATE)
 
 
 def rotation_matrix(theta: float | np.ndarray, c: Rational | float = HALF) -> np.ndarray:
@@ -152,17 +166,28 @@ def make_state(tag: str, j: Rational | None = None) -> Ket:
 def _check_rotation(ket: Ket, c: Rational | float, grid: int) -> None:
     """Refuse what either rotation check refuses, before it picks the exact or the float path.
 
-    The float grid needs ``grid <= MAX_GRID`` and a finite ``c * theta``;
-    checking both here keeps an exact answer from accepting what the grid
-    would refuse.
+    The float grid needs a positive integer ``grid <= MAX_GRID`` and a
+    finite ``c * theta``; checking both here keeps an exact answer from
+    accepting what the grid would refuse.
     """
     if ket.dims != (2, 2):
         raise ShapeError(f"expected a two-particle spin-1/2 state, got dims {ket.dims}")
     if c == 0:
         raise InvalidValueError("rotation rate c must be nonzero; at 0 every rotation is the identity")
+    # int first: it answers before the slower abstract-class check.
+    if not isinstance(grid, (int, numbers.Integral)) or grid < 1:
+        raise InvalidValueError(f"the angle grid must be a positive integer, not {grid!r}")
     if grid > MAX_GRID:
         raise SizeLimitError(f"the angle grid supports up to {MAX_GRID} points")
-    if abs(c) > _MAX_FLOAT_RATE:
+    # Exact either way: an int or Fraction p/q against the bound's P/Q as
+    # |p| * Q > P * q, on integers alone, and a float against the float bound.
+    if isinstance(c, (int, Fraction)):
+        too_large = abs(c.numerator) * _MAX_EXACT_RATE.denominator > _MAX_EXACT_RATE.numerator * c.denominator
+    else:
+        if not math.isfinite(c):
+            raise InvalidValueError(f"rotation rate c must be finite, not {c!r}")
+        too_large = abs(c) > _MAX_FLOAT_RATE
+    if too_large:
         raise InvalidValueError("rotation rate c is too large for float angles")
 
 
@@ -174,6 +199,31 @@ def grid_angles(grid: int) -> np.ndarray:
     import numpy as np
 
     return np.concatenate((2 * math.pi * np.arange(grid) / grid, EXTRA_GRID_ANGLES))
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _sin_table(c: float, grid: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only :func:`grid_angles`, ``sin(c * theta)`` at each, and the largest ``|sin|``."""
+    import numpy as np
+
+    angles = grid_angles(grid)
+    sin = np.sin(c * angles)
+    angles.flags.writeable = sin.flags.writeable = False
+    return angles, sin, float(np.abs(sin).max())
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _isc_table(c: float, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only :func:`grid_angles` and the doublet turn ``(cos 2a, sin 2a)`` at each ``a = c * theta``."""
+    import numpy as np
+
+    angles, sin, _ = _sin_table(c, grid)
+    cos = np.cos(c * angles)
+    # The double angle from a itself: 2 * c * theta overflows for |c| above
+    # _MAX_FLOAT_RATE / 2.
+    cos2, sin2 = (cos - sin) * (cos + sin), 2 * sin * cos
+    cos2.flags.writeable = sin2.flags.writeable = False
+    return angles, cos2, sin2
 
 
 class InvarianceResult(NamedTuple):
@@ -216,17 +266,18 @@ def is_rotationally_invariant(
     over the angle grid is measured in floats.  The paired rotation turns
     only the doublet ``(d, t)`` of :func:`_doublet_split`, by ``2*c*theta``,
     so the deviation at ``theta`` is ``|sin(c*theta)| * sqrt(2*(|d|^2 + |t|^2))``.
-    The bounds on ``c`` and ``grid`` hold on both paths.
+    The largest ``|sin(c*theta)|`` depends on ``(c, grid)`` alone and is
+    computed once per ``(float(c), grid)`` in a process (see
+    :data:`_GRID_MEMO_SIZE`).  The bounds on ``c`` and ``grid`` hold on both
+    paths.
     """
     _check_rotation(ket, c, grid)
     if ket.mode != FLOAT and _generator_annihilates(ket):
         return InvarianceResult(True, 0.0)
 
-    import numpy as np
-
     _, _, d, t = _doublet_split(ket)
     scale = math.sqrt(2 * (abs(d) ** 2 + abs(t) ** 2))
-    worst = float(np.abs(np.sin(float(c) * grid_angles(grid))).max()) * scale
+    worst = _sin_table(float(c), grid)[2] * scale
     return InvarianceResult(worst < tol, worst)
 
 
@@ -304,8 +355,11 @@ def is_isc(
     ``(s, u, d, t)`` of :func:`_doublet_split`: with ``(d', t')`` the
     doublet turned by ``2*c*theta``, the cells ``++, --, +-, -+`` hold
     ``|s + d'|^2/4``, ``|s - d'|^2/4``, ``|u + t'|^2/4`` and ``|t' - u|^2/4``.
-    On failure the angle with the largest deviation from the nearer valid
-    pattern is reported as a witness.
+    The turn ``(cos 2a, sin 2a)`` depends on ``(c, grid)`` alone and is
+    computed once per ``(float(c), grid)`` in a process (see
+    :data:`_GRID_MEMO_SIZE`).  On failure the earliest angle whose deviation
+    from the nearer valid pattern is within a relative 1e-9 of the largest
+    is reported as a witness.
     """
     _check_rotation(ket, c, grid)
     if ket.mode != FLOAT and _exactly_isc(ket):
@@ -313,13 +367,8 @@ def is_isc(
 
     import numpy as np
 
-    angles = grid_angles(grid)
+    angles, cos2, sin2 = _isc_table(float(c), grid)
     s, u, d, t = _doublet_split(ket)
-    a = float(c) * angles
-    cos, sin = np.cos(a), np.sin(a)
-    # The double angle from a itself: 2 * c * theta overflows for |c| above
-    # _MAX_FLOAT_RATE / 2.
-    cos2, sin2 = (cos - sin) * (cos + sin), 2 * sin * cos
     d2, t2 = d * cos2 + t * sin2, t * cos2 - d * sin2
     # One row per cell, ++, +-, -+, --, each filled from one complex
     # temporary; the transpose is the (angle, cell) view.
@@ -334,8 +383,10 @@ def is_isc(
     worst = float(deviation.max())
     if worst < tol:
         return IscResult(True, None, worst)
-    # Earliest angle within rounding of the maximum makes the witness stable.
-    witness = float(angles[int(np.argmax(deviation >= worst - 1e-9))])
+    # Earliest angle within rounding of the maximum makes the witness stable;
+    # the window scales with the maximum, since the cells of an unnormalized
+    # ket, and so their rounding, do.
+    witness = float(angles[int(np.argmax(deviation >= worst - 1e-9 * max(1.0, worst)))])
     return IscResult(False, witness, worst)
 
 

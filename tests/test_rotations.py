@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +17,11 @@ from spinstat.rotations import (
     MAX_GRID,
     MAX_SINGLET_SPIN,
     STATE_TAGS,
+    _GRID_MEMO_SIZE,
     _ISC_PATTERNS,
     _isc_deviation,
+    _isc_table,
+    _sin_table,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
     grid_angles,
@@ -100,6 +105,14 @@ def test_grid_size_guard():
         is_rotationally_invariant(make_state("singlet"), grid=10**9)
     assert is_rotationally_invariant(improper, grid=MAX_GRID) == (True, 0.0)
     assert is_isc(improper, grid=MAX_GRID) == (True, None, 0.0)
+    # A grid below 1 would check only EXTRA_GRID_ANGLES; the rule is
+    # search_violations' denominator rule, on both paths.
+    for grid in (0, -3, 2.5, 360.0, "360", None):
+        for ket in (improper, improper.to_float()):
+            for check in (is_isc, is_rotationally_invariant):
+                with pytest.raises(InvalidValueError, match="positive integer"):
+                    check(ket, grid=grid)
+    assert is_isc(improper.to_float(), grid=np.int64(7)).isc
 
 
 def test_rotation_matrix_examples():
@@ -168,7 +181,7 @@ def _kron_checks(ket, c, grid, tol=1e-12):
     worst = float(deviation.max())
     if worst < tol:
         return invariance, (True, None, worst)
-    return invariance, (False, float(angles[np.argmax(deviation >= worst - 1e-9)]), worst)
+    return invariance, (False, float(angles[np.argmax(deviation >= worst - 1e-9 * max(1.0, worst))]), worst)
 
 
 @pytest.mark.parametrize("c", [HALF, 1])
@@ -198,7 +211,7 @@ def test_grid_checks_match_a_kron_oracle(rng, c):
             assert result.isc and result.witness_angle is None
         else:
             assert not result.isc
-            first = next(t for t, d in zip(angles, deviations) if d >= worst - 1e-9)
+            first = next(t for t, d in zip(angles, deviations) if d >= worst - 1e-9 * max(1.0, worst))
             assert result.witness_angle == first
             assert type(result.witness_angle) is float
 
@@ -234,11 +247,108 @@ def test_closed_form_values_that_are_exact():
     assert is_rotationally_invariant(make_state("triplet_zero"), c=HALF, grid=360) == (False, 2.0)
 
 
+def test_isc_witness_is_the_earliest_tie_at_any_scale():
+    # The cells have period pi/c in theta, so at c = 5 the largest deviation
+    # ties at ten angles of the 90-point grid.  Scaled by 1e4 it is about 1e8,
+    # whose rounding (about 1.5e-8) an absolute 1e-9 window falls under.
+    ket = random_float_ket(random.Random(2), (2, 2)).scale(1e4)
+    angles = grid_angles(90)
+    _, rotated = _kron_rotated(ket, 5, angles)
+    p = np.abs(rotated.reshape(-1, 2, 2)) ** 2
+    deviation = _isc_deviation(p)
+    worst = deviation.max()
+    tied = angles[deviation >= worst * (1 - 1e-9)]
+    assert worst > 1e8 and len(tied) == 10
+    assert np.allclose(np.diff(tied), math.pi / 5)
+    assert angles[np.argmax(deviation >= worst - 1e-9)] != tied[0]
+    result = is_isc(ket, c=5, grid=90)
+    assert result.witness_angle == tied[0]
+    assert result.max_deviation == pytest.approx(worst, rel=1e-15)
+
+
 def test_zero_rate_is_rejected():
     # At c = 0 every rotation is the identity, so any state would pass.
     for check in (is_rotationally_invariant, is_isc):
         with pytest.raises(InvalidValueError):
             check(make_state("improper_singlet"), c=0)
+    # A NaN rate fails every comparison, so it needs a test of its own; it
+    # would give NaN deviations, and a NaN key in the grid memo.
+    misses = _sin_table.cache_info().misses, _isc_table.cache_info().misses
+    for c in (math.nan, -math.inf, math.inf, np.float64("nan")):
+        for ket in (make_state("improper_singlet"), make_state("triplet_zero").to_float()):
+            for check in (is_rotationally_invariant, is_isc):
+                with pytest.raises(InvalidValueError, match="finite"):
+                    check(ket, c=c)
+    assert (_sin_table.cache_info().misses, _isc_table.cache_info().misses) == misses
+
+
+def test_rate_bound_is_exact():
+    ket = make_state("triplet_zero")
+    bound = Fraction(sys.float_info.max / (2 * math.pi))
+    for c in (bound, -bound, float(bound), int(bound)):
+        assert not is_rotationally_invariant(ket, c=c, grid=1).invariant
+    for c in (bound + Fraction(1, 10**400), -bound - 1, math.nextafter(float(bound), math.inf), int(bound) + 1):
+        with pytest.raises(InvalidValueError, match="too large"):
+            is_rotationally_invariant(ket, c=c, grid=1)
+
+
+def test_grid_memo_arrays_refuse_writes():
+    ket = make_state("triplet_zero").to_float()
+    is_isc(ket, c=HALF, grid=90)
+    angles, sin, _ = _sin_table(0.5, 90)
+    turn = _isc_table(0.5, 90)
+    assert turn[0] is angles
+    for array in (angles, sin, *turn):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    fresh = grid_angles(90)
+    fresh[0] = 1.0
+    assert fresh is not angles and angles[0] == 0.0
+
+
+def test_grid_memo_stays_at_its_bound():
+    ket = make_state("triplet_zero").to_float()
+    for c in range(1, _GRID_MEMO_SIZE + 3):
+        is_isc(ket, c=c, grid=7)
+    for memo in (_sin_table, _isc_table):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == _GRID_MEMO_SIZE
+
+
+def test_invariance_leaves_the_isc_table_unbuilt():
+    _sin_table.cache_clear()
+    _isc_table.cache_clear()
+    ket = make_state("triplet_zero").to_float()
+    is_rotationally_invariant(ket, c=HALF, grid=90)
+    is_rotationally_invariant(ket, c=0.5, grid=90)
+    assert _sin_table.cache_info()[:2] == (1, 1)  # hits, misses
+    assert _isc_table.cache_info().currsize == 0
+    # The ISC table then reuses the angles and sines of the invariance call.
+    is_isc(ket, c=HALF, grid=90)
+    assert _sin_table.cache_info()[:2] == (2, 1)
+    assert _isc_table.cache_info()[:2] == (0, 1)
+
+
+def test_checks_agree_on_a_cleared_and_a_warm_memo():
+    rng = random.Random(2028)
+    kets = [ket for tag in STATE_TAGS[:-1] for ket in (make_state(tag), make_state(tag).to_float())]
+    kets += [random_float_ket(rng, (2, 2)).normalized() for _ in range(6)]
+    kets += [random_float_ket(rng, (2, 2)).scale(10 ** rng.uniform(-3, 3)) for _ in range(4)]
+    # Fraction(1, 3) and 1/3 differ as numbers but share a float, and so a memo key.
+    rates = (HALF, 1, Fraction(1, 3), 1 / 3, Fraction(-7, 3), 0.37)
+    cases = [(check, ket, c, grid) for grid in (7, 90) for c in rates for ket in kets
+             for check in (is_rotationally_invariant, is_isc)]
+    cold = []
+    for check, ket, c, grid in cases:
+        _sin_table.cache_clear()
+        _isc_table.cache_clear()
+        cold.append(repr(check(ket, c=c, grid=grid)))
+    warm = [repr(check(ket, c=c, grid=grid)) for check, ket, c, grid in cases]
+    assert warm == cold
+    # The cases of Fraction(1, 3) and of 1/3 sit next to each other.
+    block = 2 * len(kets)
+    for start in range(2 * block, len(cases), len(rates) * block):
+        assert cold[start : start + block] == cold[start + block : start + 2 * block]
 
 
 def test_invariance_shape_guard():
