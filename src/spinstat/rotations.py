@@ -10,8 +10,11 @@ full-angle photon behavior).  A two-particle state is rotationally
 invariant when ``(R ⊗ R)|psi> = |psi>`` for every angle; it is perfectly
 spin-correlated ("isotropic" correlation) when in every rotated basis the
 joint outcome distribution sits on two complementary cells of weight 1/2.
-Spinor conjugation (``L- - L+`` at spin 1/2) and the exact rotations apply
-one-slot images through :func:`~spinstat.kets.apply_to_slot`.
+Both checks read the pair's doublet split ``(s, u, d, t)``: the paired
+rotation fixes ``s`` and ``u`` and turns only ``(d, t)``, so an exact pair
+is decided by equalities on the four, and a float one by closed forms over
+an angle grid.  Spinor conjugation (``L- - L+`` at spin 1/2) applies one-slot
+images through :func:`~spinstat.kets.apply_to_slot`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from .exact import ExactScalar, Rational
-from .kets import FLOAT, Ket, apply_to_slot, check_spin, ladder
+from .kets import FLOAT, Ket, Scalar, apply_to_slot, check_spin, ladder
 
 # Functions that compute with arrays import numpy themselves, so exact
 # callers, and most CLI subcommands, never load it.
@@ -42,19 +45,22 @@ EXTRA_GRID_ANGLES = (math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
 #: terms, and ``--decompose`` at spin 100 already takes about half a second.
 MAX_SINGLET_SPIN = Fraction(100)
 
-#: Most evenly spaced angles either rotation check accepts.  A cold
-#: ``state triplet_zero --check-isc``, which fails and so builds the grid,
-#: takes about 0.25 s and 44 MB at this grid, and about 0.35 s and 170 MB at
-#: ten times it; ``--check-invariance`` about 0.25 s and 31 MB, and 0.27 s
-#: and 45 MB.  The grid part of each check is kept for the last
+#: Most evenly spaced angles either rotation check accepts.  At this grid a
+#: cold ``state triplet_zero``, which fails and so builds the grid, takes
+#: about 0.08-0.11 s and 20 MB with ``--check-invariance``, which loads no
+#: numpy and spends 15-20 ms on its 100 004 sines in plain Python; about
+#: 0.15-0.18 s and 42 MB with ``--check-isc``; and 0.17-0.20 s with both,
+#: since each check computes its own sines (shared 2-core x86 machine,
+#: min-median of 15).  The grid part of each check is kept for the last
 #: :data:`_GRID_MEMO_SIZE` ``(c, grid)`` keys, which at this grid holds at
-#: worst 8 MB: 1.6 MB of angles and sines per invariance key, and 2.4 MB of
-#: angles and doublet turns per ISC key.
+#: worst 4.8 MB: one float per invariance key, and 2.4 MB of angles and
+#: doublet turns per ISC key.
 MAX_GRID = 100_000
 
 #: ``(c, grid)`` keys each grid memo keeps: one for each of the package's two
 #: physical rates, c = 1/2 for spinors and c = 1 for photons, so a process
-#: that checks states at both builds each table once.
+#: that checks states at both builds each table once.  The invariance memo
+#: (:func:`_max_sin`) and the ISC memo (:func:`_isc_table`) are built apart.
 _GRID_MEMO_SIZE = 2
 
 #: Above this rate the float angle ``c * theta`` overflows within one turn.
@@ -202,14 +208,16 @@ def grid_angles(grid: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _sin_table(c: float, grid: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read-only :func:`grid_angles`, ``sin(c * theta)`` at each, and the largest ``|sin|``."""
-    import numpy as np
+def _max_sin(c: float, grid: int) -> float:
+    """The largest ``|sin(c * theta)|`` over :func:`grid_angles`, in plain floats.
 
-    angles = grid_angles(grid)
-    sin = np.sin(c * angles)
-    angles.flags.writeable = sin.flags.writeable = False
-    return angles, sin, float(np.abs(sin).max())
+    The angles come from the scalar formula that :func:`grid_angles` is
+    tested against, so the value is the array form's without numpy.
+    """
+    # tau * k rounds as 2 * math.pi * k does, since doubling pi is exact.
+    tau, sin = 2 * math.pi, math.sin
+    sines = [abs(sin(c * (tau * k / grid))) for k in range(grid)]
+    return max(sines + [abs(sin(c * a)) for a in EXTRA_GRID_ANGLES])
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
@@ -217,12 +225,13 @@ def _isc_table(c: float, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Read-only :func:`grid_angles` and the doublet turn ``(cos 2a, sin 2a)`` at each ``a = c * theta``."""
     import numpy as np
 
-    angles, sin, _ = _sin_table(c, grid)
-    cos = np.cos(c * angles)
+    angles = grid_angles(grid)
+    a = c * angles
+    sin, cos = np.sin(a), np.cos(a)
     # The double angle from a itself: 2 * c * theta overflows for |c| above
     # _MAX_FLOAT_RATE / 2.
     cos2, sin2 = (cos - sin) * (cos + sin), 2 * sin * cos
-    cos2.flags.writeable = sin2.flags.writeable = False
+    angles.flags.writeable = cos2.flags.writeable = sin2.flags.writeable = False
     return angles, cos2, sin2
 
 
@@ -231,26 +240,43 @@ class InvarianceResult(NamedTuple):
     max_deviation: float
 
 
-def _generator_annihilates(ket: Ket) -> bool:
-    """Exact test that the paired rotation generator sends the ket to zero.
+#: The pair labels ``++, +-, -+, --``.
+_PAIR_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    The generator of R(c*theta) ⊗ R(c*theta) in theta is c*(J⊗I + I⊗J) with
-    J|+> = -|->, J|-> = |+>; a state is invariant at every angle iff the
-    generator annihilates it.  Spinor conjugation of one slot is -J on that
-    slot, so the test is an exact ket sum.
-    """
-    return (conjugate_spinor_slot(ket, 0) + conjugate_spinor_slot(ket, 1)).is_zero
+#: The two values of ``s`` or ``u`` that a perfectly correlated exact pair holds.
+_ROOT_TWO = (ExactScalar.sqrt(2), -ExactScalar.sqrt(2))
 
 
-def _doublet_split(ket: Ket) -> tuple[complex, complex, complex, complex]:
-    """The pair's ``(s, u, d, t)``: ``++ + --``, ``+- - -+``, ``++ - --`` and ``+- + -+``.
+def _doublet_split(pp: Scalar, pm: Scalar, mp: Scalar, mm: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The pair's ``(s, u, d, t)``: ``++ + --``, ``+- - -+``, ``++ - --`` and ``+- + -+``, in the amplitudes' type.
 
     R(a) ⊗ R(a) fixes ``s`` and ``u`` and turns the doublet ``(d, t)`` by
     the angle 2a: ``d -> d*cos 2a + t*sin 2a`` and ``t -> t*cos 2a - d*sin 2a``.
     """
-    amps = ket.amplitudes
-    pp, pm, mp, mm = (complex(amps.get(label, 0)) for label in ((0, 0), (0, 1), (1, 0), (1, 1)))
     return pp + mm, pm - mp, pp - mm, pm + mp
+
+
+def _float_split(ket: Ket) -> tuple[complex, complex, complex, complex]:
+    """:func:`_doublet_split` of the ket's amplitudes as ``complex`` values."""
+    amps = ket.amplitudes
+    return _doublet_split(*(complex(amps.get(label, 0)) for label in _PAIR_LABELS))
+
+
+def _exact_verdicts(ket: Ket) -> tuple[bool, bool]:
+    """Whether an exact pair is invariant at every angle, and whether it is perfectly correlated.
+
+    Exact amplitudes are real, so as the angle runs the turned doublet runs
+    round a circle of radius ``sqrt(d^2 + t^2)``: the pair is invariant iff
+    ``d = t = 0``.  Both readings the same needs ``t' = u = 0`` at every
+    angle, both opposite ``d' = s = 0``, and the two patterns differ by 1/2
+    in every cell, so a continuous table cannot switch between them.  So
+    the pair is perfectly correlated iff it is invariant, one of ``s`` and
+    ``u`` is 0 and the other is ``±sqrt(2)``: ± the singlet or ± the
+    improper singlet.
+    """
+    s, u, d, t = _doublet_split(*(ket.amplitude(label) for label in _PAIR_LABELS))
+    invariant = d.is_zero and t.is_zero
+    return invariant, invariant and ((s.is_zero and u in _ROOT_TWO) or (u.is_zero and s in _ROOT_TWO))
 
 
 def is_rotationally_invariant(
@@ -261,61 +287,29 @@ def is_rotationally_invariant(
 ) -> InvarianceResult:
     """Check ``(R ⊗ R)|psi> = |psi>`` over a grid of angles.
 
-    Exact kets are decided through the rotation generator, so an invariant
-    state reports a deviation of exactly 0; otherwise the maximum deviation
-    over the angle grid is measured in floats.  The paired rotation turns
-    only the doublet ``(d, t)`` of :func:`_doublet_split`, by ``2*c*theta``,
-    so the deviation at ``theta`` is ``|sin(c*theta)| * sqrt(2*(|d|^2 + |t|^2))``.
-    The largest ``|sin(c*theta)|`` depends on ``(c, grid)`` alone and is
-    computed once per ``(float(c), grid)`` in a process (see
-    :data:`_GRID_MEMO_SIZE`).  The bounds on ``c`` and ``grid`` hold on both
-    paths.
+    An exact ket whose doublet ``(d, t)`` of :func:`_doublet_split` is zero
+    is invariant and reports a deviation of exactly 0; otherwise the maximum
+    deviation over the angle grid is measured in floats.  The paired
+    rotation turns only the doublet, by ``2*c*theta``, so the deviation at
+    ``theta`` is ``|sin(c*theta)| * sqrt(2*(|d|^2 + |t|^2))``.  The largest
+    ``|sin(c*theta)|`` depends on ``(c, grid)`` alone; it is computed in
+    plain Python, with no numpy, once per ``(float(c), grid)`` in a process
+    (see :data:`_GRID_MEMO_SIZE`).  The bounds on ``c`` and ``grid`` hold on
+    both paths.
     """
     _check_rotation(ket, c, grid)
-    if ket.mode != FLOAT and _generator_annihilates(ket):
+    if ket.mode != FLOAT and _exact_verdicts(ket)[0]:
         return InvarianceResult(True, 0.0)
 
-    _, _, d, t = _doublet_split(ket)
+    _, _, d, t = _float_split(ket)
     scale = math.sqrt(2 * (abs(d) ** 2 + abs(t) ** 2))
-    worst = _sin_table(float(c), grid)[2] * scale
+    worst = _max_sin(float(c), grid) * scale
     return InvarianceResult(worst < tol, worst)
 
 
 #: The two valid outcome patterns of a perfectly correlated pair: both
 #: readings the same, or both opposite, each with probability 1/2.
 _ISC_PATTERNS = (((0.5, 0.0), (0.0, 0.5)), ((0.0, 0.5), (0.5, 0.0)))
-
-#: Rational ``(cos a, sin a) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2))`` at the
-#: rotation angles ``a = 2*arctan(t)``, t = 0..4.  Their doubles
-#: ``2a = 4*arctan(t)`` lie in [0, 2*pi) and are distinct mod 2*pi.
-_EXACT_ISC_ANGLES = tuple(
-    (ExactScalar(Fraction(1 - t * t, 1 + t * t)), ExactScalar(Fraction(2 * t, 1 + t * t)))
-    for t in range(5)
-)
-
-#: :data:`_ISC_PATTERNS` as exact cells, in the order ``++, +-, -+, --``.
-_EXACT_ISC_PATTERNS = {tuple(ExactScalar(Fraction(p)) for row in pattern for p in row) for pattern in _ISC_PATTERNS}
-
-
-def _exactly_isc(ket: Ket) -> bool:
-    """Exact test that an exact pair is perfectly correlated at every angle.
-
-    Under R(a) ⊗ R(a) each amplitude is a quadratic form in (cos a, sin a),
-    a trigonometric polynomial of degree 1 in 2a, so each joint probability
-    has degree 2 in 2a and is fixed by its values at any 5 angles whose 2a
-    are distinct mod 2*pi; the 5 rational points of :data:`_EXACT_ISC_ANGLES`
-    are such angles.  The two valid patterns differ by 1/2 in every cell,
-    so a continuous table cannot switch between them: the pair is perfectly
-    correlated iff its table is one and the same pattern at those 5 angles.
-    """
-    tables = set()
-    for cos, sin in _EXACT_ISC_ANGLES:
-        # Label j goes to column j of R(a).
-        r = [Ket((2,), {(0,): cos, (1,): -sin}), Ket((2,), {(0,): sin, (1,): cos})]
-        rotated = apply_to_slot(r, apply_to_slot(r, ket, 0), 1)
-        amps = [rotated.amplitude(label) for label in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        tables.add(tuple(a * a for a in amps))
-    return len(tables) == 1 and tables <= _EXACT_ISC_PATTERNS
 
 
 def _isc_deviation(p: np.ndarray) -> np.ndarray:
@@ -349,11 +343,12 @@ def is_isc(
 
     At each angle the four joint outcome probabilities must be two
     complementary cells of 1/2 each (either both-same or both-opposite).
-    An exact ket is decided exactly at 5 angles, so a correlated one passes
-    with a deviation of exactly 0 under any ``tol`` and any allowed ``grid``.
-    Any other ket is measured in floats over the angle grid, from the
-    ``(s, u, d, t)`` of :func:`_doublet_split`: with ``(d', t')`` the
-    doublet turned by ``2*c*theta``, the cells ``++, --, +-, -+`` hold
+    An exact ket is decided exactly from its doublet split (see
+    :func:`_exact_verdicts`), so a correlated one passes with a deviation of
+    exactly 0 under any ``tol`` and any allowed ``grid``.  Any other ket is
+    measured in floats over the angle grid, from the ``(s, u, d, t)`` of
+    :func:`_doublet_split`: with ``(d', t')`` the doublet turned by
+    ``2*c*theta``, the cells ``++, --, +-, -+`` hold
     ``|s + d'|^2/4``, ``|s - d'|^2/4``, ``|u + t'|^2/4`` and ``|t' - u|^2/4``.
     The turn ``(cos 2a, sin 2a)`` depends on ``(c, grid)`` alone and is
     computed once per ``(float(c), grid)`` in a process (see
@@ -362,13 +357,13 @@ def is_isc(
     is reported as a witness.
     """
     _check_rotation(ket, c, grid)
-    if ket.mode != FLOAT and _exactly_isc(ket):
+    if ket.mode != FLOAT and _exact_verdicts(ket)[1]:
         return IscResult(True, None, 0.0)
 
     import numpy as np
 
     angles, cos2, sin2 = _isc_table(float(c), grid)
-    s, u, d, t = _doublet_split(ket)
+    s, u, d, t = _float_split(ket)
     d2, t2 = d * cos2 + t * sin2, t * cos2 - d * sin2
     # One row per cell, ++, +-, -+, --, each filled from one complex
     # temporary; the transpose is the (angle, cell) view.

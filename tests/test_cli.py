@@ -548,7 +548,12 @@ COLD_COMMANDS = {
     "perm_energy_capacity": (["perm", "energy", "--levels", "1,2", "--count", "5"], 1, False),
     "state_singlet_invariance": (["state", "singlet", "--check-invariance"], 0, False),
     "state_singlet_isc": (["state", "singlet", "--check-isc"], 0, False),
-    # A failing check takes its deviation and witness from the float grid.
+    # A failing check takes its deviation and witness from the float grid;
+    # the invariance grid is plain Python, the ISC grid numpy.
+    "state_triplet_zero_invariance": (["state", "triplet_zero", "--check-invariance"], 0, False),
+    "state_triplet_zero_invariance_max_grid": (
+        ["state", "triplet_zero", "--check-invariance", "--grid", "100000"], 0, False
+    ),
     "state_excluded_isc": (["state", "excluded_combination", "--check-isc"], 0, True),
     "beam_atoms_10": (["beam", "--atoms", "10"], 0, False),
     # Above SMALL_BEAM the draws come from numpy.

@@ -19,9 +19,10 @@ from spinstat.rotations import (
     STATE_TAGS,
     _GRID_MEMO_SIZE,
     _ISC_PATTERNS,
+    _exact_verdicts,
     _isc_deviation,
     _isc_table,
-    _sin_table,
+    _max_sin,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
     grid_angles,
@@ -273,13 +274,13 @@ def test_zero_rate_is_rejected():
             check(make_state("improper_singlet"), c=0)
     # A NaN rate fails every comparison, so it needs a test of its own; it
     # would give NaN deviations, and a NaN key in the grid memo.
-    misses = _sin_table.cache_info().misses, _isc_table.cache_info().misses
+    misses = _max_sin.cache_info().misses, _isc_table.cache_info().misses
     for c in (math.nan, -math.inf, math.inf, np.float64("nan")):
         for ket in (make_state("improper_singlet"), make_state("triplet_zero").to_float()):
             for check in (is_rotationally_invariant, is_isc):
                 with pytest.raises(InvalidValueError, match="finite"):
                     check(ket, c=c)
-    assert (_sin_table.cache_info().misses, _isc_table.cache_info().misses) == misses
+    assert (_max_sin.cache_info().misses, _isc_table.cache_info().misses) == misses
 
 
 def test_rate_bound_is_exact():
@@ -293,40 +294,54 @@ def test_rate_bound_is_exact():
 
 
 def test_grid_memo_arrays_refuse_writes():
-    ket = make_state("triplet_zero").to_float()
-    is_isc(ket, c=HALF, grid=90)
-    angles, sin, _ = _sin_table(0.5, 90)
+    # Only the ISC memo holds arrays; the invariance memo holds one float.
+    _isc_table.cache_clear()
+    is_isc(make_state("triplet_zero").to_float(), c=HALF, grid=90)
     turn = _isc_table(0.5, 90)
-    assert turn[0] is angles
-    for array in (angles, sin, *turn):
+    assert _isc_table.cache_info()[:2] == (1, 1)  # hits, misses
+    for array in turn:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     fresh = grid_angles(90)
     fresh[0] = 1.0
-    assert fresh is not angles and angles[0] == 0.0
+    assert fresh is not turn[0] and turn[0][0] == 0.0
+    assert type(_max_sin(0.5, 90)) is float
+
+
+def _clear_grid_memos():
+    _max_sin.cache_clear()
+    _isc_table.cache_clear()
 
 
 def test_grid_memo_stays_at_its_bound():
+    _clear_grid_memos()
     ket = make_state("triplet_zero").to_float()
     for c in range(1, _GRID_MEMO_SIZE + 3):
+        is_rotationally_invariant(ket, c=c, grid=7)
         is_isc(ket, c=c, grid=7)
-    for memo in (_sin_table, _isc_table):
+    for memo in (_max_sin, _isc_table):
         info = memo.cache_info()
+        assert info.misses == _GRID_MEMO_SIZE + 2
         assert info.currsize == info.maxsize == _GRID_MEMO_SIZE
 
 
 def test_invariance_leaves_the_isc_table_unbuilt():
-    _sin_table.cache_clear()
-    _isc_table.cache_clear()
+    _clear_grid_memos()
     ket = make_state("triplet_zero").to_float()
     is_rotationally_invariant(ket, c=HALF, grid=90)
     is_rotationally_invariant(ket, c=0.5, grid=90)
-    assert _sin_table.cache_info()[:2] == (1, 1)  # hits, misses
+    assert _max_sin.cache_info()[:2] == (1, 1)  # hits, misses
     assert _isc_table.cache_info().currsize == 0
-    # The ISC table then reuses the angles and sines of the invariance call.
+    # The two memos build their grids apart, so neither reads the other.
     is_isc(ket, c=HALF, grid=90)
-    assert _sin_table.cache_info()[:2] == (2, 1)
+    assert _max_sin.cache_info()[:2] == (1, 1)
     assert _isc_table.cache_info()[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("grid", [1, 7, 90, 1200, MAX_GRID])
+def test_max_sin_is_the_array_maximum(grid):
+    for c in map(float, (HALF, 1, Fraction(1, 3), Fraction(-7, 3), 0.37, 5, 1e6, 2.8e307)):
+        assert _max_sin(c, grid) == float(np.abs(np.sin(c * grid_angles(grid))).max()), c
 
 
 def test_checks_agree_on_a_cleared_and_a_warm_memo():
@@ -340,8 +355,7 @@ def test_checks_agree_on_a_cleared_and_a_warm_memo():
              for check in (is_rotationally_invariant, is_isc)]
     cold = []
     for check, ket, c, grid in cases:
-        _sin_table.cache_clear()
-        _isc_table.cache_clear()
+        _clear_grid_memos()
         cold.append(repr(check(ket, c=c, grid=grid)))
     warm = [repr(check(ket, c=c, grid=grid)) for check, ket, c, grid in cases]
     assert warm == cold
@@ -434,10 +448,72 @@ def test_exact_isc_verdict_matches_the_float_grid(ket):
     assert is_isc(ket) == ((True, None, 0.0) if on_floats.isc else on_floats)
 
 
-def test_isc_implies_invariant():
-    for tag, ket in catalog_two_particle_states().items():
-        if is_isc(ket).isc:
-            assert is_rotationally_invariant(ket).invariant, tag
+_ROOT2 = ExactScalar.sqrt(2)
+_ZERO = ExactScalar(0)
+
+
+def _from_split(s, u):
+    """The pair ket whose doublet split is ``(s, u, 0, 0)``."""
+    return Ket((2, 2), {(0, 0): s / 2, (0, 1): u / 2, (1, 0): -u / 2, (1, 1): s / 2})
+
+
+# Invariant kets (d = t = 0) on either side of the perfect-correlation rule.
+_BOUNDARY_KETS = [
+    _from_split(_ROOT2, _ZERO),
+    _from_split(-_ROOT2, _ZERO),
+    _from_split(_ZERO, _ROOT2),
+    _from_split(_ZERO, -_ROOT2),
+    _from_split(ExactScalar(2), _ZERO),  # norm 2
+    _from_split(_ROOT2, _ROOT2),  # both nonzero
+    Ket.zero((2, 2)),
+]
+
+_EXACT_PAIRS = st.one_of(_correlated_pairs(), _other_pairs(), st.sampled_from(_BOUNDARY_KETS))
+
+# Cells ++, +-, -+, -- of both readings the same, and of both opposite.
+_EXACT_PATTERNS = {
+    tuple(ExactScalar(Fraction(p)) for p in pattern) for pattern in [(HALF, 0, 0, HALF), (0, HALF, HALF, 0)]
+}
+
+
+def _one_pattern_at_five_angles(ket):
+    """Oracle: one valid table at a = k*pi/6, k = 0..4, whose 2a are distinct mod 2*pi.
+
+    Each cell is a trigonometric polynomial of degree 2 in 2a, so five such
+    angles fix it at every angle.
+    """
+    tables = set()
+    for k in range(5):
+        rotated = _rotate_slot(_rotate_slot(ket, 0, k), 1, k)
+        amplitudes = [rotated.amplitude(label) for label in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+        tables.add(tuple(a * a for a in amplitudes))
+    return len(tables) == 1 and tables <= _EXACT_PATTERNS
+
+
+def test_boundary_kets_have_their_split():
+    assert _BOUNDARY_KETS[0] == make_state("improper_singlet")
+    assert _BOUNDARY_KETS[2] == make_state("singlet")
+    assert [_exact_verdicts(ket) for ket in _BOUNDARY_KETS] == [(True, True)] * 4 + [(True, False)] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXACT_PAIRS)
+def test_exact_verdicts_match_the_generator_and_five_angles(ket):
+    annihilated = (conjugate_spinor_slot(ket, 0) + conjugate_spinor_slot(ket, 1)).is_zero
+    correlated = _one_pattern_at_five_angles(ket)
+    assert _exact_verdicts(ket) == (annihilated, correlated)
+    assert (is_rotationally_invariant(ket) == (True, 0.0)) == annihilated
+    assert (is_isc(ket) == (True, None, 0.0)) == correlated
+    if correlated:
+        pairs = [make_state("singlet"), make_state("improper_singlet")]
+        assert ket in pairs + [-pair for pair in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(list(catalog_two_particle_states().values())), _EXACT_PAIRS))
+def test_isc_implies_invariant(ket):
+    if is_isc(ket).isc:
+        assert is_rotationally_invariant(ket).invariant
 
 
 def test_conjugate_spinor_maps_between_pair_states():
