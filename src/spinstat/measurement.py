@@ -30,9 +30,11 @@ from .kets import Ket
 MAX_SEARCH_DENOMINATOR = 48
 
 #: Most slots ``joint_distribution`` reads.  Its table holds ``2**n``
-#: outcomes, and each slot more doubles its time and memory: one table of
-#: a dense 16-slot ket takes 0.5-0.6 s, and the process, ket included,
-#: peaks near 140 MB (Python 3.11, a shared 2-core x86 machine).
+#: outcomes, and each slot more doubles its time and memory: the first table
+#: of a dense 16-slot ket, its uncached layout included, takes 0.49-0.55 s
+#: (0.38-0.40 s for a repeat), and a process that builds the ket and one
+#: table peaks near 154 MB, 64 MB of it the ket (Python 3.11, a shared
+#: 2-core x86 machine).
 MAX_JOINT_PARTICLES = 16
 
 Angle = Fraction | float  # Fraction means a rational multiple of pi
@@ -67,8 +69,14 @@ def format_pi_angle(angle: Angle) -> str:
 
 
 def angle_to_radians(angle: Angle) -> float:
+    # Fraction's isinstance runs ABCMeta.__instancecheck__, about 0.2 us for
+    # a float; a float itself needs no check.
+    if angle.__class__ is float:
+        return angle
     if isinstance(angle, Fraction):
-        return float(angle) * math.pi
+        # float(angle) would run numbers.Rational.__float__, this same int
+        # division, as a Python-level call.
+        return angle.numerator / angle.denominator * math.pi
     return float(angle)
 
 
@@ -96,12 +104,17 @@ class ProbabilityTable(Frozen):
 
     def __init__(self, entries: Mapping[Outcome, float]) -> None:
         cleaned: dict[Outcome, float] = {}
+        # A loop, not sum(): from Python 3.12 sum() adds floats with
+        # compensation (sum([0.1] * 10) is 1.0, where adding left to right
+        # gives 0.9999999999999999), so the total would depend on the version.
         total = 0.0
         for outcome, p in entries.items():
             p = float(p)
-            if p < -1e-12:
-                raise InvalidValueError(f"negative probability {p} for {outcome}")
-            p = max(p, 0.0)
+            # A rounding residue below zero reads as 0.0; -0.0 and NaN are kept.
+            if p < 0.0:
+                if p < -1e-12:
+                    raise InvalidValueError(f"negative probability {p} for {outcome}")
+                p = 0.0
             total += p
             cleaned[tuple(outcome)] = p
         # Written so that a NaN or infinite entry, which makes the total
@@ -151,17 +164,23 @@ def joint_distribution(
 
     Slot ``i`` is rotated by ``[[cos t, sin t], [-sin t, cos t]]`` with
     ``t = c * angles[i]``, one slot at a time on the dense amplitudes, and
-    each outcome's probability is its squared modulus.
+    each outcome's probability is its squared modulus.  A ``Fraction`` rate
+    or angle (a subclass too) is converted by one int division, as
+    ``float()`` would; a float angle is used as it is.  Everything runs in
+    plain Python, and the result is a :class:`ProbabilityTable`, whose
+    checks refuse an unnormalized ket.
     """
-    if any(d != 2 for d in ket.dims):
-        raise ShapeError(f"measurement needs spin-1/2 slots, got dims {ket.dims}")
-    n = ket.n_particles
+    dims = ket.dims
+    n = len(dims)
+    if dims != (2,) * n:
+        raise ShapeError(f"measurement needs spin-1/2 slots, got dims {dims}")
     if len(angles) != n:
         raise ShapeError(f"{len(angles)} angles for {n} particles")
     if n > MAX_JOINT_PARTICLES:
         raise SizeLimitError(f"joint tables support up to {MAX_JOINT_PARTICLES} particles")
     keys, index, slot_pairs = _layout(n)
-    rate = float(c)
+    # The int division float(c) would run in Python, as in angle_to_radians.
+    rate = c.numerator / c.denominator if isinstance(c, Fraction) else float(c)
     amp = [0j] * len(keys)
     for label, a in ket.amplitudes.items():
         amp[index[label]] = complex(a)

@@ -288,8 +288,10 @@ def is_rotationally_invariant(
     """Check ``(R ⊗ R)|psi> = |psi>`` over a grid of angles.
 
     An exact ket whose doublet ``(d, t)`` of :func:`_doublet_split` is zero
-    is invariant and reports a deviation of exactly 0; otherwise the maximum
-    deviation over the angle grid is measured in floats.  The paired
+    is invariant and reports a deviation of exactly 0; any other exact ket
+    is not invariant, whatever ``tol``.  Otherwise the verdict compares the
+    maximum deviation over the angle grid, measured in floats, with ``tol``;
+    a failing exact ket reports that deviation too.  The paired
     rotation turns only the doublet, by ``2*c*theta``, so the deviation at
     ``theta`` is ``|sin(c*theta)| * sqrt(2*(|d|^2 + |t|^2))``.  The largest
     ``|sin(c*theta)|`` depends on ``(c, grid)`` alone; it is computed in
@@ -298,13 +300,15 @@ def is_rotationally_invariant(
     both paths.
     """
     _check_rotation(ket, c, grid)
-    if ket.mode != FLOAT and _exact_verdicts(ket)[0]:
+    exact = ket.mode != FLOAT
+    if exact and _exact_verdicts(ket)[0]:
         return InvarianceResult(True, 0.0)
 
     _, _, d, t = _float_split(ket)
     scale = math.sqrt(2 * (abs(d) ** 2 + abs(t) ** 2))
     worst = _max_sin(float(c), grid) * scale
-    return InvarianceResult(worst < tol, worst)
+    # An exact "no" is final: a tiny scale or a large tol must not overturn it.
+    return InvarianceResult(not exact and worst < tol, worst)
 
 
 #: The two valid outcome patterns of a perfectly correlated pair: both
@@ -345,10 +349,11 @@ def is_isc(
     complementary cells of 1/2 each (either both-same or both-opposite).
     An exact ket is decided exactly from its doublet split (see
     :func:`_exact_verdicts`), so a correlated one passes with a deviation of
-    exactly 0 under any ``tol`` and any allowed ``grid``.  Any other ket is
-    measured in floats over the angle grid, from the ``(s, u, d, t)`` of
-    :func:`_doublet_split`: with ``(d', t')`` the doublet turned by
-    ``2*c*theta``, the cells ``++, --, +-, -+`` hold
+    exactly 0, and any other fails, under any ``tol`` and any allowed
+    ``grid``.  A float ket, and a failing exact one for its deviation and
+    witness, is measured in floats over the angle grid, from the
+    ``(s, u, d, t)`` of :func:`_doublet_split`: with ``(d', t')`` the
+    doublet turned by ``2*c*theta``, the cells ``++, --, +-, -+`` hold
     ``|s + d'|^2/4``, ``|s - d'|^2/4``, ``|u + t'|^2/4`` and ``|t' - u|^2/4``.
     The turn ``(cos 2a, sin 2a)`` depends on ``(c, grid)`` alone and is
     computed once per ``(float(c), grid)`` in a process (see
@@ -357,7 +362,8 @@ def is_isc(
     is reported as a witness.
     """
     _check_rotation(ket, c, grid)
-    if ket.mode != FLOAT and _exact_verdicts(ket)[1]:
+    exact = ket.mode != FLOAT
+    if exact and _exact_verdicts(ket)[1]:
         return IscResult(True, None, 0.0)
 
     import numpy as np
@@ -376,7 +382,7 @@ def is_isc(
     p /= 4
     deviation = _isc_deviation(p.T)
     worst = float(deviation.max())
-    if worst < tol:
+    if not exact and worst < tol:
         return IscResult(True, None, worst)
     # Earliest angle within rounding of the maximum makes the witness stable;
     # the window scales with the maximum, since the cells of an unnormalized

@@ -481,6 +481,14 @@ def test_state_decompose_subcommand():
     assert decomposition["center"] is not None
 
 
+def test_a_large_tol_leaves_an_exact_failure_failing():
+    code, output = run_cli(["state", "triplet_zero", "--check-invariance", "--check-isc", "--tol", "5"])
+    assert code == 0
+    checks = json.loads(output)["payload"]["checks"]
+    assert checks["rotational_invariance"]["invariant"] is False
+    assert checks["isc"] == {"isc": False, "max_deviation": 0.25, "witness_angle": 0.7853981633974483}
+
+
 def readme_cli_lines():
     """The ``spinstat ...`` lines of README's CLI block, as argv lists, comments dropped."""
     text = (Path(__file__).parent.parent / "README.md").read_text()

@@ -5,6 +5,7 @@ import operator
 import os
 import pickle
 import random
+import re
 import site
 import subprocess
 import sys
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import joint_parity
 from conftest import random_exact_ket, random_float_ket
 from spinstat import measurement
 from spinstat.errors import InvalidValueError, ShapeError, SizeLimitError
+from spinstat.exact import ExactScalar
 from spinstat.kets import Ket
 from spinstat.measurement import (
     MAX_JOINT_PARTICLES,
@@ -154,6 +157,14 @@ def test_integer_gap_kernel_ignores_the_sign_of_the_gap(gap):
         assert repr(measurement._pi_term(-p, q, mode)) == repr(measurement._pi_term(p, q, mode))
 
 
+@pytest.mark.parametrize("angle", HARD_FRACTIONS)
+def test_angle_to_radians_is_float_times_pi_on_hard_fractions(angle):
+    # One int division, as float(Fraction) does it, then one product: equal
+    # bit for bit, for a Fraction subclass too.
+    for a in (angle, -angle, joint_parity.PiMultiple(angle)):
+        assert repr(angle_to_radians(a)) == repr(float(a) * math.pi)
+
+
 def oracle_sides(lhs, first, second):
     """``lhs > first + second`` as bell_inequality decides it, from the three terms."""
     if all(isinstance(t, Fraction) for t in (lhs, first, second)):
@@ -253,12 +264,41 @@ def test_a_huge_rate_at_angle_zero_is_the_identity():
     assert table.entries[("+", "-")] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("bad", [NAN, INF, -INF])
-def test_probability_tables_refuse_non_finite_entries(bad):
-    with pytest.raises(InvalidValueError):
-        ProbabilityTable({("+",): bad})
-    with pytest.raises(InvalidValueError):
-        ProbabilityTable({("+",): 1.0, ("-",): bad})
+@pytest.mark.parametrize(
+    "tables, expected",
+    [
+        pytest.param(({("+",): NAN}, {("+",): 1.0, ("-",): NAN}), "probabilities sum to nan, not 1", id="nan"),
+        pytest.param(({("+",): INF}, {("+",): 1.0, ("-",): INF}), "probabilities sum to inf, not 1", id="inf"),
+        pytest.param(({("+",): -INF}, {("+",): 1.0, ("-",): -INF}), "negative probability -inf for", id="-inf"),
+        # Entries are read in order, so the negative one is refused before
+        # the NaN total is.
+        pytest.param(({("+",): NAN, ("-",): -5.0},), "negative probability -5.0 for", id="nan-then-negative"),
+        pytest.param(({("+",): 1.0, ("-",): -1e-13},), {("+",): 1.0, ("-",): 0.0}, id="residue-clamped"),
+        pytest.param(({("+",): 1.0, ("-",): -0.0},), {("+",): 1.0, ("-",): -0.0}, id="negative-zero-kept"),
+    ],
+)
+def test_probability_tables_refuse_non_finite_entries(tables, expected):
+    for entries in tables:
+        if isinstance(expected, str):
+            with pytest.raises(InvalidValueError, match=re.escape(expected)):
+                ProbabilityTable(entries)
+        else:
+            assert repr(ProbabilityTable(entries).entries) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, total",
+    [
+        ((ExactScalar(1), ExactScalar(Fraction(1, 2), 2)), "1.5"),
+        ((0.6 + 0.8j, -0.5), "1.25"),
+    ],
+    ids=["exact", "float"],
+)
+def test_joint_tables_refuse_an_unnormalized_ket(amplitudes, total):
+    # Squared norm 3/2 or 5/4: the table sums to it, whatever the angles.
+    ket = Ket((2, 2, 2), dict(zip([(0, 1, 0), (1, 0, 1)], amplitudes)))
+    with pytest.raises(InvalidValueError, match=rf"^probabilities sum to {re.escape(total)}\d*, not 1$"):
+        joint_distribution(ket, (Fraction(1, 3), 0.4, 2))
 
 
 @pytest.mark.parametrize(
@@ -346,6 +386,34 @@ def joint_cases(draw):
 @given(joint_cases())
 def test_tables_match_the_kron_oracle_for_any_slot_count(case):
     assert_matches_kron_oracle(*case)
+
+
+@st.composite
+def parity_cases(draw):
+    """A ket on 1-10 slots, exact or float and maybe unnormalized, angles of every kind, and a rate."""
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ket = joint_parity.random_ket(rng, n, exact=draw(st.booleans()), normalized=draw(st.booleans()))
+    pi_multiple = st.builds(Fraction, st.integers(-48, 48), st.integers(1, 12))
+    angle = st.one_of(
+        pi_multiple,
+        pi_multiple.map(joint_parity.PiMultiple),
+        st.builds(Fraction, st.integers(), st.integers(min_value=1)),
+        st.floats(-10, 10),
+        st.floats(),
+        st.integers(-7, 7),
+    )
+    angles = draw(st.lists(angle, min_size=n, max_size=n))
+    c = draw(st.sampled_from(joint_parity.RATES) | st.floats(-3, 3) | st.integers(-3, 3))
+    return ket, angles, c
+
+
+@settings(deadline=None)
+@given(parity_cases())
+def test_tables_equal_the_per_pair_reference_by_repr(case):
+    assert joint_parity.outcome(joint_distribution, *case) == joint_parity.outcome(
+        joint_parity.reference_joint_distribution, *case
+    )
 
 
 def test_tables_sum_to_one_on_random_states(rng):

@@ -384,6 +384,23 @@ def test_isc_catalog():
     assert triplet.witness_angle == pytest.approx(math.pi / 4)
 
 
+def test_an_exact_no_is_final_under_any_tol():
+    # The doublet split decides an exact ket; the grid gives only the
+    # deviation and witness of one that fails, which a large tol or a tiny
+    # scale must not turn into a pass.
+    for tag in ("triplet_zero", "triplet_plus", "excluded_combination"):
+        ket = make_state(tag)
+        assert is_rotationally_invariant(ket, tol=5) == is_rotationally_invariant(ket)
+        assert is_isc(ket, tol=5) == is_isc(ket)
+    tiny = Ket((2, 2), {(0, 0): ExactScalar(Fraction(1, 10**13))})
+    invariance = is_rotationally_invariant(tiny)
+    assert not invariance.invariant
+    assert invariance.max_deviation == pytest.approx(math.sqrt(2) * 1e-13)
+    # A float ket has no exact verdict, so tol still decides it.
+    assert is_rotationally_invariant(tiny.to_float()) == (True, invariance.max_deviation)
+    assert is_isc(make_state("triplet_zero").to_float(), tol=5) == (True, None, 0.25)
+
+
 # cos(k*pi/6) for k = 0..11; sin(k*pi/6) is cos((k - 3)*pi/6).
 _COS_SIXTHS = [
     ExactScalar(q, r)
