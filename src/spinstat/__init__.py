@@ -55,7 +55,6 @@ _EXPORTS = {
         "is_isc",
         "is_rotationally_invariant",
         "make_state",
-        "rotation_matrix",
         "spin_j_singlet",
     ),
     "spin_algebra": (

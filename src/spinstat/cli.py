@@ -262,9 +262,9 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
         payload["j"] = str(args.j)
     checks: dict[str, Any] = {}
     if args.check_invariance or args.check_isc:
-        c, grid, tol = rotations.HALF if args.c is None else args.c, args.grid or 360, args.tol or 1e-12
+        c, grid = rotations.HALF if args.c is None else args.c, args.grid or 360
     if args.check_invariance:
-        inv = rotations.is_rotationally_invariant(ket, c=c, grid=grid, tol=tol)
+        inv = rotations.is_rotationally_invariant(ket, c=c, grid=grid)
         checks["rotational_invariance"] = {
             "invariant": inv.invariant,
             "max_deviation": Fraction(0) if inv.max_deviation == 0 else inv.max_deviation,
@@ -272,7 +272,7 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
             "grid": grid,
         }
     if args.check_isc:
-        isc = rotations.is_isc(ket, c=c, grid=grid, tol=tol)
+        isc = rotations.is_isc(ket, c=c, grid=grid)
         checks["isc"] = {
             "isc": isc.isc,
             "witness_angle": isc.witness_angle,
@@ -499,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decompose", action="store_true", help="two-level components (spin_j_singlet)")
     p.add_argument("--c", type=fraction_arg, help="rotation rate of the checks (default: 1/2)")
     p.add_argument("--grid", type=positive_int_arg, help="float grid of the checks (default: 360)")
-    p.add_argument("--tol", type=positive_float_arg, help="float tolerance (default: 1e-12)")
     _add_common(p)
     p.set_defaults(handler=cmd_state)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import (
     IncompatibleRadicandsError,
@@ -23,11 +23,6 @@ from .errors import (
     ShapeError,
 )
 from .exact import ZERO, ExactScalar, Frozen, Rational
-
-# Functions that compute with arrays import numpy themselves, so exact
-# callers, and most CLI subcommands, never load it.
-if TYPE_CHECKING:
-    import numpy as np
 
 Label = tuple[int, ...]
 Scalar = ExactScalar | complex
@@ -222,7 +217,12 @@ class Ket(Frozen):
         if self.mode == EXACT:
             total = sum((a * a for a in self.amplitudes.values()), ZERO)  # type: ignore[misc]
             return total if len(total.terms) > 1 else total.coefficient
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        # A loop, not sum(): from Python 3.12 sum() adds floats with
+        # compensation, so the total would depend on the version.
+        total = 0.0
+        for a in self.amplitudes.values():
+            total += abs(a) ** 2
+        return total
 
     def normalized(self) -> "Ket":
         n2 = self.norm_squared()
@@ -233,15 +233,6 @@ class Ket(Frozen):
         if self.mode == EXACT:
             return self.scale(ExactScalar.sqrt(Fraction(1) / n2))
         return self.scale(1.0 / math.sqrt(n2))
-
-    def to_array(self) -> np.ndarray:
-        """Dense complex amplitudes of shape ``dims``, indexed by label."""
-        import numpy as np
-
-        psi = np.zeros(self.dims, dtype=complex)
-        for label, amp in self.amplitudes.items():
-            psi[label] = complex(amp)
-        return psi
 
     def to_float(self) -> "Ket":
         if self.mode != EXACT:

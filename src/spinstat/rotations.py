@@ -70,23 +70,9 @@ _MAX_FLOAT_RATE = sys.float_info.max / (2 * math.pi)
 #: compared with it on integers alone.
 _MAX_EXACT_RATE = Fraction(_MAX_FLOAT_RATE)
 
-
-def rotation_matrix(theta: float | np.ndarray, c: Rational | float = HALF) -> np.ndarray:
-    """Single-slot rotation matrix at polar angle ``theta``.
-
-    An array of angles gives a stack of matrices of shape ``(..., 2, 2)``.
-    """
-    import numpy as np
-
-    a = float(c) * np.asarray(theta, dtype=float)
-    cos, sin = np.cos(a), np.sin(a)
-    # Filling one array is a few times faster than nested np.stack.
-    r = np.empty(a.shape + (2, 2))
-    r[..., 0, 0] = cos
-    r[..., 0, 1] = sin
-    r[..., 1, 0] = -sin
-    r[..., 1, 1] = cos
-    return r
+#: Largest float deviation over the grid at which either rotation check
+#: passes a float ket.
+TOL = 1e-12
 
 
 def _two_spin_ket(entries: dict[tuple[int, int], ExactScalar]) -> Ket:
@@ -197,7 +183,7 @@ def _check_rotation(ket: Ket, c: Rational | float, grid: int) -> None:
         raise InvalidValueError("rotation rate c is too large for float angles")
 
 
-def grid_angles(grid: int) -> np.ndarray:
+def _grid_angles(grid: int) -> np.ndarray:
     """``grid`` evenly spaced angles in ``[0, 2*pi)`` and the extra probes.
 
     Angle ``k`` is ``2 * pi * k / grid``, rounded in that order.
@@ -209,9 +195,9 @@ def grid_angles(grid: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _max_sin(c: float, grid: int) -> float:
-    """The largest ``|sin(c * theta)|`` over :func:`grid_angles`, in plain floats.
+    """The largest ``|sin(c * theta)|`` over :func:`_grid_angles`, in plain floats.
 
-    The angles come from the scalar formula that :func:`grid_angles` is
+    The angles come from the scalar formula that :func:`_grid_angles` is
     tested against, so the value is the array form's without numpy.
     """
     # tau * k rounds as 2 * math.pi * k does, since doubling pi is exact.
@@ -222,10 +208,10 @@ def _max_sin(c: float, grid: int) -> float:
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _isc_table(c: float, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only :func:`grid_angles` and the doublet turn ``(cos 2a, sin 2a)`` at each ``a = c * theta``."""
+    """Read-only :func:`_grid_angles` and the doublet turn ``(cos 2a, sin 2a)`` at each ``a = c * theta``."""
     import numpy as np
 
-    angles = grid_angles(grid)
+    angles = _grid_angles(grid)
     a = c * angles
     sin, cos = np.sin(a), np.cos(a)
     # The double angle from a itself: 2 * c * theta overflows for |c| above
@@ -279,19 +265,14 @@ def _exact_verdicts(ket: Ket) -> tuple[bool, bool]:
     return invariant, invariant and ((s.is_zero and u in _ROOT_TWO) or (u.is_zero and s in _ROOT_TWO))
 
 
-def is_rotationally_invariant(
-    ket: Ket,
-    c: Rational | float = HALF,
-    grid: int = 360,
-    tol: float = 1e-12,
-) -> InvarianceResult:
+def is_rotationally_invariant(ket: Ket, c: Rational | float = HALF, grid: int = 360) -> InvarianceResult:
     """Check ``(R ⊗ R)|psi> = |psi>`` over a grid of angles.
 
     An exact ket whose doublet ``(d, t)`` of :func:`_doublet_split` is zero
     is invariant and reports a deviation of exactly 0; any other exact ket
-    is not invariant, whatever ``tol``.  Otherwise the verdict compares the
-    maximum deviation over the angle grid, measured in floats, with ``tol``;
-    a failing exact ket reports that deviation too.  The paired
+    is not invariant, whatever its deviation.  A float ket is invariant when
+    the maximum deviation over the angle grid, measured in floats, is below
+    :data:`TOL`; a failing exact ket reports that deviation too.  The paired
     rotation turns only the doublet, by ``2*c*theta``, so the deviation at
     ``theta`` is ``|sin(c*theta)| * sqrt(2*(|d|^2 + |t|^2))``.  The largest
     ``|sin(c*theta)|`` depends on ``(c, grid)`` alone; it is computed in
@@ -307,8 +288,8 @@ def is_rotationally_invariant(
     _, _, d, t = _float_split(ket)
     scale = math.sqrt(2 * (abs(d) ** 2 + abs(t) ** 2))
     worst = _max_sin(float(c), grid) * scale
-    # An exact "no" is final: a tiny scale or a large tol must not overturn it.
-    return InvarianceResult(not exact and worst < tol, worst)
+    # An exact "no" is final: a tiny scale must not overturn it.
+    return InvarianceResult(not exact and worst < TOL, worst)
 
 
 #: The two valid outcome patterns of a perfectly correlated pair: both
@@ -337,29 +318,25 @@ class IscResult(NamedTuple):
     max_deviation: float
 
 
-def is_isc(
-    ket: Ket,
-    c: Rational | float = HALF,
-    grid: int = 360,
-    tol: float = 1e-12,
-) -> IscResult:
+def is_isc(ket: Ket, c: Rational | float = HALF, grid: int = 360) -> IscResult:
     """Perfect-correlation test in every rotated measurement basis.
 
     At each angle the four joint outcome probabilities must be two
     complementary cells of 1/2 each (either both-same or both-opposite).
     An exact ket is decided exactly from its doublet split (see
     :func:`_exact_verdicts`), so a correlated one passes with a deviation of
-    exactly 0, and any other fails, under any ``tol`` and any allowed
-    ``grid``.  A float ket, and a failing exact one for its deviation and
-    witness, is measured in floats over the angle grid, from the
-    ``(s, u, d, t)`` of :func:`_doublet_split`: with ``(d', t')`` the
-    doublet turned by ``2*c*theta``, the cells ``++, --, +-, -+`` hold
-    ``|s + d'|^2/4``, ``|s - d'|^2/4``, ``|u + t'|^2/4`` and ``|t' - u|^2/4``.
-    The turn ``(cos 2a, sin 2a)`` depends on ``(c, grid)`` alone and is
-    computed once per ``(float(c), grid)`` in a process (see
-    :data:`_GRID_MEMO_SIZE`).  On failure the earliest angle whose deviation
-    from the nearer valid pattern is within a relative 1e-9 of the largest
-    is reported as a witness.
+    exactly 0, and any other fails, at any allowed ``grid``.  A float ket,
+    and a failing exact one for its deviation and witness, is measured in
+    floats over the angle grid, from the ``(s, u, d, t)`` of
+    :func:`_doublet_split`: with ``(d', t')`` the doublet turned by
+    ``2*c*theta``, the cells ``++, --, +-, -+`` hold ``|s + d'|^2/4``,
+    ``|s - d'|^2/4``, ``|u + t'|^2/4`` and ``|t' - u|^2/4``.  A float ket
+    passes when its largest deviation is below :data:`TOL`.  The turn
+    ``(cos 2a, sin 2a)`` depends on ``(c, grid)`` alone and is computed once
+    per ``(float(c), grid)`` in a process (see :data:`_GRID_MEMO_SIZE`).
+    On failure the earliest angle whose deviation from the nearer valid
+    pattern is within a relative 1e-9 of the largest is reported as a
+    witness.
     """
     _check_rotation(ket, c, grid)
     exact = ket.mode != FLOAT
@@ -382,7 +359,7 @@ def is_isc(
     p /= 4
     deviation = _isc_deviation(p.T)
     worst = float(deviation.max())
-    if not exact and worst < tol:
+    if not exact and worst < TOL:
         return IscResult(True, None, worst)
     # Earliest angle within rounding of the maximum makes the witness stable;
     # the window scales with the maximum, since the cells of an unnormalized

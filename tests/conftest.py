@@ -61,6 +61,16 @@ def random_float_ket(rng: random.Random, dims: tuple[int, ...], support: int = 4
     return Ket(dims, amps)
 
 
+def dense_amplitudes(ket: Ket):
+    """Oracle: the ket's complex amplitudes as a numpy array of shape ``dims``, indexed by label."""
+    import numpy as np
+
+    psi = np.zeros(ket.dims, dtype=complex)
+    for label, amp in ket.amplitudes.items():
+        psi[label] = complex(amp)
+    return psi
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260809)

@@ -18,35 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from check_golden import DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from spinstat.beam import MAX_ATOMS, SMALL_BEAM
 from spinstat.cli import ket_payload, main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
 from spinstat.rotations import MAX_GRID, STATE_TAGS, make_state
-
-DATA = Path(__file__).parent / "data"
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-GOLDEN_COMMANDS = {
-    "state_singlet": ["state", "singlet", "--check-invariance", "--check-isc"],
-    "bell_reference": ["bell", "--gaps", "pi/3,pi/3,2pi/3"],
-    "wigner_same_state": ["wigner", "--angles", "0,pi/3,2pi/3"],
-    "perm_antisymmetrize": ["perm", "antisymmetrize", "--states", str(DATA / "two_spinors.txt")],
-    "cg_one_one": ["cg", "--j1", "1", "--j2", "1"],
-    "algebra_n2_j1": ["algebra", "--n", "2", "--j", "1"],
-    "condprob_compare": ["condprob", "--prior", "1/4,1/2,1/4", "--total", "0", "--compare-cg"],
-    "beam_seeded": [
-        "beam", "--atoms", "100", "--hypothesis", "paper", "--seed", "7",
-        "--test-null", "uniform",
-    ],
-}
-
-
-def run_cli(argv) -> tuple[int, str]:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(argv)
-    return code, buffer.getvalue()
 
 
 def load_schema():
@@ -136,7 +113,9 @@ BAD_INPUTS = {
     "grid-above-limit": (
         ["state", "improper_singlet", "--check-isc", "--grid", str(MAX_GRID + 1)], None, "size-limit"
     ),
+    # state takes no --tol: every state is exact, and an exact verdict is final.
     "negative-tol": (["state", "singlet", "--check-isc", "--tol", "-1"], None, 2),
+    "tol-with-a-check": (["state", "singlet", "--check-isc", "--tol", "1"], None, 2),
     "zero-rate": (
         ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
     ),
@@ -165,7 +144,7 @@ BAD_INPUTS = {
     "critical-without-test-null": (["beam", "--atoms", "10", "--critical", "3"], None, "invalid-value"),
     "s-without-compare-cg": (["condprob", "--prior", "1/4,1/2,1/4", "--s", "1"], None, "invalid-value"),
     "grid-and-rate-without-a-check": (["state", "singlet", "--grid", "7", "--c", "1/3"], None, "invalid-value"),
-    "tol-without-a-check": (["state", "singlet", "--tol", "1"], None, "invalid-value"),
+    "tol-without-a-check": (["state", "singlet", "--tol", "1"], None, 2),
     "levels-and-count-with-states": (
         ["perm", "antisymmetrize", "--levels", "1,2", "--count", "3", "--states"], "+ 1\n\n- 1\n", "invalid-value"
     ),
@@ -244,7 +223,7 @@ def test_refusal_names_every_unread_option():
 # Options that only some modes read default to None and are resolved where
 # they are read; giving the default explicitly prints the same bytes.
 EXPLICIT_DEFAULTS = {
-    "state_singlet": (GOLDEN_COMMANDS["state_singlet"], ["--c", "1/2", "--grid", "360", "--tol", "1e-12"]),
+    "state_singlet": (GOLDEN_COMMANDS["state_singlet"], ["--c", "1/2", "--grid", "360"]),
     "condprob_compare": (GOLDEN_COMMANDS["condprob_compare"], ["--s", "2"]),
     "bell_search": (["bell", "--search"], ["--denominator", "12"]),
     "perm_classify": (["perm", "classify", "--states", str(DATA / "three_levels.txt")], ["--construction", "fd"]),
@@ -481,14 +460,6 @@ def test_state_decompose_subcommand():
     assert decomposition["center"] is not None
 
 
-def test_a_large_tol_leaves_an_exact_failure_failing():
-    code, output = run_cli(["state", "triplet_zero", "--check-invariance", "--check-isc", "--tol", "5"])
-    assert code == 0
-    checks = json.loads(output)["payload"]["checks"]
-    assert checks["rotational_invariance"]["invariant"] is False
-    assert checks["isc"] == {"isc": False, "max_deviation": 0.25, "witness_angle": 0.7853981633974483}
-
-
 def readme_cli_lines():
     """The ``spinstat ...`` lines of README's CLI block, as argv lists, comments dropped."""
     text = (Path(__file__).parent.parent / "README.md").read_text()
@@ -707,7 +678,6 @@ SUBCOMMANDS = {
             "--decompose": None,
             "--c": st.sampled_from(FRACTIONS),
             "--grid": st.sampled_from(("1", "4", "36", "0", "x")),
-            "--tol": st.sampled_from(("1e-12", "0", "1", "-1", "nan")),
         },
     ),
     "bell": (
@@ -769,8 +739,8 @@ SUBCOMMANDS = {
 OPTIONS_READ = {
     "state": [
         (None, {"--j", "--check-invariance", "--check-isc"}),
-        ("--check-invariance", {"--c", "--grid", "--tol"}),
-        ("--check-isc", {"--c", "--grid", "--tol"}),
+        ("--check-invariance", {"--c", "--grid"}),
+        ("--check-isc", {"--c", "--grid"}),
         ("spin_j_singlet", {"--decompose"}),
     ],
     "bell": [(None, {"--formula", "--search"}), ("--search", {"--denominator"}), ("!--search", {"--gaps"})],
@@ -803,7 +773,7 @@ def _named_unread(error):
 MODE_CASES = {
     "state": (
         ["state singlet", "state singlet --check-isc", "state spin_j_singlet --j 1"],
-        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36", "--tol 1e-9"],
+        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36"],
     ),
     "bell": (
         ["bell --gaps pi/3,pi/3,2pi/3", "bell --search --denominator 3"],

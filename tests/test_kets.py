@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_exact_ket, random_float_ket
+from conftest import dense_amplitudes, random_exact_ket, random_float_ket
 from spinstat.errors import (
     IncompatibleRadicandsError,
     ModeMismatchError,
@@ -230,6 +230,6 @@ def test_apply_to_slot_matches_a_dense_contraction(case):
         assert out.dims == ket.dims
         assert out.mode in (ket.mode, None)
         # Column k of the image matrix is images[k]; contract it with the slot's axis.
-        matrix = np.array([image.to_array() for image in slot_images]).T
-        expected = np.moveaxis(np.tensordot(matrix, ket.to_array(), axes=([1], [slot])), 0, slot)
-        np.testing.assert_allclose(out.to_array(), expected, atol=1e-12)
+        matrix = np.array([dense_amplitudes(image) for image in slot_images]).T
+        expected = np.moveaxis(np.tensordot(matrix, dense_amplitudes(ket), axes=([1], [slot])), 0, slot)
+        np.testing.assert_allclose(dense_amplitudes(out), expected, atol=1e-12)

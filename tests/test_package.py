@@ -60,7 +60,7 @@ def test_public_names_are_pinned():
         "format_scalar", "ground_state_energy", "hypothesis_distribution", "inner_product",
         "invariance_signature", "is_isc", "is_rotationally_invariant", "joint_distribution",
         "ladder_apply", "make_state", "parse_pi_angle", "parse_scalar", "permute_slots",
-        "photon_pair_table", "rotation_matrix", "search_violations", "simulate_beam",
+        "photon_pair_table", "search_violations", "simulate_beam",
         "spin_j_singlet", "symmetrize", "tensor_product", "verify_rescaled_algebra",
         "wigner_argument",
     }
@@ -117,7 +117,7 @@ def _imported_roots(name, module_scope_only=False):
 
 # The array layers; every other module, measurement's float tables included,
 # computes in plain Python and never needs numpy.
-NUMPY_MODULES = {"kets", "rotations", "beam"}
+NUMPY_MODULES = {"rotations", "beam"}
 
 
 def test_only_the_float_layers_import_numpy():

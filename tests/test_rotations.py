@@ -17,19 +17,19 @@ from spinstat.rotations import (
     MAX_GRID,
     MAX_SINGLET_SPIN,
     STATE_TAGS,
+    TOL,
     _GRID_MEMO_SIZE,
     _ISC_PATTERNS,
     _exact_verdicts,
+    _grid_angles,
     _isc_deviation,
     _isc_table,
     _max_sin,
     conjugate_spinor_slot,
     decompose_spin_j_singlet,
-    grid_angles,
     is_isc,
     is_rotationally_invariant,
     make_state,
-    rotation_matrix,
     spin_j_singlet,
 )
 
@@ -94,7 +94,7 @@ def test_spin_j_singlet_size_guard():
 
 
 def test_grid_size_guard():
-    assert len(grid_angles(MAX_GRID)) == MAX_GRID + 4
+    assert len(_grid_angles(MAX_GRID)) == MAX_GRID + 4
     improper = make_state("improper_singlet")
     # The bound holds before either check picks a path, so a ket that the
     # exact path would decide is refused like one that needs the float grid.
@@ -116,27 +116,6 @@ def test_grid_size_guard():
     assert is_isc(improper.to_float(), grid=np.int64(7)).isc
 
 
-def test_rotation_matrix_examples():
-    assert np.allclose(rotation_matrix(0.0, 1), np.eye(2))
-    assert np.allclose(
-        rotation_matrix(math.pi, HALF), np.array([[0, 1], [-1, 0]]), atol=1e-15
-    )
-    assert np.allclose(rotation_matrix(math.pi, 1), -np.eye(2), atol=1e-15)
-
-
-@pytest.mark.parametrize("c", [HALF, 1, 2, Fraction(3, 2)])
-def test_rotation_matrix_orthogonal_unit_determinant(c):
-    for theta in grid_angles(36):
-        r = rotation_matrix(theta, c)
-        assert np.max(np.abs(r.T @ r - np.eye(2))) < 1e-14
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-    angles = np.array(grid_angles(36)).reshape(8, 5)
-    stack = rotation_matrix(angles, c)
-    assert stack.shape == (8, 5, 2, 2)
-    for index in np.ndindex(angles.shape):
-        assert np.array_equal(stack[index], rotation_matrix(angles[index], c))
-
-
 def test_invariance_of_catalog():
     assert is_rotationally_invariant(make_state("singlet")) == (True, 0.0)
     assert is_rotationally_invariant(make_state("excluded_combination")) == (True, 0.0)
@@ -156,7 +135,7 @@ def test_invariance_in_float_mode():
 @pytest.mark.parametrize("grid", [1, 7, 90, 360, 1200, MAX_GRID])
 def test_grid_angles_are_the_scalar_formula(grid):
     expected = [2 * math.pi * k / grid for k in range(grid)] + list(EXTRA_GRID_ANGLES)
-    assert grid_angles(grid).tolist() == expected
+    assert _grid_angles(grid).tolist() == expected
 
 
 def _kron_rotated(ket, c, angles):
@@ -171,23 +150,23 @@ def _kron_rotated(ket, c, angles):
     return vec, kron @ vec
 
 
-def _kron_checks(ket, c, grid, tol=1e-12):
+def _kron_checks(ket, c, grid):
     """Oracle: both grid checks on the kron-rotated amplitudes, as ``(invariance, isc)`` tuples."""
-    angles = grid_angles(grid)
+    angles = _grid_angles(grid)
     vec, rotated = _kron_rotated(ket, c, angles)
     worst = float(np.linalg.norm(rotated - vec, axis=1).max())
-    invariance = (worst < tol, worst)
+    invariance = (worst < TOL, worst)
     p = np.abs(rotated.reshape(-1, 2, 2)) ** 2
     deviation = np.abs(p[:, None] - np.array(_ISC_PATTERNS)).max(axis=(2, 3)).min(axis=1)
     worst = float(deviation.max())
-    if worst < tol:
+    if worst < TOL:
         return invariance, (True, None, worst)
     return invariance, (False, float(angles[np.argmax(deviation >= worst - 1e-9 * max(1.0, worst))]), worst)
 
 
 @pytest.mark.parametrize("c", [HALF, 1])
 def test_grid_checks_match_a_kron_oracle(rng, c):
-    angles = grid_angles(90)
+    angles = _grid_angles(90)
     kets = [random_float_ket(rng, (2, 2)).normalized() for _ in range(8)]
     for ket in kets + [make_state("singlet").to_float(), make_state("improper_singlet").to_float()]:
         vec, rotated = _kron_rotated(ket, c, angles)
@@ -253,7 +232,7 @@ def test_isc_witness_is_the_earliest_tie_at_any_scale():
     # ties at ten angles of the 90-point grid.  Scaled by 1e4 it is about 1e8,
     # whose rounding (about 1.5e-8) an absolute 1e-9 window falls under.
     ket = random_float_ket(random.Random(2), (2, 2)).scale(1e4)
-    angles = grid_angles(90)
+    angles = _grid_angles(90)
     _, rotated = _kron_rotated(ket, 5, angles)
     p = np.abs(rotated.reshape(-1, 2, 2)) ** 2
     deviation = _isc_deviation(p)
@@ -302,7 +281,7 @@ def test_grid_memo_arrays_refuse_writes():
     for array in turn:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    fresh = grid_angles(90)
+    fresh = _grid_angles(90)
     fresh[0] = 1.0
     assert fresh is not turn[0] and turn[0][0] == 0.0
     assert type(_max_sin(0.5, 90)) is float
@@ -341,7 +320,7 @@ def test_invariance_leaves_the_isc_table_unbuilt():
 @pytest.mark.parametrize("grid", [1, 7, 90, 1200, MAX_GRID])
 def test_max_sin_is_the_array_maximum(grid):
     for c in map(float, (HALF, 1, Fraction(1, 3), Fraction(-7, 3), 0.37, 5, 1e6, 2.8e307)):
-        assert _max_sin(c, grid) == float(np.abs(np.sin(c * grid_angles(grid))).max()), c
+        assert _max_sin(c, grid) == float(np.abs(np.sin(c * _grid_angles(grid))).max()), c
 
 
 def test_checks_agree_on_a_cleared_and_a_warm_memo():
@@ -375,8 +354,8 @@ def test_invariance_shape_guard():
 def test_isc_catalog():
     assert is_isc(make_state("singlet")).isc
     assert is_isc(make_state("improper_singlet")).isc
-    # Exact kets are decided exactly, so no rounding is left for tol to absorb.
-    assert is_isc(make_state("singlet"), tol=1e-20) == (True, None, 0.0)
+    # Exact kets are decided exactly, so no rounding is left for TOL to absorb.
+    assert is_isc(make_state("singlet")) == (True, None, 0.0)
     excluded = is_isc(make_state("excluded_combination"))
     assert not excluded.isc
     triplet = is_isc(make_state("triplet_zero"))
@@ -384,21 +363,16 @@ def test_isc_catalog():
     assert triplet.witness_angle == pytest.approx(math.pi / 4)
 
 
-def test_an_exact_no_is_final_under_any_tol():
+def test_an_exact_no_is_final_at_any_scale():
     # The doublet split decides an exact ket; the grid gives only the
-    # deviation and witness of one that fails, which a large tol or a tiny
-    # scale must not turn into a pass.
-    for tag in ("triplet_zero", "triplet_plus", "excluded_combination"):
-        ket = make_state(tag)
-        assert is_rotationally_invariant(ket, tol=5) == is_rotationally_invariant(ket)
-        assert is_isc(ket, tol=5) == is_isc(ket)
+    # deviation and witness of one that fails, which a deviation below TOL
+    # must not turn into a pass.
     tiny = Ket((2, 2), {(0, 0): ExactScalar(Fraction(1, 10**13))})
     invariance = is_rotationally_invariant(tiny)
     assert not invariance.invariant
     assert invariance.max_deviation == pytest.approx(math.sqrt(2) * 1e-13)
-    # A float ket has no exact verdict, so tol still decides it.
+    # A float ket has no exact verdict, so TOL decides it.
     assert is_rotationally_invariant(tiny.to_float()) == (True, invariance.max_deviation)
-    assert is_isc(make_state("triplet_zero").to_float(), tol=5) == (True, None, 0.25)
 
 
 # cos(k*pi/6) for k = 0..11; sin(k*pi/6) is cos((k - 3)*pi/6).
