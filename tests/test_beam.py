@@ -216,6 +216,17 @@ def test_chi_square_separation_statistic():
     assert report.p_value < 1e-20
 
 
+def test_chi_square_adds_left_to_right():
+    # The seeded golden beam's counts: a compensated sum, as sum() is from
+    # Python 3.12 on, would give 11.060000000000002.
+    result = BeamResult(BeamConfig(100, "paper", seed=7), {1: 25, 0: 49, -1: 26})
+    report = chi_square_discriminate(result, "uniform")
+    assert repr(report.statistic) == "11.06"
+    terms = [(result.counts[v] - report.expected[v]) ** 2 / report.expected[v] for v in SPIN_VALUES]
+    assert math.fsum(terms) != report.statistic
+    assert report.p_value == math.exp(-11.06 / 2)
+
+
 def test_chi_square_expected_count_guard():
     result = simulate_beam(BeamConfig(10, "uniform", seed=5))
     with pytest.raises(InsufficientSampleError) as error:

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_golden
 from check_golden import DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from spinstat.beam import MAX_ATOMS, SMALL_BEAM
-from spinstat.cli import ket_payload, main, parse_state_sections
+from spinstat.cli import build_parser, ket_payload, main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
 from spinstat.rotations import MAX_GRID, STATE_TAGS, make_state
@@ -44,6 +45,28 @@ def test_outputs_validate_against_schema(name):
     code, output = run_cli(GOLDEN_COMMANDS[name])
     assert code == 0
     jsonschema.validate(json.loads(output), load_schema())
+
+
+def test_check_golden_passes_on_this_tree(capsys):
+    assert check_golden.main(["--check"]) == 0
+    n = len(GOLDEN_COMMANDS)
+    assert capsys.readouterr().out.endswith(f": {n} of {n} golden commands print their golden bytes\n")
+
+
+def test_check_golden_names_each_differing_command(tmp_path, monkeypatch, capsys):
+    for name in GOLDEN_COMMANDS:
+        (tmp_path / f"{name}.json").write_text((GOLDEN_DIR / f"{name}.json").read_text())
+    for name in ("beam_seeded", "bell_reference"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(path.read_text().replace("0", "1", 1))
+    monkeypatch.setattr(check_golden, "GOLDEN_DIR", tmp_path)
+    n = len(GOLDEN_COMMANDS)
+    assert check_golden.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["differs: bell_reference", "differs: beam_seeded"]
+    assert lines[2].endswith(f": {n - 2} of {n} golden commands print their golden bytes")
+    # Without --check the script only reports.
+    assert check_golden.main([]) == 0
 
 
 def test_error_envelope_validates_against_schema():
@@ -773,7 +796,7 @@ def _named_unread(error):
 MODE_CASES = {
     "state": (
         ["state singlet", "state singlet --check-isc", "state spin_j_singlet --j 1"],
-        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36"],
+        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36", "--tol 1e-9"],
     ),
     "bell": (
         ["bell --gaps pi/3,pi/3,2pi/3", "bell --search --denominator 3"],
@@ -809,8 +832,17 @@ OPTION_CASES = [
 
 
 @pytest.mark.parametrize("base, option", OPTION_CASES, ids=[" ".join(b + o) for b, o in OPTION_CASES])
-def test_an_option_is_refused_exactly_where_its_mode_does_not_read_it(base, option):
+def test_an_option_is_refused_exactly_where_its_mode_does_not_read_it(base, option, capsys):
     argv = [str(DATA / arg) if arg.endswith(".txt") else arg for arg in [*base, *option]]
+    if option[0] in build_parser().parse_known_args(argv)[1]:
+        # An option the subcommand does not define, such as state's retired
+        # --tol, is read by no mode and refused as a usage error.
+        assert option[0] not in _options_read(argv)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        return
     code, output = run_cli(argv)
     error = json.loads(output).get("error", {})
     assert (option[0] in _named_unread(error)) == (option[0] not in _options_read(argv)), error

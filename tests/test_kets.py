@@ -181,6 +181,13 @@ def test_normalization_exact_and_float(rng):
         Ket.zero((2,)).normalized()
 
 
+def test_float_norm_squared_adds_left_to_right():
+    # sum() compensates from Python 3.12 on and would give 1.0 there; the
+    # left-to-right total is the same on every supported version.
+    ket = Ket((10,), {(i,): 0.1**0.5 for i in range(10)})
+    assert repr(ket.norm_squared()) == "0.9999999999999999"
+
+
 def test_scaling_follows_the_ket_mode():
     exact = make_state("singlet").scale(Fraction(1, 2))
     assert exact.mode == "exact"

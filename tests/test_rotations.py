@@ -375,6 +375,14 @@ def test_an_exact_no_is_final_at_any_scale():
     assert is_rotationally_invariant(tiny.to_float()) == (True, invariance.max_deviation)
 
 
+@pytest.mark.parametrize("check", [is_rotationally_invariant, is_isc])
+def test_the_rotation_checks_take_no_tol(check):
+    # Every caller used one tolerance, so it is the constant TOL.
+    assert TOL == 1e-12
+    with pytest.raises(TypeError):
+        check(make_state("singlet"), tol=1e-12)
+
+
 # cos(k*pi/6) for k = 0..11; sin(k*pi/6) is cos((k - 3)*pi/6).
 _COS_SIXTHS = [
     ExactScalar(q, r)
