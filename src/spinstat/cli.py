@@ -10,6 +10,7 @@ machine-readable code), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -312,7 +313,7 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
         reference = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
         # The records from start 0 come first and hold each violating step
         # pair once, so they hold every gap triple the grid violates.
-        from_start_0 = violations[: len(violations.pairs)]
+        from_start_0 = itertools.islice(violations, len(violations.pairs))
         return {
             "search_denominator": denominator,
             "violations_found": len(violations),
@@ -322,7 +323,7 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
                     "angles": [measurement.format_pi_angle(a) for a in v.angles],
                     **_bell_payload(v.evaluation),
                 }
-                for v in violations[:3]
+                for v in itertools.islice(violations, 3)
             ],
         }
     if args.gaps is None or len(args.gaps) != 3:

@@ -79,7 +79,7 @@ class Frozen:
     when their fields are, hash by their fields (so a ``dict`` field makes
     an instance unhashable), print as ``Name(field=value, ...)``, pickle and
     copy, and refuse assignment.  Unlike a tuple, an instance has no length,
-    iteration or sequence operators.
+    iteration or sequence operators unless its class defines them.
     """
 
     __slots__ = ()

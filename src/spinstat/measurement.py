@@ -8,7 +8,6 @@ is an identity between fractions.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -24,7 +23,7 @@ from .kets import Ket
 #: Finest angle grid ``search_violations`` scans.  The search decides the
 #: grid's ``C(2d - 1, 2)`` step pairs, so its time grows as ``denominator**2``
 #: (under 1 ms warm at 48); the records it stands for grow as
-#: ``denominator**3`` (69 184 at 48) but are built only when read.  The
+#: ``denominator**3`` (69 184 at 48) but are built when iterated.  The
 #: limit is where the float verdicts, whose near-ties :data:`SLACK` settles,
 #: have been checked against exact ones; a finer grid needs that check first.
 MAX_SEARCH_DENOMINATOR = 48
@@ -299,132 +298,69 @@ class GridViolation(NamedTuple):
 StepPair = tuple[int, int, Fraction | float, Fraction | float]
 
 
-class GridViolations(Frozen, Sequence):
-    """The violating triples of one grid search, a read-only sequence of :class:`GridViolation`.
+class GridViolations(Frozen):
+    """The violating triples of one grid search: the :class:`GridViolation` records, with their count.
 
     A triple ``(i, i + a, i + a + b)`` of the ``2d`` grid steps violates
-    exactly when its step pair ``(a, b)`` does, so the sequence holds only
-    the violating pairs, in ``(a, b)`` order, and the number of records up
-    to each start ``i``, which keeps the pairs with ``a + b < 2d - i``.  The
-    records run start by start, each start's in pair order, which is the
-    order of ``itertools.combinations``; so the first ``len(pairs)``, from
-    start 0, hold each pair once.  A record is built when it is read: an
-    index finds its start by bisection, and iteration and slices build only
-    the records they return.  The steps and each pair's gaps and
-    evaluation are built once, on the first read, and shared by every
-    record.  A slice is a ``list``.  Two searches are equal when their
-    denominator, mode and pairs are; the sequence is not hashable.
+    exactly when its step pair ``(a, b)`` does, so a search holds only the
+    violating pairs, in ``(a, b)`` order, and ``len`` is the sum of
+    ``2d - a - b`` over them.  Iteration builds the records start by start,
+    each start keeping the pairs with ``a + b < 2d - i`` in pair order,
+    which is the order of ``itertools.combinations``; so the first
+    ``len(pairs)`` records, from start 0, hold each pair once.  Each
+    iteration builds the steps and each pair's gaps and evaluation once, and
+    its records share them.  Two searches are equal when their
+    denominator, mode and pairs are.
     """
 
-    __slots__ = ("denominator", "mode", "pairs", "_ends", "_shared")
+    __slots__ = ("denominator", "mode", "pairs")
     denominator: int
     mode: BellMode
     pairs: tuple[StepPair, ...]
 
     def __init__(self, denominator: int, mode: BellMode, pairs: tuple[StepPair, ...]) -> None:
-        # per_span[s] counts the pairs with a + b == s, and start i keeps
-        # those with a + b <= 2d - 1 - i.
-        per_span = [0] * (2 * denominator)
-        for a, b, _, _ in pairs:
-            per_span[a + b] += 1
-        kept_per_start = reversed(list(itertools.accumulate(per_span)))
-        for name, value in (
-            ("denominator", denominator),
-            ("mode", mode),
-            ("pairs", pairs),
-            ("_ends", list(itertools.accumulate(kept_per_start))),
-            ("_shared", None),
-        ):
-            object.__setattr__(self, name, value)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "pairs", pairs)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(denominator={self.denominator}, mode={self.mode!r}, count={len(self)})"
 
     def __len__(self) -> int:
-        return self._ends[-1]
+        n = 2 * self.denominator
+        return sum([n - a - b for a, b, _, _ in self.pairs])
 
     def __iter__(self) -> Iterator[GridViolation]:
-        return itertools.chain.from_iterable(self._blocks(range(len(self))))
-
-    def __reversed__(self) -> Iterator[GridViolation]:
-        # Sequence's own __reversed__ reads one index at a time.
-        return iter(self[::-1])
-
-    def __getitem__(self, index: int | slice) -> GridViolation | list[GridViolation]:
-        try:
-            positions = range(len(self))[index]
-        except IndexError:
-            raise IndexError(f"{type(self).__name__} index out of range") from None
-        if isinstance(positions, int):
-            return next(self._blocks(range(positions, positions + 1)))[0]
-        if positions.step > 0:
-            return list(itertools.chain.from_iterable(self._blocks(positions)))
-        return list(itertools.chain.from_iterable(self._blocks(positions[::-1])))[::-1]
-
-    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
-        """The first position of ``value`` in ``[start:stop]``, with ``list.index``'s bounds and ``ValueError``."""
-        # Sequence's own index reads one index at a time.
-        positions = range(len(self))[start:stop]
-        k = positions.start
-        for block in self._blocks(positions):
-            try:
-                return k + block.index(value)
-            except ValueError:
-                k += len(block)
-        raise ValueError(f"{value!r} is not in the {type(self).__name__}")
-
-    def _parts(self) -> tuple[list[Fraction], list[tuple[int, int, tuple, BellEvaluation]]]:
-        """The grid's steps, and each pair's ``(a, a + b, gaps, evaluation)``."""
-        if self._shared is None:
-            d, mode = self.denominator, self.mode
-            steps = [Fraction(k, d) for k in range(2 * d)]
-            # tuple.__new__ builds a record in C; BellEvaluation(...) would run
-            # namedtuple's Python-level __new__.
-            new = tuple.__new__
-            shared = []
-            for a, b, lhs, rhs in self.pairs:
-                gaps = (steps[a], steps[b], steps[a + b])
-                shared.append((a, a + b, gaps, new(BellEvaluation, (*gaps, lhs, rhs, True, mode))))
-            object.__setattr__(self, "_shared", (steps, shared))
-        return self._shared
-
-    def _blocks(self, positions: range) -> Iterator[list[GridViolation]]:
-        """The records at ``positions``, an ascending range of valid indices, one start at a time."""
-        steps, shared = self._parts()
-        ends, n, new = self._ends, len(steps), tuple.__new__
-        k, stop, stride = positions.start, positions.stop, positions.step
-        # A later start keeps a subset of what an earlier one keeps.
-        kept = shared
-        while k < stop:
-            i = bisect.bisect_right(ends, k)
-            first = ends[i - 1] if i else 0
+        d, mode = self.denominator, self.mode
+        steps = [Fraction(k, d) for k in range(2 * d)]
+        # tuple.__new__ builds a record in C; BellEvaluation(...) would run
+        # namedtuple's Python-level __new__.
+        new = tuple.__new__
+        kept = []
+        for a, b, lhs, rhs in self.pairs:
+            gaps = (steps[a], steps[b], steps[a + b])
+            kept.append((a, a + b, gaps, new(BellEvaluation, (*gaps, lhs, rhs, True, mode))))
+        n = len(steps)
+        for i in range(n):
+            # A later start keeps a subset of what an earlier one keeps.
             limit = n - i
             kept = [pair for pair in kept if pair[1] < limit]
             ahead = steps[i:]
             start = ahead[0]
-            yield [
-                new(GridViolation, ((start, ahead[a], ahead[span]), gaps, ev))
-                for a, span, gaps, ev in kept[k - first : min(ends[i], stop) - first : stride]
-            ]
-            # The first position past start i.
-            k += -((k - ends[i]) // stride) * stride
+            for a, span, gaps, ev in kept:
+                yield new(GridViolation, ((start, ahead[a], ahead[span]), gaps, ev))
 
 
 def search_violations(
     denominator: int = 12,
     mode: BellMode = "half",
-) -> Sequence[GridViolation]:
+) -> GridViolations:
     """Scan measurement angle triples on the ``k*pi/denominator`` grid.
 
     Returns every ordered triple (theta_i < theta_j < theta_k in [0, 2pi))
-    whose gap triple violates the inequality, in the order of
-    ``itertools.combinations``, as a read-only :class:`GridViolations`
-    sequence that builds each record when it is read.  A denominator that
+    whose gap triple violates the inequality, as a :class:`GridViolations`
+    whose ``len`` counts them and whose iteration builds their records in
+    the order of ``itertools.combinations``.  A denominator that
     is not a positive integer raises :class:`InvalidValueError`, and one
     above :data:`MAX_SEARCH_DENOMINATOR` raises :class:`SizeLimitError`.
     """

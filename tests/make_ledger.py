@@ -1,0 +1,80 @@
+"""The CLI output ledger: a fixed corpus of calls, each with its exit code and stdout digest.
+
+Run as a script, this module needs only the standard library and ``src``::
+
+    PYTHONPATH=src python tests/make_ledger.py          # write tests/golden/ledger.json
+    PYTHONPATH=src python tests/make_ledger.py --check  # compare with it
+
+Each call runs through ``spinstat.cli.main`` in this process.  The corpus is
+the golden commands of ``check_golden.py``, ``bell --search`` at every
+denominator from 1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas,
+and the default search in JSON and in CSV.  With ``--check`` the script names
+each call whose record differs from the ledger and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+from check_golden import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+
+LEDGER = GOLDEN_DIR / "ledger.json"
+#: Argv paths are recorded relative to the repository root.
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def corpus() -> list[list[str]]:
+    calls = [list(argv) for argv in GOLDEN_COMMANDS.values()]
+    for formula in ("half", "full"):
+        calls += [["bell", "--search", "--denominator", str(d), "--formula", formula] for d in range(1, 50)]
+    calls += [["bell", "--search"], ["bell", "--search", "--format", "csv"]]
+    return calls
+
+
+def _shown(arg: str) -> str:
+    path = Path(arg)
+    return path.relative_to(ROOT).as_posix() if path.is_absolute() and ROOT in path.parents else arg
+
+
+def records() -> list[dict]:
+    result = []
+    for argv in corpus():
+        code, output = run_cli(argv)
+        digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+        result.append({"argv": [_shown(arg) for arg in argv], "exit": code, "sha256": digest})
+    return result
+
+
+def dumps(entries: list[dict]) -> str:
+    """One record per line, so that a changed call is one changed line."""
+    return "[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare with the ledger; exit 1 if any call differs")
+    args = parser.parse_args(argv)
+    found = records()
+    if not args.check:
+        LEDGER.write_text(dumps(found), encoding="utf-8")
+        print(f"wrote {len(found)} calls to {LEDGER.name}")
+        return 0
+    expected = json.loads(LEDGER.read_text(encoding="utf-8"))
+    by_argv = {tuple(entry["argv"]): entry for entry in expected}
+    differ = [entry for entry in found if by_argv.pop(tuple(entry["argv"]), None) != entry]
+    for entry in differ:
+        print(f"differs: {' '.join(entry['argv'])}")
+    for key in by_argv:
+        print(f"not in the corpus: {' '.join(key)}")
+    same = len(found) - len(differ)
+    print(f"Python {platform.python_version()}: {same} of {len(found)} calls match the ledger")
+    return 1 if differ or by_argv else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_golden
+import make_ledger
 from check_golden import DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from spinstat.beam import MAX_ATOMS, SMALL_BEAM
 from spinstat.cli import build_parser, ket_payload, main, parse_state_sections
@@ -67,6 +68,23 @@ def test_check_golden_names_each_differing_command(tmp_path, monkeypatch, capsys
     assert lines[2].endswith(f": {n - 2} of {n} golden commands print their golden bytes")
     # Without --check the script only reports.
     assert check_golden.main([]) == 0
+
+
+def test_ledger_matches_this_tree(tmp_path, monkeypatch, capsys):
+    assert make_ledger.main(["--check"]) == 0
+    n = len(make_ledger.corpus())
+    assert capsys.readouterr().out.endswith(f": {n} of {n} calls match the ledger\n")
+    # A changed digest and a call the corpus lacks are both named.
+    entries = json.loads(make_ledger.LEDGER.read_text())
+    entries[1]["sha256"] = "0" * 64
+    entries.append({"argv": ["bell", "--gaps", "0,0,0"], "exit": 0, "sha256": "0" * 64})
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(make_ledger.dumps(entries))
+    monkeypatch.setattr(make_ledger, "LEDGER", ledger)
+    assert make_ledger.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"differs: {' '.join(entries[1]['argv'])}", "not in the corpus: bell --gaps 0,0,0"]
+    assert lines[2].endswith(f": {n - 1} of {n} calls match the ledger")
 
 
 def test_error_envelope_validates_against_schema():

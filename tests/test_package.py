@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import pickle
 import pkgutil
 import subprocess
@@ -250,7 +251,10 @@ def _record_cases():
             lambda: measurement.bell_inequality(third, third, 2 * third),
             lambda: measurement.bell_inequality(third, third, third),
         ),
-        "GridViolation": (lambda: measurement.search_violations(3)[0], lambda: measurement.search_violations(3)[1]),
+        "GridViolation": (
+            lambda: next(itertools.islice(measurement.search_violations(3), 0, None)),
+            lambda: next(itertools.islice(measurement.search_violations(3), 1, None)),
+        ),
         "WignerReport": (
             lambda: measurement.wigner_argument(0, third, 2 * third),
             lambda: measurement.wigner_argument(0, third, third),
