@@ -8,24 +8,46 @@ Run as a script, this module needs only the standard library and ``src``::
 Each call runs through ``spinstat.cli.main`` in this process.  The corpus is
 the golden commands of ``check_golden.py``, ``bell --search`` at every
 denominator from 1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas,
-and the default search in JSON and in CSV.  With ``--check`` the script names
-each call whose record differs from the ledger and exits 1 if any does.
+the default search in JSON and in CSV, seeded beams on both sides of
+``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
+that needs no state file.  With ``--check`` the script names each call whose
+record differs from the ledger and exits 1 if any does.  A beam above
+``SMALL_BEAM`` atoms draws with numpy; where numpy cannot be imported,
+``--check`` skips those calls and says how many it skipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import platform
 import sys
 from pathlib import Path
 
-from check_golden import GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from check_golden import BAD_INPUTS, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from spinstat.beam import SMALL_BEAM
 
 LEDGER = GOLDEN_DIR / "ledger.json"
 #: Argv paths are recorded relative to the repository root.
 ROOT = Path(__file__).resolve().parent.parent
+#: Beam sizes at and just past ``SMALL_BEAM`` (4096), around 2**16 and 2**18
+#: atoms (the draw chunk of this version and of earlier ones), and an odd
+#: size of several chunks that ends inside a Philox block.
+BEAM_ATOMS = (4096, 4097, 65535, 65536, 65537, 262143, 262144, 262145, 1000003)
+#: 2**64 + 5: both Philox key words are nonzero.
+BEAM_SEED = "18446744073709551621"
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def beam_calls() -> list[list[str]]:
+    laws = (("paper", "uniform"), ("uniform", "paper"))
+    return [
+        ["beam", "--atoms", str(n), "--hypothesis", law, "--seed", BEAM_SEED, "--test-null", null]
+        for n in BEAM_ATOMS
+        for law, null in laws
+    ]
 
 
 def corpus() -> list[list[str]]:
@@ -33,6 +55,8 @@ def corpus() -> list[list[str]]:
     for formula in ("half", "full"):
         calls += [["bell", "--search", "--denominator", str(d), "--formula", formula] for d in range(1, 50)]
     calls += [["bell", "--search"], ["bell", "--search", "--format", "csv"]]
+    calls += beam_calls()
+    calls += [list(argv) for argv, state_text, _ in BAD_INPUTS.values() if state_text is None]
     return calls
 
 
@@ -41,9 +65,9 @@ def _shown(arg: str) -> str:
     return path.relative_to(ROOT).as_posix() if path.is_absolute() and ROOT in path.parents else arg
 
 
-def records() -> list[dict]:
+def records(calls: list[list[str]]) -> list[dict]:
     result = []
-    for argv in corpus():
+    for argv in calls:
         code, output = run_cli(argv)
         digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
         result.append({"argv": [_shown(arg) for arg in argv], "exit": code, "sha256": digest})
@@ -59,18 +83,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="compare with the ledger; exit 1 if any call differs")
     args = parser.parse_args(argv)
-    found = records()
+    calls = corpus()
+    # A beam above SMALL_BEAM atoms draws with numpy.
+    skipped = [] if HAVE_NUMPY else [call for call in beam_calls() if int(call[2]) > SMALL_BEAM]
+    if skipped and not args.check:
+        parser.error("writing the ledger needs numpy")
+    found = records([call for call in calls if call not in skipped])
     if not args.check:
         LEDGER.write_text(dumps(found), encoding="utf-8")
         print(f"wrote {len(found)} calls to {LEDGER.name}")
         return 0
     expected = json.loads(LEDGER.read_text(encoding="utf-8"))
     by_argv = {tuple(entry["argv"]): entry for entry in expected}
+    for call in skipped:
+        by_argv.pop(tuple(call), None)
     differ = [entry for entry in found if by_argv.pop(tuple(entry["argv"]), None) != entry]
     for entry in differ:
         print(f"differs: {' '.join(entry['argv'])}")
     for key in by_argv:
         print(f"not in the corpus: {' '.join(key)}")
+    if skipped:
+        print(f"skipped {len(skipped)} calls that need numpy, which cannot be imported")
     same = len(found) - len(differ)
     print(f"Python {platform.python_version()}: {same} of {len(found)} calls match the ledger")
     return 1 if differ or by_argv else 0

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 import check_golden
 import make_ledger
-from check_golden import DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
-from spinstat.beam import MAX_ATOMS, SMALL_BEAM
+from check_golden import BAD_INPUTS, DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from spinstat.beam import SMALL_BEAM
 from spinstat.cli import build_parser, ket_payload, main, parse_state_sections
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
-from spinstat.rotations import MAX_GRID, STATE_TAGS, make_state
+from spinstat.rotations import STATE_TAGS, make_state
 
 
 def load_schema():
@@ -87,6 +87,26 @@ def test_ledger_matches_this_tree(tmp_path, monkeypatch, capsys):
     assert lines[2].endswith(f": {n - 1} of {n} calls match the ledger")
 
 
+def test_ledger_check_skips_the_numpy_beams_where_numpy_is_missing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(make_ledger, "HAVE_NUMPY", False)
+    assert make_ledger.main(["--check"]) == 0
+    skipped = 2 * sum(n > SMALL_BEAM for n in make_ledger.BEAM_ATOMS)
+    n = len(make_ledger.corpus()) - skipped
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"skipped {skipped} calls that need numpy, which cannot be imported"
+    assert lines[1].endswith(f": {n} of {n} calls match the ledger")
+    # A ledger is written only from the whole corpus.
+    monkeypatch.setattr(make_ledger, "LEDGER", tmp_path / "ledger.json")
+    with pytest.raises(SystemExit) as err:
+        make_ledger.main([])
+    assert err.value.code == 2
+    assert not make_ledger.LEDGER.exists()
+
+
+def test_run_cli_records_a_usage_error(capsys):
+    assert run_cli(["bell", "--bogus"]) == (2, "")
+    assert capsys.readouterr().err == ""
+
 def test_error_envelope_validates_against_schema():
     code, output = run_cli(["perm", "energy", "--levels", "1,2", "--count", "5"])
     assert code == 1
@@ -140,111 +160,16 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-# Each case expects exit 2 (a usage error) or exit 1 with the named error code.
-BAD_INPUTS = {
-    "negative-atoms": (["beam", "--atoms", "-1"], None, "invalid-value"),
-    "atoms-above-limit": (["beam", "--atoms", str(MAX_ATOMS + 1)], None, "size-limit"),
-    "negative-count": (["perm", "energy", "--levels", "1,2", "--count", "-1"], None, "invalid-value"),
-    "descending-levels": (["perm", "energy", "--levels", "2,1", "--count", "1"], None, "invalid-value"),
-    "prior-sum": (["condprob", "--prior", "1/2,1/2,1/2"], None, "invalid-value"),
-    "zero-scale": (["algebra", "--n", "0", "--j", "1"], None, "invalid-value"),
-    "algebra-spin-above-limit": (["algebra", "--n", "1", "--j", "20"], None, "size-limit"),
-    "zero-angle-denominator": (["bell", "--gaps", "pi/0,pi,pi"], None, 2),
-    "zero-grid": (["state", "singlet", "--check-invariance", "--grid", "0"], None, 2),
-    "grid-above-limit": (
-        ["state", "improper_singlet", "--check-isc", "--grid", str(MAX_GRID + 1)], None, "size-limit"
-    ),
-    # state takes no --tol: every state is exact, and an exact verdict is final.
-    "negative-tol": (["state", "singlet", "--check-isc", "--tol", "-1"], None, 2),
-    "tol-with-a-check": (["state", "singlet", "--check-isc", "--tol", "1"], None, 2),
-    "zero-rate": (
-        ["state", "improper_singlet", "--check-invariance", "--check-isc", "--c", "0"], None, "invalid-value"
-    ),
-    "overflowing-rate": (["state", "improper_singlet", "--check-isc", "--c", "1e308"], None, "invalid-value"),
-    # The exact generator decides the singlet, but the grid and rate bounds still hold.
-    "exactly-invariant-grid-above-limit": (
-        ["state", "singlet", "--check-invariance", "--grid", str(MAX_GRID + 1)], None, "size-limit"
-    ),
-    "exactly-invariant-overflowing-rate": (
-        ["state", "singlet", "--check-invariance", "--c", "1e308"], None, "invalid-value"
-    ),
-    "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], None, "size-limit"),
-    "decompose-without-j": (["state", "singlet", "--decompose"], None, "invalid-value"),
-    "decompose-of-another-tag": (["state", "triplet_plus", "--j", "3", "--decompose"], None, "invalid-value"),
-    "j-for-a-tag-without-one": (["state", "singlet", "--j", "5/2"], None, "invalid-value"),
-    "negative-seed": (["beam", "--atoms", "10", "--seed", "-1"], None, "invalid-value"),
-    "critical-nan": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "nan"], None, 2),
-    "critical-inf": (["beam", "--atoms", "100", "--test-null", "uniform", "--critical", "inf"], None, 2),
-    "zero-search-denominator": (["bell", "--search", "--denominator", "0"], None, 2),
-    "search-denominator-above-limit": (["bell", "--search", "--denominator", "49"], None, "size-limit"),
-    # A mode refuses every option that its handler does not read.
-    "search-with-gaps": (["bell", "--search", "--gaps", "pi/3,pi/3,2pi/3"], None, "invalid-value"),
-    "photon-with-spins": (["cg", "--photon", "--j1", "3", "--j2", "1/2"], None, "invalid-value"),
-    "photon-with-one-spin": (["cg", "--photon", "--j1", "1"], None, "invalid-value"),
-    "gaps-with-denominator": (["bell", "--gaps", "pi/3,pi/3,2pi/3", "--denominator", "5"], None, "invalid-value"),
-    "critical-without-test-null": (["beam", "--atoms", "10", "--critical", "3"], None, "invalid-value"),
-    "s-without-compare-cg": (["condprob", "--prior", "1/4,1/2,1/4", "--s", "1"], None, "invalid-value"),
-    "grid-and-rate-without-a-check": (["state", "singlet", "--grid", "7", "--c", "1/3"], None, "invalid-value"),
-    "tol-without-a-check": (["state", "singlet", "--tol", "1"], None, 2),
-    "levels-and-count-with-states": (
-        ["perm", "antisymmetrize", "--levels", "1,2", "--count", "3", "--states"], "+ 1\n\n- 1\n", "invalid-value"
-    ),
-    "states-for-energy": (["perm", "energy", "--levels", "1,2", "--count", "1", "--states"], "+ 1\n", "invalid-value"),
-    "construction-without-classify": (
-        ["perm", "symmetrize", "--construction", "be", "--states"], "+ 1\n\n- 1\n", "invalid-value"
-    ),
-    "signature-of-two-states": (["perm", "signature", "--states"], "+ 1\n\n- 1\n", "invalid-value"),
-    # A missing or short required list ends with the generic code ``error``, one row per check.
-    "bell-without-gaps": (["bell"], None, "error"),
-    "bell-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3"], None, "error"),
-    "wigner-with-two-angles": (["wigner", "--angles", "0,pi/3"], None, "error"),
-    "cg-with-one-spin": (["cg", "--j1", "1"], None, "error"),
-    "energy-without-count": (["perm", "energy", "--levels", "1,2"], None, "error"),
-    "signature-without-states": (["perm", "signature"], None, "error"),
-    "condprob-without-prior": (["condprob"], None, "error"),
-    "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], None, "error"),
-    "exact-value-beyond-float": (
-        ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], None, "invalid-value"
-    ),
-    "exact-value-beyond-float-in-float-mode": (
-        ["perm", "energy", "--levels", "1e400,1e401", "--count", "1", "--mode", "float"], None, "invalid-value"
-    ),
-    "classify-above-state-limit": (
-        ["perm", "classify", "--construction", "fd", "--states"], "\n".join(["+ 1\n"] * 12), "size-limit"
-    ),
-    "empty-state-file": (["perm", "signature", "--states"], "# nothing\n", "state-file"),
-    "missing-amplitude": (["perm", "antisymmetrize", "--states"], "+,-\n", "state-file"),
-    "repeated-label": (["perm", "antisymmetrize", "--states"], "+ 1\n+ 1/2\n", "state-file"),
-    "label-longer-than-dims": (["perm", "antisymmetrize", "--states"], "dims 2\n+,- 1\n", "state-file"),
-    "zero-amplitude-denominator": (["perm", "antisymmetrize", "--states"], "+ 1/0\n", "state-file"),
-    "not-utf8": (["perm", "signature", "--states"], b"\xff\xfe\x00x\n", "state-file"),
-    "prime-radicand-beyond-trial-division": (
-        ["perm", "antisymmetrize", "--states"], "+ 1\n\n- sqrt(1000000000000000000000007)\n", "size-limit"
-    ),
-    "prime-norm-beyond-trial-division": (
-        ["perm", "symmetrize", "--states"], "+ 1000000000000000000000007\n- 1\n\n+ 1\n", "size-limit"
-    ),
-    "irrational-norm": (
-        ["perm", "symmetrize", "--states"],
-        "+ 1/2*sqrt(2)\n- 1/2*sqrt(2)\n\n+ 1/3*sqrt(3)\n- 1/3*sqrt(6)\n",
-        "incompatible-radicands",
-    ),
-}
-
-
 @pytest.mark.parametrize("argv, state_text, expected", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, capsys, argv, state_text, expected):
+def test_bad_inputs_exit_with_a_code_not_a_traceback(tmp_path, argv, state_text, expected):
     if state_text is not None:
         path = tmp_path / "states.txt"
         path.write_bytes(state_text if isinstance(state_text, bytes) else state_text.encode())
         argv = [*argv, str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code, output = run_cli(argv)
     assert code == (2 if expected == 2 else 1)
     if code == 1:
-        envelope = json.loads(capsys.readouterr().out)
+        envelope = json.loads(output)
         jsonschema.validate(envelope, load_schema())
         assert envelope["error"]["code"] == expected
 
