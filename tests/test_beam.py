@@ -150,6 +150,20 @@ def test_beam_memory_stays_at_one_chunk(monkeypatch):
     assert peak < 1.25 * DRAW_CHUNK * np.dtype(np.float64).itemsize
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_beam_draw_window_stays_below_one_mebibyte(monkeypatch, workers):
+    # A beam of four chunks, on any number of threads, traces less than 1 MiB.
+    monkeypatch.setattr(beam, "_usable_cpus", lambda: workers)
+    simulate_beam(BeamConfig(DRAW_CHUNK + 1, "uniform", seed=3))  # warm-up, as above
+    tracemalloc.start()
+    try:
+        simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_beams_of_one_chunk_start_no_thread(monkeypatch):
     monkeypatch.setattr(beam, "_usable_cpus", lambda: 4)
     started = []
