@@ -35,18 +35,19 @@ DEFAULT_CRITICAL = 5.991
 SPIN_VALUES = (1, 0, -1)
 
 #: Most atoms one beam draws.  Time grows with the count while memory stays
-#: at one chunk: a cold ``beam`` took 0.25-0.45 s at 10**7 atoms and
-#: 0.7-0.9 s at 10**8 on 2 usable cores (1.0-1.3 s on one), with a peak RSS
+#: at one chunk: a cold ``beam`` took 0.25-0.65 s at 10**7 atoms and
+#: 0.65-1.1 s at 10**8 on 2 usable cores (1.0-1.3 s on one), with a peak RSS
 #: of about 37 MB at both sizes (Python 3.11, numpy 2.4, a shared x86
-#: machine).
+#: machine whose load varied).
 MAX_ATOMS = 10**8
 
 #: Words drawn at once, shared by the threads of a large beam: each holds one
 #: ``DRAW_CHUNK // threads`` chunk of ``random_raw`` words at a time, so the
 #: draw window is 512 KiB of words however large the beam.  The chunks
 #: continue one Philox stream, so the counts do not depend on it, and a beam
-#: of at most one chunk starts no thread.  ``2**18`` words drew as fast but
-#: held a 2 MiB window; a cold large beam peaked about 1.4 MB higher.
+#: of at most one chunk starts no thread.  At ``2**18`` words a 10**7-atom
+#: beam's best time was up to about 10 % lower, but a cold large beam peaked
+#: about 1.4 MB higher.
 DRAW_CHUNK = 1 << 16
 
 #: Largest beam drawn in pure Python.  There one draw costs 1.2-1.7 us, so

@@ -135,33 +135,28 @@ def test_word_limit_is_the_draw_test(edge):
     assert (np.array(words, dtype=np.uint64) <= np.uint64(top)).tolist() == expected
 
 
-def test_beam_memory_stays_at_one_chunk(monkeypatch):
-    # The workers' buffers together stay within one chunk, whatever the CPUs.
-    monkeypatch.setattr(beam, "_usable_cpus", lambda: 3)
+def four_chunk_peak(monkeypatch, workers):
+    """The tracemalloc peak of a beam of four chunks drawn by ``workers`` threads."""
+    monkeypatch.setattr(beam, "_usable_cpus", lambda: workers)
     # Warm up above one chunk: the lazy imports of numpy.random and the
     # thread pool are not the beam's.
     simulate_beam(BeamConfig(DRAW_CHUNK + 1, "uniform", seed=3))
     tracemalloc.start()
     try:
         simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * DRAW_CHUNK * np.dtype(np.float64).itemsize
+
+
+def test_beam_memory_stays_at_one_chunk(monkeypatch):
+    # The workers' buffers together stay within one chunk, whatever the CPUs.
+    assert four_chunk_peak(monkeypatch, 3) < 1.25 * DRAW_CHUNK * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_beam_draw_window_stays_below_one_mebibyte(monkeypatch, workers):
-    # A beam of four chunks, on any number of threads, traces less than 1 MiB.
-    monkeypatch.setattr(beam, "_usable_cpus", lambda: workers)
-    simulate_beam(BeamConfig(DRAW_CHUNK + 1, "uniform", seed=3))  # warm-up, as above
-    tracemalloc.start()
-    try:
-        simulate_beam(BeamConfig(4 * DRAW_CHUNK, "uniform", seed=3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert four_chunk_peak(monkeypatch, workers) < 2**20
 
 
 def test_beams_of_one_chunk_start_no_thread(monkeypatch):
