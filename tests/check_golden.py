@@ -99,6 +99,17 @@ BAD_INPUTS = {
         ["perm", "symmetrize", "--construction", "be", "--states"], "+ 1\n\n- 1\n", "invalid-value"
     ),
     "signature-of-two-states": (["perm", "signature", "--states"], "+ 1\n\n- 1\n", "invalid-value"),
+    # An unread option given together with a domain error.
+    "search-with-gaps-above-limit": (
+        ["bell", "--search", "--denominator", "49", "--gaps", "pi,pi,pi"], None, "size-limit"
+    ),
+    "critical-without-test-null-above-limit": (
+        ["beam", "--atoms", str(MAX_ATOMS + 1), "--critical", "3"], None, "size-limit"
+    ),
+    "critical-with-negative-atoms": (["beam", "--atoms", "-1", "--critical", "3"], None, "invalid-value"),
+    "decompose-of-singlet-grid-above-limit": (
+        ["state", "singlet", "--decompose", "--check-isc", "--grid", str(MAX_GRID + 1)], None, "size-limit"
+    ),
     # A missing or short required list ends with the generic code ``error``, one row per check.
     "bell-without-gaps": (["bell"], None, "error"),
     "bell-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3"], None, "error"),
@@ -108,6 +119,11 @@ BAD_INPUTS = {
     "signature-without-states": (["perm", "signature"], None, "error"),
     "condprob-without-prior": (["condprob"], None, "error"),
     "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], None, "error"),
+    "denominator-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3", "--denominator", "5"], None, "error"),
+    "s-without-prior": (["condprob", "--s", "1"], None, "error"),
+    "construction-for-energy-without-count": (
+        ["perm", "energy", "--levels", "1,2", "--construction", "fd"], None, "error"
+    ),
     "exact-value-beyond-float": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], None, "invalid-value"
     ),

@@ -8,8 +8,9 @@ Run as a script, this module needs only the standard library and ``src``::
 Each call runs through ``spinstat.cli.main`` in this process.  The corpus is
 the golden commands of ``check_golden.py``, ``bell --search`` at every
 denominator from 1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas,
-the default search in JSON and in CSV, seeded beams on both sides of
-``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
+the default search in JSON and in CSV, each golden command in CSV, Bell
+and Wigner triples at tiny gaps and an exact tie, seeded beams on both sides
+of ``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
 that needs no state file.  With ``--check`` the script names each call whose
 record differs from the ledger and exits 1 if any does.  A beam above
 ``SMALL_BEAM`` atoms draws with numpy; where numpy cannot be imported,
@@ -39,6 +40,17 @@ BEAM_ATOMS = (4096, 4097, 65535, 65536, 65537, 262143, 262144, 262145, 1000003)
 #: 2**64 + 5: both Philox key words are nonzero.
 BEAM_SEED = "18446744073709551621"
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+#: Consistent gap triples pi/k, pi/k, 2pi/k whose Bell margin falls below
+#: 1e-12 between k = 10**6 and 2 * 10**6, and the exact tie pi/2, pi/2, pi.
+TINY_GAP_CALLS = [
+    *(
+        ["bell", "--gaps", f"pi/{k},pi/{k},2pi/{k}", "--formula", formula]
+        for k in (10**6, 2 * 10**6, 10**7)
+        for formula in ("half", "full")
+    ),
+    ["wigner", "--angles", "0,pi/10000000,2pi/10000000"],
+    ["bell", "--gaps", "pi/2,pi/2,pi"],
+]
 
 
 def beam_calls() -> list[list[str]]:
@@ -55,6 +67,8 @@ def corpus() -> list[list[str]]:
     for formula in ("half", "full"):
         calls += [["bell", "--search", "--denominator", str(d), "--formula", formula] for d in range(1, 50)]
     calls += [["bell", "--search"], ["bell", "--search", "--format", "csv"]]
+    calls += [[*argv, "--format", "csv"] for argv in GOLDEN_COMMANDS.values()]
+    calls += TINY_GAP_CALLS
     calls += beam_calls()
     calls += [list(argv) for argv, state_text, _ in BAD_INPUTS.values() if state_text is None]
     return calls
