@@ -50,7 +50,6 @@ _EXPORTS = {
         "symmetrize",
     ),
     "rotations": (
-        "conjugate_spinor_slot",
         "decompose_spin_j_singlet",
         "is_isc",
         "is_rotationally_invariant",

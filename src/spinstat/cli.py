@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 # Each handler imports the modules it computes with, so a cold process loads
 # only what its subcommand reaches.
@@ -572,43 +572,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Options(argparse.Namespace):
-    """Parsed options that add the name of each one read to ``read``; ``main`` refuses the rest."""
+# The options that a mode reads only where a condition on the parsed values
+# holds, per subcommand; every other option is read in every mode.  ``main``
+# refuses each given option whose condition fails before any handler runs.
+_READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[str, ...]], ...]] = {
+    "state": (
+        (lambda a: a.check_invariance or a.check_isc, ("c", "grid")),
+        (lambda a: a.tag == "spin_j_singlet", ("decompose",)),
+    ),
+    "bell": ((lambda a: a.search, ("denominator",)), (lambda a: not a.search, ("gaps",))),
+    "perm": (
+        (lambda a: a.op == "energy", ("levels", "count")),
+        (lambda a: a.op != "energy", ("states",)),
+        (lambda a: a.op == "classify", ("construction",)),
+    ),
+    "cg": ((lambda a: not a.photon, ("j1", "j2")),),
+    "condprob": ((lambda a: a.compare_cg, ("s",)),),
+    "beam": ((lambda a: a.test_null is not None, ("critical",)),),
+}
 
-    __slots__ = ("read",)
 
-    def __init__(self) -> None:
-        self.read: set[str] = set()
-
-    def __getattribute__(self, name: str) -> Any:
-        if name in super().__getattribute__("__dict__"):
-            super().__getattribute__("read").add(name)
-        return super().__getattribute__(name)
+def _unread_options(args: argparse.Namespace) -> list[str]:
+    """The options given in ``args`` (not ``None`` or ``False``) that its mode does not read."""
+    return sorted(
+        name
+        for reads, names in _READ_WHERE.get(args.command, ())
+        if not reads(args)
+        for name in names
+        if getattr(args, name) is not None and getattr(args, name) is not False
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _attach_negative_angle_lists(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv, _Options())
-    args.read.clear()  # argparse's own reads while it parses are not the handler's
+    args = build_parser().parse_args(argv)
     envelope: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "mode": args.mode,
     }
-    fmt = args.format  # read before the check, as the handler's options are
     try:
-        envelope["payload"] = args.handler(args)
-        given = {name for name, value in vars(args).items() if value is not None and value is not False}
-        if unread := sorted(given - args.read):
+        if unread := _unread_options(args):
             options = ", ".join("--" + name.replace("_", "-") for name in unread)
             raise InvalidValueError(f"{args.command} does not use {options} here")
-        emit(envelope, fmt)
+        envelope["payload"] = args.handler(args)
+        emit(envelope, args.format)
         return 0
     except (SpinstatError, OSError) as exc:
         code = exc.code if isinstance(exc, SpinstatError) else "io-error"
         envelope.pop("payload", None)
         envelope["error"] = {"code": code, "message": str(exc)}
-    emit(envelope, fmt)
+    emit(envelope, args.format)
     return 1
 
 

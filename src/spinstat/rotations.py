@@ -13,8 +13,7 @@ joint outcome distribution sits on two complementary cells of weight 1/2.
 Both checks read the pair's doublet split ``(s, u, d, t)``: the paired
 rotation fixes ``s`` and ``u`` and turns only ``(d, t)``, so an exact pair
 is decided by equalities on the four, and a float one by closed forms over
-an angle grid.  Spinor conjugation (``L- - L+`` at spin 1/2) applies one-slot
-images through :func:`~spinstat.kets.apply_to_slot`.
+an angle grid.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from .exact import ExactScalar, Rational
-from .kets import FLOAT, Ket, Scalar, apply_to_slot, check_spin, ladder
+from .kets import FLOAT, Ket, Scalar, check_spin
 
 # Functions that compute with arrays import numpy themselves, so exact
 # callers, and most CLI subcommands, never load it.
@@ -366,20 +365,6 @@ def is_isc(ket: Ket, c: Rational | float = HALF, grid: int = 360) -> IscResult:
     # ket, and so their rounding, do.
     witness = float(angles[int(np.argmax(deviation >= worst - 1e-9 * max(1.0, worst)))])
     return IscResult(False, witness, worst)
-
-
-def conjugate_spinor_slot(ket: Ket, slot: int) -> Ket:
-    """Apply the antisymmetric conjugation |+> -> |->, |-> -> -|+>, ``L- - L+`` at spin 1/2, to a slot.
-
-    Turns the correlated pair state into the anticorrelated one (and back,
-    up to a global sign); applying it twice negates the ket.
-    """
-    if not 0 <= slot < ket.n_particles:
-        raise ShapeError(f"slot {slot} out of range for {ket.n_particles} particles")
-    if ket.dims[slot] != 2:
-        raise ShapeError(f"spinor conjugation needs a 2-dimensional slot, got {ket.dims[slot]}")
-    images = [lower - upper for upper, lower in zip(ladder(HALF, "+"), ladder(HALF, "-"))]
-    return apply_to_slot(images, ket, slot)
 
 
 class PairComponent(NamedTuple):

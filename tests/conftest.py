@@ -1,5 +1,6 @@
-"""Shared helpers: exact random states built from rational rotations, and
-the record of the module tests that acceptance criterion 9 reads."""
+"""Shared helpers: exact random states built from rational rotations, the
+spinor conjugation oracle, and the record of the module tests that
+acceptance criterion 9 reads."""
 
 from __future__ import annotations
 
@@ -69,6 +70,19 @@ def dense_amplitudes(ket: Ket):
     for label, amp in ket.amplitudes.items():
         psi[label] = complex(amp)
     return psi
+
+
+def conjugate_spinor_slot(ket: Ket, slot: int) -> Ket:
+    """Oracle: the conjugation |+> -> |->, |-> -> -|+> (``L- - L+`` at spin 1/2) on one slot.
+
+    It turns the correlated pair state into the anticorrelated one and back,
+    up to a global sign, and applied twice it negates the ket.
+    """
+    amps = {}
+    for label, amp in ket.amplitudes.items():
+        flipped = label[:slot] + (1 - label[slot],) + label[slot + 1 :]
+        amps[flipped] = -amp if label[slot] else amp
+    return Ket(ket.dims, amps)
 
 
 @pytest.fixture

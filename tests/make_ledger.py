@@ -12,7 +12,9 @@ the default search in JSON and in CSV, each golden command in CSV, Bell
 and Wigner triples at tiny gaps and an exact tie, seeded beams on both sides
 of ``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
 that needs no state file.  With ``--check`` the script names each call whose
-record differs from the ledger and exits 1 if any does.  A beam above
+record differs from the ledger, and each ``tests/golden/<name>.json`` file
+whose sha256 is not its golden command's ledger digest, and exits 1 if any
+does.  A beam above
 ``SMALL_BEAM`` atoms draws with numpy; where numpy cannot be imported,
 ``--check`` skips those calls and says how many it skipped.
 """
@@ -88,6 +90,16 @@ def records(calls: list[list[str]]) -> list[dict]:
     return result
 
 
+def differing_golden_files(by_argv: dict[tuple, dict]) -> list[str]:
+    """The golden files whose sha256 is not the ledger digest of their command."""
+    differ = []
+    for name, command in GOLDEN_COMMANDS.items():
+        entry = by_argv.get(tuple(_shown(arg) for arg in command), {})
+        if hashlib.sha256((GOLDEN_DIR / f"{name}.json").read_bytes()).hexdigest() != entry.get("sha256"):
+            differ.append(f"{name}.json")
+    return differ
+
+
 def dumps(entries: list[dict]) -> str:
     """One record per line, so that a changed call is one changed line."""
     return "[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n"
@@ -109,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     expected = json.loads(LEDGER.read_text(encoding="utf-8"))
     by_argv = {tuple(entry["argv"]): entry for entry in expected}
+    golden_differ = differing_golden_files(by_argv)
     for call in skipped:
         by_argv.pop(tuple(call), None)
     differ = [entry for entry in found if by_argv.pop(tuple(entry["argv"]), None) != entry]
@@ -116,11 +129,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"differs: {' '.join(entry['argv'])}")
     for key in by_argv:
         print(f"not in the corpus: {' '.join(key)}")
+    for name in golden_differ:
+        print(f"golden file differs: {name}")
     if skipped:
         print(f"skipped {len(skipped)} calls that need numpy, which cannot be imported")
+    n = len(GOLDEN_COMMANDS)
+    print(f"{n - len(golden_differ)} of {n} golden files hash to their ledger digests")
     same = len(found) - len(differ)
     print(f"Python {platform.python_version()}: {same} of {len(found)} calls match the ledger")
-    return 1 if differ or by_argv else 0
+    return 1 if differ or by_argv or golden_differ else 0
 
 
 if __name__ == "__main__":

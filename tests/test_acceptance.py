@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_orthonormal_kets
+from conftest import conjugate_spinor_slot, random_orthonormal_kets
 from test_permstats import naive_signed_sum
 
 from spinstat.beam import BeamConfig, chi_square_discriminate, simulate_beam
@@ -25,7 +25,7 @@ from spinstat.permstats import (
     classify_statistics,
     invariance_signature,
 )
-from spinstat.rotations import conjugate_spinor_slot, is_isc, is_rotationally_invariant, make_state
+from spinstat.rotations import is_isc, is_rotationally_invariant, make_state
 from spinstat.spin_algebra import (
     cg_decompose,
     ladder_apply,

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import check_golden
 import make_ledger
 from check_golden import BAD_INPUTS, DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from spinstat.beam import SMALL_BEAM
+from spinstat import cli
 from spinstat.cli import build_parser, ket_payload, main, parse_state_sections
+from spinstat.errors import SpinstatError
 from spinstat.exact import parse_scalar
 from spinstat.kets import Ket
 from spinstat.rotations import STATE_TAGS, make_state
@@ -48,43 +49,38 @@ def test_outputs_validate_against_schema(name):
     jsonschema.validate(json.loads(output), load_schema())
 
 
-def test_check_golden_passes_on_this_tree(capsys):
-    assert check_golden.main(["--check"]) == 0
-    n = len(GOLDEN_COMMANDS)
-    assert capsys.readouterr().out.endswith(f": {n} of {n} golden commands print their golden bytes\n")
-
-
-def test_check_golden_names_each_differing_command(tmp_path, monkeypatch, capsys):
-    for name in GOLDEN_COMMANDS:
-        (tmp_path / f"{name}.json").write_text((GOLDEN_DIR / f"{name}.json").read_text())
-    for name in ("beam_seeded", "bell_reference"):
-        path = tmp_path / f"{name}.json"
-        path.write_text(path.read_text().replace("0", "1", 1))
-    monkeypatch.setattr(check_golden, "GOLDEN_DIR", tmp_path)
-    n = len(GOLDEN_COMMANDS)
-    assert check_golden.main(["--check"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["differs: bell_reference", "differs: beam_seeded"]
-    assert lines[2].endswith(f": {n - 2} of {n} golden commands print their golden bytes")
-    # Without --check the script only reports.
-    assert check_golden.main([]) == 0
-
-
 def test_ledger_matches_this_tree(tmp_path, monkeypatch, capsys):
     assert make_ledger.main(["--check"]) == 0
-    n = len(make_ledger.corpus())
-    assert capsys.readouterr().out.endswith(f": {n} of {n} calls match the ledger\n")
-    # A changed digest and a call the corpus lacks are both named.
+    n, g = len(make_ledger.corpus()), len(GOLDEN_COMMANDS)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"{g} of {g} golden files hash to their ledger digests"
+    assert lines[-1].endswith(f": {n} of {n} calls match the ledger")
+    # A changed digest, a call the corpus lacks and a changed golden file are all named.
     entries = json.loads(make_ledger.LEDGER.read_text())
-    entries[1]["sha256"] = "0" * 64
+    changed = entries[g]  # the first call after the golden commands
+    changed["sha256"] = "0" * 64
     entries.append({"argv": ["bell", "--gaps", "0,0,0"], "exit": 0, "sha256": "0" * 64})
     ledger = tmp_path / "ledger.json"
     ledger.write_text(make_ledger.dumps(entries))
     monkeypatch.setattr(make_ledger, "LEDGER", ledger)
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name in GOLDEN_COMMANDS:
+        (golden / f"{name}.json").write_bytes((GOLDEN_DIR / f"{name}.json").read_bytes())
+    for name in ("beam_seeded", "bell_reference"):
+        path = golden / f"{name}.json"
+        path.write_text(path.read_text().replace("0", "1", 1))
+    monkeypatch.setattr(make_ledger, "GOLDEN_DIR", golden)
     assert make_ledger.main(["--check"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == [f"differs: {' '.join(entries[1]['argv'])}", "not in the corpus: bell --gaps 0,0,0"]
-    assert lines[2].endswith(f": {n - 1} of {n} calls match the ledger")
+    assert lines[:5] == [
+        f"differs: {' '.join(changed['argv'])}",
+        "not in the corpus: bell --gaps 0,0,0",
+        "golden file differs: bell_reference.json",
+        "golden file differs: beam_seeded.json",
+        f"{g - 2} of {g} golden files hash to their ledger digests",
+    ]
+    assert lines[5].endswith(f": {n - 1} of {n} calls match the ledger")
 
 
 def test_ledger_check_skips_the_numpy_beams_where_numpy_is_missing(tmp_path, monkeypatch, capsys):
@@ -94,7 +90,7 @@ def test_ledger_check_skips_the_numpy_beams_where_numpy_is_missing(tmp_path, mon
     n = len(make_ledger.corpus()) - skipped
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"skipped {skipped} calls that need numpy, which cannot be imported"
-    assert lines[1].endswith(f": {n} of {n} calls match the ledger")
+    assert lines[2].endswith(f": {n} of {n} calls match the ledger")
     # A ledger is written only from the whole corpus.
     monkeypatch.setattr(make_ledger, "LEDGER", tmp_path / "ledger.json")
     with pytest.raises(SystemExit) as err:
@@ -180,10 +176,10 @@ def test_refusal_names_every_unread_option():
     assert json.loads(output)["error"]["message"] == "state does not use --c, --grid here"
     code, output = run_cli(["cg", "--photon", "--j1", "3", "--j2", "1/2"])
     assert json.loads(output)["error"]["message"] == "cg does not use --j1, --j2 here"
-    # The handler runs first, so its own domain error wins over the refusal.
+    # The refusal comes before the handler runs, so it wins over the handler's own domain error.
     code, output = run_cli(["beam", "--atoms", "-1", "--critical", "3"])
     assert code == 1
-    assert json.loads(output)["error"]["message"] == "atom count must be nonnegative"
+    assert json.loads(output)["error"]["message"] == "beam does not use --critical here"
 
 
 # Options that only some modes read default to None and are resolved where
@@ -580,6 +576,33 @@ def test_cold_beams_load_no_thread_pool(atoms, absent):
     assert not absent & set(loaded)
 
 
+REFUSAL_AFTER_MAIN = """
+import contextlib, io, json, sys
+from spinstat.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(code, 'numpy' in sys.modules, json.dumps(json.loads(out.getvalue())["error"]))
+"""
+
+
+# An unread option is refused before the handler runs, so a beam of 10**8
+# atoms, which would draw with numpy for about half a second, draws nothing
+# and loads no numpy.  As above, the child runs with -S.
+def test_an_unread_option_refuses_a_large_beam_before_it_draws():
+    root = Path(__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-S", "-c", REFUSAL_AFTER_MAIN, "beam", "--atoms", "100000000", "--critical", "3", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        cwd=str(root),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), *site.getsitepackages()])},
+    )
+    assert completed.returncode == 0, completed.stderr
+    code, numpy, error = completed.stdout.split(" ", 2)
+    assert (code, numpy) == ("1", "False")
+    assert json.loads(error) == {"code": "invalid-value", "message": "beam does not use --critical here"}
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI contract: every argv and state file ends with exit code 0,
 # 1 or 2, and exit 0 or 1 prints an envelope.  Sizes stay small: at most 4
@@ -699,47 +722,19 @@ SUBCOMMANDS = {
 }
 
 
-# The options each mode reads, kept apart from the recorder in ``cli.main``
-# as an oracle: per subcommand, rows of (word, options), where the row holds
-# if the word is in argv, ``"!word"`` if it is not, and ``None`` always.
-OPTIONS_READ = {
-    "state": [
-        (None, {"--j", "--check-invariance", "--check-isc"}),
-        ("--check-invariance", {"--c", "--grid"}),
-        ("--check-isc", {"--c", "--grid"}),
-        ("spin_j_singlet", {"--decompose"}),
-    ],
-    "bell": [(None, {"--formula", "--search"}), ("--search", {"--denominator"}), ("!--search", {"--gaps"})],
-    "wigner": [(None, {"--angles", "--variant", "--formula"})],
-    "perm": [("energy", {"--levels", "--count"}), ("!energy", {"--states"}), ("classify", {"--construction"})],
-    "cg": [(None, {"--photon"}), ("!--photon", {"--j1", "--j2"})],
-    "algebra": [(None, {"--n", "--j"})],
-    "condprob": [(None, {"--prior", "--total", "--compare-cg"}), ("--compare-cg", {"--s"})],
-    "beam": [(None, {"--atoms", "--hypothesis", "--test-null", "--seed"}), ("--test-null", {"--critical"})],
-}
-
-
-def _options_read(argv):
-    read = set(COMMON)
-    for word, options in OPTIONS_READ[argv[0]]:
-        if word is None or (word.lstrip("!") in argv) != word.startswith("!"):
-            read |= options
-    return read
-
-
 def _named_unread(error):
     """The options that a "does not use" refusal names; empty for any other envelope."""
     refused = re.fullmatch(r"\w+ does not use (.*) here", error.get("message", ""))
     return set(refused.group(1).split(", ")) if refused else set()
 
 
-# Argv that succeed, at least one per mode, and a valid value for each option
-# of the subcommand.  Added to each argv, an option is refused by name
-# exactly when ``OPTIONS_READ`` says that the mode does not read it.
+# Argv that run, at least one per mode, and a valid value for each option of
+# the subcommand.  Run directly, each handler must read exactly the options
+# that ``cli._READ_WHERE`` says its mode reads.
 MODE_CASES = {
     "state": (
         ["state singlet", "state singlet --check-isc", "state spin_j_singlet --j 1"],
-        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36", "--tol 1e-9"],
+        ["--j 1", "--check-invariance", "--check-isc", "--decompose", "--c 1/2", "--grid 36"],
     ),
     "bell": (
         ["bell --gaps pi/3,pi/3,2pi/3", "bell --search --denominator 3"],
@@ -772,24 +767,38 @@ OPTION_CASES = [
     for base in bases
     for option in [*options, "--mode float", "--format json"]
 ]
+# What the parsed namespace holds besides the subcommand's options.
+NOT_OPTIONS = {"command", "handler", "format", "mode", "tag", "op"}
+
+
+class _Recording:
+    """The values of a parsed namespace, noting in ``read`` the name of each one read."""
+
+    def __init__(self, args):
+        self._values = vars(args)
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
 
 
 @pytest.mark.parametrize("base, option", OPTION_CASES, ids=[" ".join(b + o) for b, o in OPTION_CASES])
-def test_an_option_is_refused_exactly_where_its_mode_does_not_read_it(base, option, capsys):
+def test_each_handler_reads_exactly_the_options_that_the_table_declares(base, option):
     argv = [str(DATA / arg) if arg.endswith(".txt") else arg for arg in [*base, *option]]
-    if option[0] in build_parser().parse_known_args(argv)[1]:
-        # An option the subcommand does not define, such as state's retired
-        # --tol, is read by no mode and refused as a usage error.
-        assert option[0] not in _options_read(argv)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
-        return
-    code, output = run_cli(argv)
-    error = json.loads(output).get("error", {})
-    assert (option[0] in _named_unread(error)) == (option[0] not in _options_read(argv)), error
-    assert code == (1 if error else 0)
+    args = build_parser().parse_args(argv)
+    options = set(vars(args)) - NOT_OPTIONS
+    rows = cli._READ_WHERE.get(args.command, ())
+    assert {name for _, names in rows for name in names} <= options
+    declared = options - {name for reads, names in rows if not reads(args) for name in names}
+    recording = _Recording(args)
+    try:
+        args.handler(recording)
+    except SpinstatError:
+        # A handler stops at its domain error, such as singlet's refusal of --j.
+        assert recording.read - {"tag", "op"} <= declared
+    else:
+        assert recording.read - {"tag", "op"} == declared
 
 
 @st.composite
@@ -819,13 +828,14 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv, state_text):
     assert code in (0, 1, 2), argv
     if code == 2:
         return
-    given = {arg for arg in argv if arg.startswith("--")}
-    if code == 0:
-        assert given <= _options_read(argv), argv
+    # Every option that the table says this mode does not read is refused, and nothing else is.
+    args = build_parser().parse_args(cli._attach_negative_angle_lists(argv))
+    unread = {"--" + name.replace("_", "-") for name in cli._unread_options(args)}
+    assert code == 1 or not unread, argv
     if "csv" in argv:
         assert out.getvalue().startswith("key,value\n")
         return
     envelope = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     jsonschema.validate(envelope, load_schema())
     assert ("error" in envelope) == (code == 1)
-    assert _named_unread(envelope.get("error", {})) <= given - _options_read(argv), argv
+    assert _named_unread(envelope.get("error", {})) == unread, argv

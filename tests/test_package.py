@@ -57,7 +57,7 @@ def test_public_names_are_pinned():
         "PermutationExpansion", "ProbabilityTable", "SpinDistribution", "SpinstatError",
         "StatisticsClass", "WignerReport", "antisymmetrize", "bell_inequality", "cg_decompose",
         "chi_square_discriminate", "classify_statistics", "compare_with_cg",
-        "conditional_given_total", "conjugate_spinor_slot", "decompose_spin_j_singlet",
+        "conditional_given_total", "decompose_spin_j_singlet",
         "format_scalar", "ground_state_energy", "hypothesis_distribution", "inner_product",
         "invariance_signature", "is_isc", "is_rotationally_invariant", "joint_distribution",
         "ladder_apply", "make_state", "parse_pi_angle", "parse_scalar", "permute_slots",
@@ -150,7 +150,7 @@ def _names_from(name, source):
 
 
 # One slot-operator kernel: the ladder and the one-slot operator images live
-# in kets, and both rotations and spin_algebra apply them from there.
+# in kets, and spin_algebra applies them from there.
 SLOT_KERNEL = {"ladder_factor", "ladder", "apply_to_slot"}
 
 
@@ -160,7 +160,6 @@ def test_kets_is_the_single_owner_of_the_slot_kernel():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert defined & SLOT_KERNEL == (SLOT_KERNEL if name == "kets" else set()), name
     assert _names_from("spin_algebra", "kets") >= SLOT_KERNEL
-    assert _names_from("rotations", "kets") >= {"ladder", "apply_to_slot"}
     assert "spin_algebra" not in _imported_roots("rotations")
 
 

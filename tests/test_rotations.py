@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_float_ket
+from conftest import conjugate_spinor_slot, random_float_ket
 from spinstat.errors import InvalidSpinError, InvalidValueError, ShapeError, SizeLimitError, UnknownTagError
 from spinstat.exact import ExactScalar
 from spinstat.kets import Ket, Permutation, index_of_m, inner_product, permute_slots
@@ -25,7 +25,6 @@ from spinstat.rotations import (
     _isc_deviation,
     _isc_table,
     _max_sin,
-    conjugate_spinor_slot,
     decompose_spin_j_singlet,
     is_isc,
     is_rotationally_invariant,
@@ -537,13 +536,6 @@ def test_conjugate_spinor_is_unitary(rng):
         cb = conjugate_spinor_slot(b, 1)
         assert ca.norm_squared() == pytest.approx(a.norm_squared())
         assert abs(inner_product(ca, cb)) == pytest.approx(abs(inner_product(a, b)))
-
-
-def test_conjugate_spinor_slot_guards():
-    with pytest.raises(ShapeError):
-        conjugate_spinor_slot(make_state("singlet"), 2)
-    with pytest.raises(ShapeError):
-        conjugate_spinor_slot(Ket.basis((2, 3), (0, 0)), 1)
 
 
 def test_decomposition_structure():
