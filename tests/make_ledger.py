@@ -14,9 +14,9 @@ of ``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
 that needs no state file.  With ``--check`` the script names each call whose
 record differs from the ledger, and each ``tests/golden/<name>.json`` file
 whose sha256 is not its golden command's ledger digest, and exits 1 if any
-does.  A beam above
-``SMALL_BEAM`` atoms draws with numpy; where numpy cannot be imported,
-``--check`` skips those calls and says how many it skipped.
+does.  A beam above ``SMALL_BEAM`` atoms draws with numpy; where numpy
+cannot be imported, ``--check`` skips those calls and says how many it
+skipped.
 """
 
 from __future__ import annotations
