@@ -44,6 +44,10 @@ BEAM_SEED = "18446744073709551621"
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 #: Consistent gap triples pi/k, pi/k, 2pi/k whose Bell margin falls below
 #: 1e-12 between k = 10**6 and 2 * 10**6, and the exact tie pi/2, pi/2, pi.
+#: At k = 10**7, the same triple with a sign flipped or the third gap a
+#: period on (2 turns of pi in the half formula, 1 in the full one), the
+#: tie pi/k, -pi/k, 0, and the inconsistent triple pi/3, pi/3, pi/3, in
+#: both formulas.
 TINY_GAP_CALLS = [
     *(
         ["bell", "--gaps", f"pi/{k},pi/{k},2pi/{k}", "--formula", formula]
@@ -52,6 +56,18 @@ TINY_GAP_CALLS = [
     ),
     ["wigner", "--angles", "0,pi/10000000,2pi/10000000"],
     ["bell", "--gaps", "pi/2,pi/2,pi"],
+    *(
+        ["bell", "--gaps", gaps, "--formula", formula]
+        for gaps in (
+            "pi/10000000,pi/10000000,-2pi/10000000",
+            "-pi/10000000,-pi/10000000,2pi/10000000",
+            "pi/10000000,pi/10000000,20000002pi/10000000",
+            "pi/10000000,pi/10000000,10000002pi/10000000",
+            "pi/10000000,-pi/10000000,0",
+            "pi/3,pi/3,pi/3",
+        )
+        for formula in ("half", "full")
+    ),
 ]
 
 
