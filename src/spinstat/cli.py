@@ -310,14 +310,11 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
     if args.search:
         denominator = args.denominator or 12
         violations = measurement.search_violations(denominator=denominator, mode=args.formula)
-        reference = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
-        # The records from start 0 come first and hold each violating step
-        # pair once, so they hold every gap triple the grid violates.
-        from_start_0 = itertools.islice(violations, len(violations.pairs))
+        # The gaps pi/3, pi/3, 2pi/3 are the step pair (d/3, d/3).
         return {
             "search_denominator": denominator,
             "violations_found": len(violations),
-            "contains_reference_gaps": any(v.gaps == reference for v in from_start_0),
+            "contains_reference_gaps": any(3 * a == 3 * b == denominator for a, b, _, _ in violations.pairs),
             "first_violations": [
                 {
                     "angles": [measurement.format_pi_angle(a) for a in v.angles],

@@ -1,9 +1,9 @@
 """Projective spin measurements, joint outcome tables, and Bell's inequality.
 
 Angles can be given either as floats (radians) or as :class:`~fractions.Fraction`
-multiples of pi.  Fractional angles whose cosine is rational are evaluated
-exactly, which covers the pi/3-style angles where the inequality's violation
-is an identity between fractions.
+multiples of pi.  Terms at angles with a rational cosine are exact fractions,
+and a verdict on pi multiples whose third gap is ±(first ± second), as on
+search grids and in Wigner triples, is a sign rule on integers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from .errors import InvalidValueError, ShapeError, SizeLimitError
 from .exact import Frozen, Rational
 from .kets import Ket
 
-#: Finest angle grid ``search_violations`` scans.  The search decides the
-#: grid's ``C(2d - 1, 2)`` step pairs, so its time grows as ``denominator**2``
-#: (under 1 ms warm at 48); the records it stands for grow as
-#: ``denominator**3`` (69 184 at 48) but are built when iterated.  The
-#: limit is where the float verdicts, whose near-ties :data:`SLACK` settles,
-#: have been checked against exact ones; a finer grid needs that check first.
+#: Finest angle grid ``search_violations`` scans.  Its verdicts are exact at
+#: any size; its time grows as ``denominator**2``, one verdict per step pair
+#: (under 1 ms warm at 48), and its records as ``denominator**3`` (69 184 at
+#: 48), which are built when iterated.
 MAX_SEARCH_DENOMINATOR = 48
 
 #: Most slots ``joint_distribution`` reads.  Its table holds ``2**n``
@@ -85,13 +83,10 @@ def angle_to_radians(angle: Angle) -> float:
 _COS_SIXTHS = (1, None, "1/2", 0, "-1/2", None, -1, None, "-1/2", 0, "1/2", None)
 #: (1 - cos(k*pi/6))/4, the Bell gap term: k/8 for an integer 0 <= k <= 4.
 _GAP_TERM_SIXTHS = tuple(None if c is None else (1 - Fraction(c)) / 4 for c in _COS_SIXTHS)
-#: The same terms as floats, which hold them exactly.
-_GAP_FLOAT_SIXTHS = tuple(None if t is None else float(t) for t in _GAP_TERM_SIXTHS)
-#: Sixths of pi in the angle x of the term (1 - cos(x))/4 per pi of gap:
-#: x is the gap in the half formula and twice it in the full one.
-_SIXTHS_PER_PI = {"half": 6, "full": 12}
+#: The term's period in pi multiples of gap: its angle x is 2*pi*gap/period.
+_PERIOD = {"half": 2, "full": 1}
 
-#: Margin a float left side must clear to count as larger than the right.
+#: Margin a float left side must clear where no sign rule decides.
 SLACK = 1e-12
 
 
@@ -233,7 +228,7 @@ def _pi_term(p: int, q: int, mode: BellMode) -> Fraction | float:
     """
     # 1/2 * sin^2(x/2) = (1 - cos(x))/4, with x = gap (half) or 2*gap (full).
     # The term is rational only where x is k*pi/6 for an integer k.
-    sixths, rest = divmod(_SIXTHS_PER_PI[mode] * p, q)
+    sixths, rest = divmod(12 * p, _PERIOD[mode] * q)
     term = None if rest else _GAP_TERM_SIXTHS[sixths % 12]
     if term is not None:
         return term
@@ -254,18 +249,34 @@ def _gap_term(gap: Angle, mode: BellMode) -> Fraction | float:
     return math.sin(angle) ** 2 / 2
 
 
-def _exceeds(
-    lhs: Fraction | float, first: Fraction | float, second: Fraction | float
-) -> tuple[Fraction | float, Fraction | float, bool]:
-    """Decide ``lhs > first + second``; return both sides and the verdict.
+def _sin_sign(p: int, q: int) -> int:
+    """The sign of sin(p*pi/q), for integers ``p`` and ``q > 0``."""
+    r = p % (2 * q)
+    return 0 if r == 0 or r == q else 1 if r < q else -1
 
-    Exact between fractions; otherwise in floats, where the left side must
-    clear the right by :data:`SLACK`.
+
+def _evaluate(
+    terms: Sequence[Fraction | float], angles: Sequence[Angle], mode: BellMode, points: bool = False
+) -> tuple[Fraction | float, Fraction | float, bool]:
+    """``lhs``, ``rhs = first + second`` (fractions where all three terms are) and ``lhs > rhs``.
+
+    The terms are those of the gaps ``angles`` (ij, jk, ki), or of the ``points`` (i, j, k).  At
+    pi multiples with ki = ±(ij ± jk) modulo the period, lhs - rhs has the sign of sin A * sin B
+    * cos(A + B), A and B being ij and jk (full) or their halves; else lhs must clear :data:`SLACK`.
     """
-    if isinstance(lhs, Fraction) and isinstance(first, Fraction) and isinstance(second, Fraction):
-        rhs = first + second
-        return lhs, rhs, lhs > rhs
-    lhs, rhs = float(lhs), float(first) + float(second)
+    lhs, first, second = terms
+    exact = lhs.__class__ is first.__class__ is second.__class__ is Fraction
+    lhs, rhs = (lhs, first + second) if exact else (float(lhs), float(first) + float(second))
+    if all(isinstance(angle, Fraction) for angle in angles):
+        d = math.lcm(*(angle.denominator for angle in angles))
+        x, y, z = (angle.numerator * (d // angle.denominator) for angle in angles)
+        if points:
+            x, y, z = y - x, z - y, z - x
+        q = d * _PERIOD[mode]
+        for a, b in ((x, y), (x, -y), (-x, y), (-x, -y)):
+            if (z - a - b) % q == 0:
+                return lhs, rhs, _sin_sign(a, q) * _sin_sign(b, q) * _sin_sign(2 * (a + b) + q, 2 * q) > 0
+    # Exact sides are multiples of 1/8, so SLACK decides them exactly too.
     return lhs, rhs, lhs > rhs + SLACK
 
 
@@ -277,13 +288,14 @@ def bell_inequality(
 ) -> BellEvaluation:
     """Evaluate the pairwise-gap inequality.
 
-    The left side is the disagreement term for the (i,k) gap and the right
-    side the sum for the (i,j) and (j,k) gaps.  Exact fractions are used
-    when all three gaps are rational multiples of pi with rational cosine;
-    otherwise floats with the fixed margin :data:`SLACK` on the verdict.
+    The left side is the (i,k) gap's disagreement term and the right side the
+    sum for the (i,j) and (j,k) gaps: fractions at pi multiples with rational
+    cosine, else floats.  The verdict is an integer sign rule where theta_ki =
+    ±(theta_ij ± theta_jk) modulo the period, else a comparison with :data:`SLACK`.
     """
     _check_mode(mode)
-    lhs, rhs, violated = _exceeds(*(_gap_term(g, mode) for g in (theta_ki, theta_jk, theta_ij)))
+    gaps = (theta_ij, theta_jk, theta_ki)
+    lhs, rhs, violated = _evaluate([_gap_term(g, mode) for g in (theta_ki, theta_jk, theta_ij)], gaps, mode)
     return BellEvaluation(theta_ij, theta_jk, theta_ki, lhs, rhs, violated, mode)
 
 
@@ -371,34 +383,23 @@ def search_violations(
     if denominator > MAX_SEARCH_DENOMINATOR:
         raise SizeLimitError(f"the angle search supports denominators up to {MAX_SEARCH_DENOMINATOR}")
     n = 2 * denominator
-    # A gap term depends only on its step, and a triple's gaps only on its
-    # two steps (j - i, k - j), so each term is computed once and each step
-    # pair decided once, as bell_inequality(*gaps) would decide it.
+    # A term depends only on its step, and a triple's gaps only on its two
+    # steps, so each step pair is decided once, as bell_inequality(*gaps)
+    # would: by _evaluate's sign rule on per-step sign tables, and its sides.
     terms = [_pi_term(k, denominator, mode) for k in range(n)]
-    # A rational term is k/8 with 0 <= k <= 4.  Such terms and the sum of two
-    # are exact in binary floating point, and a true gap between them is at
-    # least 1/8, so the float test with SLACK decides them exactly as well.
-    # A rational term's float is read from the table at the index _pi_term
-    # read the term from, so no float(Fraction) runs.
-    scale = _SIXTHS_PER_PI[mode]
-    floats = [
-        t if t.__class__ is float else _GAP_FLOAT_SIXTHS[scale * k // denominator % 12]
-        for k, t in enumerate(terms)
-    ]
+    floats = [t if t.__class__ is float else t.numerator / t.denominator for t in terms]
+    q = denominator * _PERIOD[mode]
+    sin = [_sin_sign(k, q) for k in range(n)]
+    cos = [_sin_sign(2 * k + q, 2 * q) for k in range(n)]
     pairs = []
     for a in range(1, n):
-        fa = floats[a]
+        sa, fa = sin[a], floats[a]
         for b in range(1, n - a):
             span = a + b
-            rhs = floats[b] + fa
-            if floats[span] > rhs + SLACK:
-                # The sides _exceeds would report: the fractions where all
-                # three terms are exact, otherwise the same float sum.
+            if sa * sin[b] * cos[span] > 0:
                 lhs, first, second = terms[span], terms[b], terms[a]
-                if lhs.__class__ is float or first.__class__ is float or second.__class__ is float:
-                    pairs.append((a, b, floats[span], rhs))
-                else:
-                    pairs.append((a, b, lhs, first + second))
+                exact = lhs.__class__ is first.__class__ is second.__class__ is Fraction
+                pairs.append((a, b, lhs, first + second) if exact else (a, b, floats[span], floats[b] + fa))
     return GridViolations(denominator, mode, tuple(pairs))
 
 
@@ -468,7 +469,8 @@ def wigner_argument(
     The subset event (first particle ``+`` along theta_i, third ``-`` along
     theta_k) is contained in the union of two pair events, so its
     probability can be at most their sum; the report states whether the
-    perfect-correlation probability assignments respect that bound.
+    perfect-correlation probability assignments respect that bound.  For
+    three pi multiples an integer sign rule decides it, as in :func:`_evaluate`.
     """
     if variant not in _VARIANTS:
         raise InvalidValueError(f"unknown Wigner variant {variant!r}; use one of {', '.join(_VARIANTS)}")
@@ -481,5 +483,6 @@ def wigner_argument(
     superset, events = _VARIANTS[variant]
     pair_events = {name: (pair, terms[key]) for name, key, pair in events}
     subset_probability = terms["ki"]
-    _, _, exceeds = _exceeds(subset_probability, *(p for _, p in pair_events.values()))
+    triple = (subset_probability, terms["ij"], terms["jk"])
+    _, _, exceeds = _evaluate(triple, (theta_i, theta_j, theta_k), mode, points=True)
     return WignerReport(variant, _SUBSET, superset, subset_probability, pair_events, not exceeds)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import joint_parity
@@ -183,6 +183,83 @@ def test_bell_inequality_matches_the_oracle_on_the_twelfths_grid():
             assert_same(ev.lhs, lhs)
             assert_same(ev.rhs, rhs)
             assert ev.violated == violated
+
+
+#: The tiny gap of the Bell and Wigner calls whose margin is below SLACK.
+TINY = Fraction(1, 10**7)
+
+
+def pi_multiples(limit):
+    """Fractions p/q with 1 <= q <= limit and |p/q| <= 3: within a turn and a half of 0."""
+    return st.integers(1, limit).flatmap(lambda q: st.builds(Fraction, st.integers(-3 * q, 3 * q), st.just(q)))
+
+
+@st.composite
+def consistent_triples(draw):
+    """Gaps (ij, jk, ki) with ki = ±ij ± jk plus whole periods, a formula, and three angles with those gaps.
+
+    Some draws put a factor of the sign rule on zero: ij a whole period
+    (sin A = 0), or jk such that A + B is a right angle (cos(A + B) = 0).
+    Others take both gaps below 10**-6 pi, where the margin is below SLACK.
+    """
+    mode = draw(st.sampled_from(["half", "full"]))
+    period = 2 if mode == "half" else 1
+    ij, jk, start = draw(pi_multiples(10**9)), draw(pi_multiples(10**9)), draw(pi_multiples(10**9))
+    kind = draw(st.sampled_from([None, "tiny", "sin", "cos"]))
+    if kind == "tiny":
+        q = draw(st.integers(10**6, 10**9))
+        ij = Fraction(draw(st.integers(1, 3)), q)
+        jk = Fraction(draw(st.integers(-3, 3)), q) + draw(st.sampled_from([0, period]))
+    elif kind == "sin":
+        ij = Fraction(period * draw(st.integers(-1, 1)))
+    elif kind == "cos":
+        jk = Fraction(period, 2) - ij + period * draw(st.integers(-1, 1))
+    a, b = draw(st.sampled_from([ij, -ij])), draw(st.sampled_from([jk, -jk]))
+    ki = a + b + period * draw(st.integers(-1, 1))
+    return (ij, jk, ki), mode, (start, start + a, start + a + b)
+
+
+def mpmath_margin_sign(ij, jk, ki, mode):
+    """The sign of lhs - rhs at 50 digits, and whether a factor of sin A * sin B * cos(A + B) is zero.
+
+    With gap denominators up to about 10**9 a nonzero sin A or sin B is at
+    least about 10**-9 and a nonzero cos(A + B) about 10**-18, so a nonzero
+    margin exceeds 1e-36, far above the 1e-45 below which the 50-digit
+    evaluation reads zero.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        def angle(gap):
+            x = mpmath.mpf(gap.numerator) / gap.denominator * mpmath.pi
+            return x / 2 if mode == "half" else x
+
+        def term(gap):
+            return mpmath.sin(angle(gap)) ** 2 / 2
+
+        margin = term(ki) - term(jk) - term(ij)
+        # A + B is ±angle(ki) plus whole turns of pi.
+        factors = (mpmath.sin(angle(ij)), mpmath.sin(angle(jk)), mpmath.cos(angle(ki)))
+        tiny = mpmath.mpf(10) ** -45
+        return (margin > tiny) - (margin < -tiny), any(abs(f) < tiny for f in factors)
+
+
+@settings(deadline=None)
+@given(consistent_triples())
+@example(((TINY, TINY, 2 * TINY), "half", (Fraction(0), TINY, 2 * TINY)))
+@example(((TINY, TINY, 2 * TINY), "full", (Fraction(0), TINY, 2 * TINY)))
+@example(((TINY, -TINY, Fraction(0)), "half", (Fraction(0), TINY, Fraction(0))))
+@example(((TINY, 2 - TINY, 2 * TINY), "half", (Fraction(0), TINY, 2 * TINY - 2)))
+@example(((HALF, HALF, Fraction(1)), "half", (Fraction(0), HALF, Fraction(1))))
+@example(((Fraction(1, 4), Fraction(1, 4), HALF), "full", (Fraction(1, 3), Fraction(7, 12), Fraction(5, 6))))
+def test_pi_multiple_verdicts_match_a_50_digit_oracle(case):
+    (ij, jk, ki), mode, points = case
+    sign, factor_is_zero = mpmath_margin_sign(ij, jk, ki, mode)
+    # A tie is exactly a zero factor, and neither violates nor is inconsistent.
+    assert (sign == 0) == factor_is_zero
+    assert bell_inequality(ij, jk, ki, mode).violated == (sign > 0)
+    # Angles whose gaps are ±ij and ±jk have the same verdict.
+    for variant in ("same-state", "singlet-inclusive"):
+        assert wigner_argument(*points, variant, mode).consistent == (sign <= 0)
 
 
 def test_joint_distribution_singlet_equal_angles():
