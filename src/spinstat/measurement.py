@@ -267,12 +267,12 @@ def _evaluate(
     lhs, first, second = terms
     exact = lhs.__class__ is first.__class__ is second.__class__ is Fraction
     lhs, rhs = (lhs, first + second) if exact else (float(lhs), float(first) + float(second))
-    if all(isinstance(angle, Fraction) for angle in angles):
-        d = math.lcm(*(angle.denominator for angle in angles))
-        x, y, z = (angle.numerator * (d // angle.denominator) for angle in angles)
+    i, j, k = angles
+    if isinstance(i, Fraction) and isinstance(j, Fraction) and isinstance(k, Fraction):
+        (x, qx), (y, qy), (z, qz) = i.as_integer_ratio(), j.as_integer_ratio(), k.as_integer_ratio()
+        x, y, z, q = x * qy * qz, y * qx * qz, z * qx * qy, qx * qy * qz * _PERIOD[mode]
         if points:
             x, y, z = y - x, z - y, z - x
-        q = d * _PERIOD[mode]
         for a, b in ((x, y), (x, -y), (-x, y), (-x, -y)):
             if (z - a - b) % q == 0:
                 return lhs, rhs, _sin_sign(a, q) * _sin_sign(b, q) * _sin_sign(2 * (a + b) + q, 2 * q) > 0

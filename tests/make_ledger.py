@@ -9,7 +9,8 @@ Each call runs through ``spinstat.cli.main`` in this process.  The corpus is
 the golden commands of ``check_golden.py``, ``bell --search`` at every
 denominator from 1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas,
 the default search in JSON and in CSV, each golden command in CSV, Bell
-and Wigner triples at tiny gaps and an exact tie, seeded beams on both sides
+and Wigner triples at tiny gaps (with signs flipped and periods added),
+exact ties and an inconsistent triple, seeded beams on both sides
 of ``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
 that needs no state file.  With ``--check`` the script names each call whose
 record differs from the ledger, and each ``tests/golden/<name>.json`` file
