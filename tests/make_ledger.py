@@ -5,17 +5,20 @@ Run as a script, this module needs only the standard library and ``src``::
     PYTHONPATH=src python tests/make_ledger.py          # write tests/golden/ledger.json
     PYTHONPATH=src python tests/make_ledger.py --check  # compare with it
 
-Each call runs through ``spinstat.cli.main`` in this process.  The corpus is
-the golden commands of ``check_golden.py``, ``bell --search`` at every
-denominator from 1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas,
-the default search in JSON and in CSV, each golden command in CSV, Bell
-and Wigner triples at tiny gaps (with signs flipped and periods added),
-exact ties and an inconsistent triple, seeded beams on both sides
-of ``SMALL_BEAM`` and of the draw chunks, and every entry of ``BAD_INPUTS``
-that needs no state file.  With ``--check`` the script names each call whose
-record differs from the ledger, and each ``tests/golden/<name>.json`` file
-whose sha256 is not its golden command's ledger digest, and exits 1 if any
-does.  A beam above ``SMALL_BEAM`` atoms draws with numpy; where numpy
+Each call runs through ``spinstat.cli.main`` in this process, from the
+repository root, with its paths relative to it.  The corpus is the golden
+commands of ``check_golden.py``, ``bell --search`` at every denominator from
+1 to one past ``MAX_SEARCH_DENOMINATOR`` in both formulas, the default search
+in JSON and in CSV, each golden command in CSV, Bell and Wigner triples at
+tiny gaps (with signs flipped and periods added), exact ties, an
+inconsistent triple and signed zero angles, each state of the catalog with
+its rotation checks, each ``perm`` op on each file in ``tests/data``, seeded
+beams on both sides of ``SMALL_BEAM`` and of the draw chunks, and every
+entry of ``BAD_INPUTS``.  With ``--check`` the script names each call whose
+record differs from the ledger, with the recorded and the current exit code,
+and each ``tests/golden/<name>.json`` file whose sha256 is not its golden
+command's ledger digest, and exits 1 if any does.  A beam above
+``SMALL_BEAM`` atoms and a failing ISC check compute with numpy; where numpy
 cannot be imported, ``--check`` skips those calls and says how many it
 skipped.
 """
@@ -26,12 +29,14 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import sys
 from pathlib import Path
 
-from check_golden import BAD_INPUTS, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
+from check_golden import BAD_INPUTS, DATA, GOLDEN_COMMANDS, GOLDEN_DIR, run_cli
 from spinstat.beam import SMALL_BEAM
+from spinstat.rotations import STATE_TAGS
 
 LEDGER = GOLDEN_DIR / "ledger.json"
 #: Argv paths are recorded relative to the repository root.
@@ -70,6 +75,28 @@ TINY_GAP_CALLS = [
         for formula in ("half", "full")
     ),
 ]
+#: The catalog's tags whose ISC check fails; its deviation and witness come
+#: from numpy's angle grid.
+NOT_ISC_TAGS = ("excluded_combination", "triplet_plus", "triplet_zero", "triplet_minus")
+
+
+def state_calls() -> list[list[str]]:
+    """Each tag (spin_j_singlet at j = 1/2) with each rotation check and both, at two rates and two grids."""
+    tags = [[tag] for tag in STATE_TAGS if tag != "spin_j_singlet"] + [["spin_j_singlet", "--j", "1/2"]]
+    checks = (["--check-invariance"], ["--check-isc"], ["--check-invariance", "--check-isc"])
+    return [
+        ["state", *tag, *check, *rate, *grid]
+        for tag in tags
+        for check in checks
+        for rate in ([], ["--c", "1"])
+        for grid in ([], ["--grid", "7"])
+    ] + [["state", "spin_j_singlet", "--j", "1/2"], ["state", "spin_j_singlet", "--j", "1", "--decompose"]]
+
+
+def perm_calls() -> list[list[str]]:
+    classify = (["classify", "--construction", construction] for construction in ("fd", "be", "mixed"))
+    ops = (["antisymmetrize"], ["symmetrize"], ["signature"], *classify)
+    return [["perm", *op, "--states", str(path)] for path in sorted(DATA.glob("*.txt")) for op in ops]
 
 
 def beam_calls() -> list[list[str]]:
@@ -88,9 +115,19 @@ def corpus() -> list[list[str]]:
     calls += [["bell", "--search"], ["bell", "--search", "--format", "csv"]]
     calls += [[*argv, "--format", "csv"] for argv in GOLDEN_COMMANDS.values()]
     calls += TINY_GAP_CALLS
+    calls += [["bell", "--gaps", "-0,pi/3,pi/3"], ["wigner", "--angles", "+0,pi/3,2pi/3"]]
+    calls += state_calls()
+    calls += perm_calls()
     calls += beam_calls()
-    calls += [list(argv) for argv, state_text, _ in BAD_INPUTS.values() if state_text is None]
-    return calls
+    calls += [list(argv) for argv, _ in BAD_INPUTS.values()]
+    # A golden command may come again among the calls of its subcommand.
+    return [list(call) for call in dict.fromkeys(map(tuple, calls))]
+
+
+def numpy_calls() -> list[list[str]]:
+    """The calls that compute with numpy: seeded beams above ``SMALL_BEAM`` atoms and failing ISC checks."""
+    beams = [call for call in beam_calls() if int(call[2]) > SMALL_BEAM]
+    return beams + [call for call in state_calls() if call[1] in NOT_ISC_TAGS and "--check-isc" in call]
 
 
 def _shown(arg: str) -> str:
@@ -99,11 +136,18 @@ def _shown(arg: str) -> str:
 
 
 def records(calls: list[list[str]]) -> list[dict]:
+    """Each call's record, run from the repository root as recorded, since an error message may print a path."""
     result = []
-    for argv in calls:
-        code, output = run_cli(argv)
-        digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
-        result.append({"argv": [_shown(arg) for arg in argv], "exit": code, "sha256": digest})
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for call in calls:
+            argv = [_shown(arg) for arg in call]
+            code, output = run_cli(argv)
+            digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+            result.append({"argv": argv, "exit": code, "sha256": digest})
+    finally:
+        os.chdir(cwd)
     return result
 
 
@@ -127,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true", help="compare with the ledger; exit 1 if any call differs")
     args = parser.parse_args(argv)
     calls = corpus()
-    # A beam above SMALL_BEAM atoms draws with numpy.
-    skipped = [] if HAVE_NUMPY else [call for call in beam_calls() if int(call[2]) > SMALL_BEAM]
+    skipped = [] if HAVE_NUMPY else numpy_calls()
     if skipped and not args.check:
         parser.error("writing the ledger needs numpy")
     found = records([call for call in calls if call not in skipped])
@@ -141,9 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     golden_differ = differing_golden_files(by_argv)
     for call in skipped:
         by_argv.pop(tuple(call), None)
-    differ = [entry for entry in found if by_argv.pop(tuple(entry["argv"]), None) != entry]
-    for entry in differ:
-        print(f"differs: {' '.join(entry['argv'])}")
+    pairs = [(by_argv.pop(tuple(entry["argv"]), None), entry) for entry in found]
+    differ = [(old, new) for old, new in pairs if old != new]
+    for old, new in differ:
+        recorded = "none" if old is None else old["exit"]
+        print(f"differs: {' '.join(new['argv'])} (exit {recorded} -> {new['exit']})")
     for key in by_argv:
         print(f"not in the corpus: {' '.join(key)}")
     for name in golden_differ:
