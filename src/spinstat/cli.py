@@ -152,8 +152,15 @@ def angle_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
 
 
+def _three(parse: Callable[[str], Fraction], text: str, kind: str) -> list[Fraction]:
+    values = [parse(part) for part in text.split(",")]
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"need three comma-separated {kind}, not {len(values)}")
+    return values
+
+
 def angle_list_arg(text: str) -> list[Fraction]:
-    return [angle_arg(part) for part in text.split(",")]
+    return _three(angle_arg, text, "angles")
 
 
 _ANGLE_LIST_OPTIONS = ("--angles", "--gaps")
@@ -323,8 +330,6 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
                 for v in itertools.islice(violations, 3)
             ],
         }
-    if args.gaps is None or len(args.gaps) != 3:
-        raise SpinstatError("bell needs --gaps with three comma-separated angles")
     ev = measurement.bell_inequality(*args.gaps, mode=args.formula)
     return _bell_payload(ev)
 
@@ -332,8 +337,6 @@ def cmd_bell(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_wigner(args: argparse.Namespace) -> dict[str, Any]:
     from . import measurement
 
-    if len(args.angles) != 3:
-        raise SpinstatError("wigner needs --angles with three comma-separated angles")
     report = measurement.wigner_argument(
         *args.angles, variant=args.variant, mode=args.formula
     )
@@ -356,8 +359,6 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
     from . import permstats
 
     if args.op == "energy":
-        if args.levels is None or args.count is None:
-            raise SpinstatError("perm energy needs --levels and --count")
         energy = permstats.ground_state_energy(args.levels, args.count)
         return {
             "op": "energy",
@@ -365,8 +366,6 @@ def cmd_perm(args: argparse.Namespace) -> dict[str, Any]:
             "count": args.count,
             "energy": energy,
         }
-    if args.states is None:
-        raise SpinstatError(f"perm {args.op} needs --states FILE")
     states = _read_states(args.states)
     if args.op in ("antisymmetrize", "symmetrize"):
         func = permstats.antisymmetrize if args.op == "antisymmetrize" else permstats.symmetrize
@@ -397,8 +396,6 @@ def cmd_cg(args: argparse.Namespace) -> dict[str, Any]:
         lowered = spin_algebra.ladder_apply("-", top)
         payload: dict[str, Any] = {"photon": True, "lowering_scale": lowered.norm()}
     else:
-        if args.j1 is None or args.j2 is None:
-            raise SpinstatError("cg needs --j1 and --j2 (or --photon)")
         table = spin_algebra.cg_decompose(args.j1, args.j2)
         payload = {"j1": str(args.j1), "j2": str(args.j2)}
     payload["rows"] = pair_rows({key: pair_rows(state.amplitudes) for key, state in table.items()})
@@ -421,10 +418,6 @@ def cmd_algebra(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_condprob(args: argparse.Namespace) -> dict[str, Any]:
     from . import condprob
 
-    if args.prior is None:
-        raise SpinstatError("condprob needs --prior p(+1),p(0),p(-1)")
-    if len(args.prior) != 3:
-        raise SpinstatError("--prior needs exactly three probabilities")
     dist = condprob.SpinDistribution(
         Fraction(1), dict(zip((Fraction(1), Fraction(0), Fraction(-1)), args.prior))
     )
@@ -538,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_algebra)
 
     p = sub.add_parser("condprob", help="conditional spin-sum tables")
-    p.add_argument("--prior", type=fraction_list_arg, default=None)
+    p.add_argument("--prior", type=lambda text: _three(fraction_arg, text, "fractions"), help="p(+1),p(0),p(-1)")
     p.add_argument("--total", type=int, default=0)
     p.add_argument("--compare-cg", action="store_true")
     p.add_argument("--s", type=int, help="--compare-cg coupled spin (default: 2)")
@@ -570,34 +563,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The options that a mode reads only where a condition on the parsed values
-# holds, per subcommand; every other option is read in every mode.  ``main``
-# refuses each given option whose condition fails before any handler runs.
-_READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[str, ...]], ...]] = {
+# holds, per subcommand, and whether the mode also needs them there; every
+# other option is read in every mode.
+_READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[str, ...], bool], ...]] = {
     "state": (
-        (lambda a: a.check_invariance or a.check_isc, ("c", "grid")),
-        (lambda a: a.tag == "spin_j_singlet", ("decompose",)),
+        (lambda a: a.check_invariance or a.check_isc, ("c", "grid"), False),
+        (lambda a: a.tag == "spin_j_singlet", ("decompose",), False),
     ),
-    "bell": ((lambda a: a.search, ("denominator",)), (lambda a: not a.search, ("gaps",))),
+    "bell": ((lambda a: a.search, ("denominator",), False), (lambda a: not a.search, ("gaps",), True)),
     "perm": (
-        (lambda a: a.op == "energy", ("levels", "count")),
-        (lambda a: a.op != "energy", ("states",)),
-        (lambda a: a.op == "classify", ("construction",)),
+        (lambda a: a.op == "energy", ("levels", "count"), True),
+        (lambda a: a.op != "energy", ("states",), True),
+        (lambda a: a.op == "classify", ("construction",), False),
     ),
-    "cg": ((lambda a: not a.photon, ("j1", "j2")),),
-    "condprob": ((lambda a: a.compare_cg, ("s",)),),
-    "beam": ((lambda a: a.test_null is not None, ("critical",)),),
+    "cg": ((lambda a: not a.photon, ("j1", "j2"), True),),
+    "condprob": ((lambda a: True, ("prior",), True), (lambda a: a.compare_cg, ("s",), False)),
+    "beam": ((lambda a: a.test_null is not None, ("critical",), False),),
 }
 
 
-def _unread_options(args: argparse.Namespace) -> list[str]:
-    """The options given in ``args`` (not ``None`` or ``False``) that its mode does not read."""
-    return sorted(
-        name
-        for reads, names in _READ_WHERE.get(args.command, ())
-        if not reads(args)
-        for name in names
-        if getattr(args, name) is not None and getattr(args, name) is not False
-    )
+def _refusal(args: argparse.Namespace) -> None:
+    """Refuse the given options that the parsed mode does not read, then the needed ones it lacks.
+
+    The resolve step before any handler.  ``None`` and ``False`` are not given; ``--count 0`` is.
+    """
+    unread, missing = [], []
+    for reads, names, needed in _READ_WHERE.get(args.command, ()):
+        holds = reads(args)
+        for name in names:
+            given = getattr(args, name) is not None and getattr(args, name) is not False
+            if given and not holds:
+                unread.append(name)
+            elif needed and holds and not given:
+                missing.append(name)
+    for names, error, verb in ((unread, InvalidValueError, "does not use"), (missing, SpinstatError, "needs")):
+        if names:
+            options = ", ".join("--" + name.replace("_", "-") for name in sorted(names))
+            raise error(f"{args.command} {verb} {options} here")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -609,9 +611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "mode": args.mode,
     }
     try:
-        if unread := _unread_options(args):
-            options = ", ".join("--" + name.replace("_", "-") for name in unread)
-            raise InvalidValueError(f"{args.command} does not use {options} here")
+        _refusal(args)
         envelope["payload"] = args.handler(args)
         emit(envelope, args.format)
         return 0

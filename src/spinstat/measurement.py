@@ -43,7 +43,7 @@ _PI_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?pi(?:/(\d+))?$")
 def parse_pi_angle(text: str) -> Fraction:
     """Parse ``"2pi/3"``-style text into a rational multiple of pi."""
     text = text.strip().replace(" ", "")
-    if text == "0":
+    if text in ("0", "-0", "+0"):
         return Fraction(0)
     m = _PI_RE.match(text)
     if not m:

@@ -101,7 +101,7 @@ BAD_INPUTS = {
     ),
     "signature-of-two-states": (["perm", "signature", "--states", refused("signature-of-two-states")], "invalid-value"),
     # The refusal comes before any handler runs, so an unread option wins
-    # over the domain error or the missing list that the handler would report.
+    # over a missing needed option and over the handler's domain error.
     "search-with-gaps-above-limit": (
         ["bell", "--search", "--denominator", "49", "--gaps", "pi,pi,pi"], "invalid-value"
     ),
@@ -112,20 +112,22 @@ BAD_INPUTS = {
     "decompose-of-singlet-grid-above-limit": (
         ["state", "singlet", "--decompose", "--check-isc", "--grid", str(MAX_GRID + 1)], "invalid-value"
     ),
-    "denominator-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3", "--denominator", "5"], "invalid-value"),
+    # A list of the wrong length is a usage error, even beside an unread option.
+    "denominator-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3", "--denominator", "5"], 2),
     "s-without-prior": (["condprob", "--s", "1"], "invalid-value"),
     "construction-for-energy-without-count": (
         ["perm", "energy", "--levels", "1,2", "--construction", "fd"], "invalid-value"
     ),
-    # A missing or short required list ends with the generic code ``error``, one row per check.
+    # A missing needed option ends with the generic code ``error``; a three-value list of another length
+    # is a usage error.
     "bell-without-gaps": (["bell"], "error"),
-    "bell-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3"], "error"),
-    "wigner-with-two-angles": (["wigner", "--angles", "0,pi/3"], "error"),
+    "bell-with-two-gaps": (["bell", "--gaps", "pi/3,pi/3"], 2),
+    "wigner-with-two-angles": (["wigner", "--angles", "0,pi/3"], 2),
     "cg-with-one-spin": (["cg", "--j1", "1"], "error"),
     "energy-without-count": (["perm", "energy", "--levels", "1,2"], "error"),
     "signature-without-states": (["perm", "signature"], "error"),
     "condprob-without-prior": (["condprob"], "error"),
-    "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], "error"),
+    "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], 2),
     "exact-value-beyond-float": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], "invalid-value"
     ),

@@ -719,9 +719,9 @@ SUBCOMMANDS = {
 }
 
 
-def _named_unread(error):
-    """The options that a "does not use" refusal names; empty for any other envelope."""
-    refused = re.fullmatch(r"\w+ does not use (.*) here", error.get("message", ""))
+def _named(error, verb):
+    """The options that a "does not use" or "needs" refusal names; empty for any other envelope."""
+    refused = re.fullmatch(rf"\w+ {verb} (.*) here", error.get("message", ""))
     return set(refused.group(1).split(", ")) if refused else set()
 
 
@@ -786,8 +786,8 @@ def test_each_handler_reads_exactly_the_options_that_the_table_declares(base, op
     args = build_parser().parse_args(argv)
     options = set(vars(args)) - NOT_OPTIONS
     rows = cli._READ_WHERE.get(args.command, ())
-    assert {name for _, names in rows for name in names} <= options
-    declared = options - {name for reads, names in rows if not reads(args) for name in names}
+    assert {name for _, names, _ in rows for name in names} <= options
+    declared = options - {name for reads, names, _ in rows if not reads(args) for name in names}
     recording = _Recording(args)
     try:
         args.handler(recording)
@@ -796,6 +796,43 @@ def test_each_handler_reads_exactly_the_options_that_the_table_declares(base, op
         assert recording.read - {"tag", "op"} <= declared
     else:
         assert recording.read - {"tag", "op"} == declared
+
+
+# The options that some mode of each subcommand needs.
+NEEDED = {"bell": {"gaps"}, "perm": {"levels", "count", "states"}, "cg": {"j1", "j2"}, "condprob": {"prior"}}
+
+
+def _without(argv, names):
+    """``argv`` without the option of each name and its value."""
+    out = list(argv)
+    for name in names:
+        i = out.index("--" + name.replace("_", "-"))
+        del out[i : i + 2]
+    return out
+
+
+def test_a_missing_needed_option_is_refused_before_the_handler_runs(monkeypatch):
+    assert run_cli(["perm", "energy", "--levels", "1,2", "--count", "0"])[0] == 0
+
+    def never(args):
+        raise AssertionError("the handler ran")
+
+    seen = {}
+    for bases, _ in MODE_CASES.values():
+        for base in bases:
+            argv = [str(DATA / arg) if arg.endswith(".txt") else arg for arg in base.split()]
+            args = build_parser().parse_args(argv)
+            rows = cli._READ_WHERE.get(args.command, ())
+            needed = sorted(name for reads, names, needs in rows if needs and reads(args) for name in names)
+            seen.setdefault(args.command, set()).update(needed)
+            monkeypatch.setattr(cli, f"cmd_{args.command}", never)
+            for left_out in [[name] for name in needed] + [needed] * (len(needed) > 1):
+                code, output = run_cli(_without(argv, left_out))
+                options = ", ".join("--" + name.replace("_", "-") for name in left_out)
+                assert (code, json.loads(output)["error"]) == (
+                    1, {"code": "error", "message": f"{args.command} needs {options} here"}
+                ), base
+    assert {command: names for command, names in seen.items() if names} == NEEDED
 
 
 @st.composite
@@ -825,14 +862,20 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv, state_text):
     assert code in (0, 1, 2), argv
     if code == 2:
         return
-    # Every option that the table says this mode does not read is refused, and nothing else is.
+    # Every option that the table says this mode does not read is refused,
+    # then every one that it needs and lacks, and nothing else is.
     args = build_parser().parse_args(cli._attach_negative_angle_lists(argv))
-    unread = {"--" + name.replace("_", "-") for name in cli._unread_options(args)}
-    assert code == 1 or not unread, argv
+    rows = cli._READ_WHERE.get(args.command, ())
+    given = {name for name in vars(args) if getattr(args, name) is not None and getattr(args, name) is not False}
+    unread = {"--" + n.replace("_", "-") for reads, names, _ in rows if not reads(args) for n in names if n in given}
+    needed = {n for reads, names, needs in rows if needs and reads(args) for n in names}
+    missing = set() if unread else {"--" + n.replace("_", "-") for n in needed - given}
+    assert code == 1 or not unread | missing, argv
     if "csv" in argv:
         assert out.getvalue().startswith("key,value\n")
         return
     envelope = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     jsonschema.validate(envelope, load_schema())
     assert ("error" in envelope) == (code == 1)
-    assert _named_unread(envelope.get("error", {})) == unread, argv
+    assert _named(envelope.get("error", {}), "does not use") == unread, argv
+    assert _named(envelope.get("error", {}), "needs") == missing, argv

@@ -50,6 +50,7 @@ def test_parse_and_format_pi_angles():
     assert parse_pi_angle("2pi/3") == Fraction(2, 3)
     assert parse_pi_angle("pi") == 1
     assert parse_pi_angle("0") == 0
+    assert parse_pi_angle("-0") == parse_pi_angle("+0") == parse_pi_angle("-0pi") == 0
     assert parse_pi_angle("-pi/4") == Fraction(-1, 4)
     assert format_pi_angle(Fraction(2, 3)) == "2pi/3"
     assert format_pi_angle(Fraction(0)) == "0"
