@@ -70,6 +70,12 @@ BAD_INPUTS = {
         ["state", "singlet", "--check-invariance", "--c", "1e308"], "invalid-value"
     ),
     "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], "size-limit"),
+    "spin-j-singlet-without-j": (["state", "spin_j_singlet"], "unknown-tag"),
+    "spin-zero-singlet": (["state", "spin_j_singlet", "--j", "0"], "invalid-spin"),
+    # The rotation checks take spin-1/2 pairs only.
+    "invariance-of-a-spin-one-singlet": (
+        ["state", "spin_j_singlet", "--j", "1", "--check-invariance"], "shape-mismatch"
+    ),
     "decompose-without-j": (["state", "singlet", "--decompose"], "invalid-value"),
     "decompose-of-another-tag": (["state", "triplet_plus", "--j", "3", "--decompose"], "invalid-value"),
     "j-for-a-tag-without-one": (["state", "singlet", "--j", "5/2"], "invalid-value"),

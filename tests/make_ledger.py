@@ -12,9 +12,10 @@ commands of ``check_golden.py``, ``bell --search`` at every denominator from
 in JSON and in CSV, each golden command in CSV, Bell and Wigner triples at
 tiny gaps (with signs flipped and periods added), exact ties, an
 inconsistent triple and signed zero angles, each state of the catalog with
-its rotation checks, each ``perm`` op on each file in ``tests/data``, seeded
-beams on both sides of ``SMALL_BEAM`` and of the draw chunks, and every
-entry of ``BAD_INPUTS``.  With ``--check`` the script names each call whose
+its rotation checks, spin-j singlets decomposed at three spins, ``cg
+--photon`` and ``cg`` pairs up to the size limit, each ``perm`` op on each
+file in ``tests/data``, seeded beams on both sides of ``SMALL_BEAM`` and of
+the draw chunks, and every entry of ``BAD_INPUTS``.  With ``--check`` the script names each call whose
 record differs from the ledger, with the recorded and the current exit code,
 and each ``tests/golden/<name>.json`` file whose sha256 is not its golden
 command's ledger digest, and exits 1 if any does.  A beam above
@@ -81,7 +82,10 @@ NOT_ISC_TAGS = ("excluded_combination", "triplet_plus", "triplet_zero", "triplet
 
 
 def state_calls() -> list[list[str]]:
-    """Each tag (spin_j_singlet at j = 1/2) with each rotation check and both, at two rates and two grids."""
+    """Each tag (spin_j_singlet at j = 1/2) with each rotation check and both, at two rates and two grids.
+
+    Then the spin-j singlet bare at j = 1/2, and decomposed at j = 1, 3/2 and 2.
+    """
     tags = [[tag] for tag in STATE_TAGS if tag != "spin_j_singlet"] + [["spin_j_singlet", "--j", "1/2"]]
     checks = (["--check-invariance"], ["--check-isc"], ["--check-invariance", "--check-isc"])
     return [
@@ -90,7 +94,20 @@ def state_calls() -> list[list[str]]:
         for check in checks
         for rate in ([], ["--c", "1"])
         for grid in ([], ["--grid", "7"])
-    ] + [["state", "spin_j_singlet", "--j", "1/2"], ["state", "spin_j_singlet", "--j", "1", "--decompose"]]
+    ] + [["state", "spin_j_singlet", "--j", "1/2"]] + [
+        ["state", "spin_j_singlet", "--j", j, "--decompose"] for j in ("1", "3/2", "2")
+    ]
+
+
+#: Spin pairs of ``cg``: the smallest, a mixed one, and two at the size limit
+#: ``MAX_COUPLED_SPIN`` (9).
+CG_SPINS = (("1/2", "1/2"), ("3/2", "1"), ("9", "1/2"), ("9", "9"))
+
+
+def cg_calls() -> list[list[str]]:
+    """The photon table in JSON and CSV, and each pair of ``CG_SPINS``."""
+    photon = [["cg", "--photon"], ["cg", "--photon", "--format", "csv"]]
+    return photon + [["cg", "--j1", j1, "--j2", j2] for j1, j2 in CG_SPINS]
 
 
 def perm_calls() -> list[list[str]]:
@@ -117,6 +134,7 @@ def corpus() -> list[list[str]]:
     calls += TINY_GAP_CALLS
     calls += [["bell", "--gaps", "-0,pi/3,pi/3"], ["wigner", "--angles", "+0,pi/3,2pi/3"]]
     calls += state_calls()
+    calls += cg_calls()
     calls += perm_calls()
     calls += beam_calls()
     calls += [list(argv) for argv, _ in BAD_INPUTS.values()]
