@@ -264,9 +264,10 @@ def _read_states(path: str) -> list[Ket]:
 def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
     from . import rotations
 
-    ket = rotations.make_state(args.tag, j=args.j)
+    spin_j = args.tag == "spin_j_singlet"
+    ket = rotations.spin_j_singlet(args.j) if spin_j else rotations.make_state(args.tag)
     payload: dict[str, Any] = {"tag": args.tag, **ket_payload(ket)}
-    if args.j is not None:
+    if spin_j:
         payload["j"] = str(args.j)
     checks: dict[str, Any] = {}
     if args.check_invariance or args.check_isc:
@@ -286,7 +287,7 @@ def cmd_state(args: argparse.Namespace) -> dict[str, Any]:
             "witness_angle": isc.witness_angle,
             "max_deviation": isc.max_deviation,
         }
-    if args.tag == "spin_j_singlet" and args.decompose:
+    if spin_j and args.decompose:
         decomposition = rotations.decompose_spin_j_singlet(args.j)
         checks["decomposition"] = {
             "pairs": [{"m": str(p.m), **ket_payload(p.ket)} for p in decomposition.pairs],
@@ -569,6 +570,7 @@ _READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[s
     "state": (
         (lambda a: a.check_invariance or a.check_isc, ("c", "grid"), False),
         (lambda a: a.tag == "spin_j_singlet", ("decompose",), False),
+        (lambda a: a.tag == "spin_j_singlet", ("j",), True),
     ),
     "bell": ((lambda a: a.search, ("denominator",), False), (lambda a: not a.search, ("gaps",), True)),
     "perm": (

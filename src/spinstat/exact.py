@@ -59,13 +59,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square, rest * m
 
 
-def _field_names(cls: type) -> list[str]:
-    return [name for name in cls.__slots__ if name[0] != "_"]
-
-
 def _restore(cls: type, values: tuple) -> "Frozen":
     new = object.__new__(cls)
-    for name, value in zip(_field_names(cls), values):
+    for name, value in zip(cls.__slots__, values):
         object.__setattr__(new, name, value)
     return new
 
@@ -74,18 +70,17 @@ class Frozen:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__slots__`` and stores them once, in
-    ``__init__``, with ``object.__setattr__``; a slot whose name starts with
-    ``_`` holds a cache and is not a field.  Instances of one class are equal
-    when their fields are, hash by their fields (so a ``dict`` field makes
-    an instance unhashable), print as ``Name(field=value, ...)``, pickle and
-    copy, and refuse assignment.  Unlike a tuple, an instance has no length,
-    iteration or sequence operators unless its class defines them.
+    ``__init__``, with ``object.__setattr__``.  Instances of one class are
+    equal when their fields are, hash by their fields (so a ``dict`` field
+    makes an instance unhashable), print as ``Name(field=value, ...)``,
+    pickle and copy, and refuse assignment.  Unlike a tuple, an instance has
+    no length, iteration or sequence operators unless its class defines them.
     """
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in _field_names(type(self))])
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -96,7 +91,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = zip(_field_names(type(self)), self._values())
+        fields = zip(self.__slots__, self._values())
         return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -13,7 +13,7 @@ rather than at rounding level.
 A row of a coupling table, :class:`CoupledState`, is a two-slot
 :class:`~spinstat.kets.Ket` over the product basis together with its
 quantum numbers ``s, m, j1, j2`` and ladder step; its ``amplitudes`` are
-the read-only view of that ket keyed by projection pair ``(m1, m2)``.
+that ket's entries keyed by projection pair ``(m1, m2)``, built on each read.
 
 The rescaled operators ``S_i = n * L_i`` obey ``[S_i, S_j] = i*n*e_ijk*S_k``
 and their ladder steps move the projection by ``n`` at a time, which is
@@ -24,8 +24,7 @@ laddered without ever stepping onto the missing projection.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, NamedTuple
 
 from .errors import IncompatibleRadicandsError, InvalidValueError, ShapeError, SizeLimitError
 from .exact import ExactScalar, Frozen, Rational
@@ -107,7 +106,7 @@ class CoupledState(Frozen):
     rescaled pair whose constituents skip intermediate projections.
     """
 
-    __slots__ = ("s", "m", "j1", "j2", "ket", "step", "_amplitudes")
+    __slots__ = ("s", "m", "j1", "j2", "ket", "step")
     s: Fraction
     m: Fraction
     j1: Fraction
@@ -128,15 +127,10 @@ class CoupledState(Frozen):
             object.__setattr__(self, name, value)
 
     @property
-    def amplitudes(self) -> Mapping[tuple[Fraction, Fraction], ExactScalar]:
-        """The nonzero amplitudes keyed by projection pair ``(m1, m2)``: a read-only view of ``ket``."""
-        try:
-            return self._amplitudes
-        except AttributeError:  # built on first use
-            values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
-            view = MappingProxyType({(values1[a], values2[b]): amp for (a, b), amp in self.ket.amplitudes.items()})
-            object.__setattr__(self, "_amplitudes", view)
-            return view
+    def amplitudes(self) -> dict[tuple[Fraction, Fraction], ExactScalar]:
+        """The nonzero amplitudes of ``ket`` keyed by projection pair ``(m1, m2)``, built on each read."""
+        values1, values2 = spin_values(self.j1, self.step), spin_values(self.j2, self.step)
+        return {(values1[a], values2[b]): amp for (a, b), amp in self.ket.amplitudes.items()}
 
     def norm_squared(self) -> Fraction | ExactScalar:
         return self.ket.norm_squared()

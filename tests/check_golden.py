@@ -70,7 +70,7 @@ BAD_INPUTS = {
         ["state", "singlet", "--check-invariance", "--c", "1e308"], "invalid-value"
     ),
     "singlet-spin-above-limit": (["state", "spin_j_singlet", "--j", "1e400"], "size-limit"),
-    "spin-j-singlet-without-j": (["state", "spin_j_singlet"], "unknown-tag"),
+    "spin-j-singlet-without-j": (["state", "spin_j_singlet"], "error"),
     "spin-zero-singlet": (["state", "spin_j_singlet", "--j", "0"], "invalid-spin"),
     # The rotation checks take spin-1/2 pairs only.
     "invariance-of-a-spin-one-singlet": (

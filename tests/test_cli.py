@@ -131,7 +131,7 @@ def test_energy_of_no_particles_is_exact():
 def test_domain_error_exit_codes():
     code, output = run_cli(["state", "spin_j_singlet"])  # missing --j
     assert code == 1
-    assert json.loads(output)["error"]["code"] == "unknown-tag"
+    assert json.loads(output)["error"]["code"] == "error"
     code, output = run_cli(["cg", "--j1", "19/2", "--j2", "1"])
     assert code == 1
     assert json.loads(output)["error"]["code"] == "size-limit"
@@ -799,14 +799,16 @@ def test_each_handler_reads_exactly_the_options_that_the_table_declares(base, op
     try:
         args.handler(recording)
     except SpinstatError:
-        # A handler stops at its domain error, such as singlet's refusal of --j.
+        # A handler stops at its domain error, such as a spin-1 pair's refusal of a rotation check.
         assert recording.read - {"tag", "op"} <= declared
     else:
         assert recording.read - {"tag", "op"} == declared
 
 
 # The options that some mode of each subcommand needs.
-NEEDED = {"bell": {"gaps"}, "perm": {"levels", "count", "states"}, "cg": {"j1", "j2"}, "condprob": {"prior"}}
+NEEDED = {
+    "state": {"j"}, "bell": {"gaps"}, "perm": {"levels", "count", "states"}, "cg": {"j1", "j2"}, "condprob": {"prior"}
+}
 
 
 def _without(argv, names):

@@ -19,7 +19,6 @@ from spinstat.rotations import (
     STATE_TAGS,
     TOL,
     _GRID_MEMO_SIZE,
-    _ISC_PATTERNS,
     _exact_verdicts,
     _grid_angles,
     _isc_deviation,
@@ -34,6 +33,9 @@ from spinstat.rotations import (
 
 HALF = Fraction(1, 2)
 SQ2 = ExactScalar.sqrt(HALF)
+#: The two valid outcome patterns of a perfectly correlated pair: both
+#: readings the same, or both opposite, each with probability 1/2.
+_ISC_PATTERNS = (((0.5, 0.0), (0.0, 0.5)), ((0.0, 0.5), (0.5, 0.0)))
 
 
 def catalog_two_particle_states():
@@ -76,7 +78,8 @@ def test_named_states_exactly_normalized():
 def test_unknown_tag_and_bad_spin():
     with pytest.raises(UnknownTagError):
         make_state("nonsense")
-    with pytest.raises(UnknownTagError):
+    # The tag exists; what is missing is its spin value.
+    with pytest.raises(InvalidValueError):
         make_state("spin_j_singlet")
     with pytest.raises(InvalidSpinError):
         spin_j_singlet(Fraction(1, 3))

@@ -341,9 +341,10 @@ def test_tables_match_the_benchmark_reference():
 
 
 def test_pair_singlets_agree_across_modules():
-    for j in (HALF, 1, Fraction(3, 2), 2):
-        row = cg_decompose(j, j)[(Fraction(0), Fraction(0))]
-        assert row.ket in (spin_j_singlet(j), -spin_j_singlet(j))
+    # The same sign too: each has its highest-m1 entry, (-1)**0 / sqrt(2j+1), positive.
+    for two_j in range(1, 9):
+        j = Fraction(two_j, 2)
+        assert cg_decompose(j, j)[(Fraction(0), Fraction(0))].ket == spin_j_singlet(j)
 
 
 def cg_cells(j1, j2):
