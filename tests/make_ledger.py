@@ -15,13 +15,13 @@ inconsistent triple and signed zero angles, each state of the catalog with
 its rotation checks, spin-j singlets decomposed at three spins, ``cg
 --photon`` and ``cg`` pairs up to the size limit, each ``perm`` op on each
 file in ``tests/data``, seeded beams on both sides of ``SMALL_BEAM`` and of
-the draw chunks, and every entry of ``BAD_INPUTS``.  With ``--check`` the script names each call whose
-record differs from the ledger, with the recorded and the current exit code,
-and each ``tests/golden/<name>.json`` file whose sha256 is not its golden
-command's ledger digest, and exits 1 if any does.  A beam above
-``SMALL_BEAM`` atoms and a failing ISC check compute with numpy; where numpy
-cannot be imported, ``--check`` skips those calls and says how many it
-skipped.
+the draw chunks, and every entry of ``BAD_INPUTS``.  With ``--check`` the
+script names each call whose record differs from the ledger, with the
+recorded and the current exit code, and each ``tests/golden/<name>.json``
+file whose sha256 is not its golden command's ledger digest, and exits 1 if
+any does.  A beam above ``SMALL_BEAM`` atoms and a failing ISC check compute
+with numpy; where numpy cannot be imported, ``--check`` skips those calls
+and says how many it skipped.
 """
 
 from __future__ import annotations
