@@ -12,7 +12,8 @@ commands of ``check_golden.py``, ``bell --search`` at every denominator from
 in JSON and in CSV, each golden command in CSV, Bell and Wigner triples at
 tiny gaps (with signs flipped and periods added), exact ties, an
 inconsistent triple and signed zero angles, each state of the catalog with
-its rotation checks, spin-j singlets decomposed at three spins, ``cg
+its rotation checks at three rates and in CSV, Wigner triples on the
+twelfths grid, spin-j singlets decomposed at three spins, ``cg
 --photon`` and ``cg`` pairs up to the size limit, each ``perm`` op on each
 file in ``tests/data``, seeded beams on both sides of ``SMALL_BEAM`` and of
 the draw chunks, and every entry of ``BAD_INPUTS``.  With ``--check`` the
@@ -84,7 +85,9 @@ NOT_ISC_TAGS = ("excluded_combination", "triplet_plus", "triplet_zero", "triplet
 def state_calls() -> list[list[str]]:
     """Each tag (spin_j_singlet at j = 1/2) with each rotation check and both, at two rates and two grids.
 
-    Then the spin-j singlet bare at j = 1/2, and decomposed at j = 1, 3/2 and 2.
+    Then the spin-j singlet bare at j = 1/2, and decomposed at j = 1, 3/2 and
+    2; each tag with each check set at a third rate, ``--c 1/3``; and each
+    tag with both checks in CSV.
     """
     tags = [[tag] for tag in STATE_TAGS if tag != "spin_j_singlet"] + [["spin_j_singlet", "--j", "1/2"]]
     checks = (["--check-invariance"], ["--check-isc"], ["--check-invariance", "--check-isc"])
@@ -96,7 +99,27 @@ def state_calls() -> list[list[str]]:
         for grid in ([], ["--grid", "7"])
     ] + [["state", "spin_j_singlet", "--j", "1/2"]] + [
         ["state", "spin_j_singlet", "--j", j, "--decompose"] for j in ("1", "3/2", "2")
+    ] + [["state", *tag, *check, "--c", "1/3"] for tag in tags for check in checks] + [
+        ["state", *tag, *checks[2], "--format", "csv"] for tag in tags
     ]
+
+
+def wigner_calls() -> list[list[str]]:
+    """Triples ``0, a pi/12, b pi/12`` on the twelfths grid.
+
+    Every ``1 <= a < b <= 12`` in the half formula and same-state variant,
+    and those with ``b <= 6`` in the other three variant and formula pairs.
+    """
+    calls = []
+    for variant in ("same-state", "singlet-inclusive"):
+        for formula in ("half", "full"):
+            top = 12 if (variant, formula) == ("same-state", "half") else 6
+            calls += [
+                ["wigner", "--angles", f"0,{a}pi/12,{b}pi/12", "--variant", variant, "--formula", formula]
+                for b in range(2, top + 1)
+                for a in range(1, b)
+            ]
+    return calls
 
 
 #: Spin pairs of ``cg``: the smallest, a mixed one, and two at the size limit
@@ -134,6 +157,7 @@ def corpus() -> list[list[str]]:
     calls += TINY_GAP_CALLS
     calls += [["bell", "--gaps", "-0,pi/3,pi/3"], ["wigner", "--angles", "+0,pi/3,2pi/3"]]
     calls += state_calls()
+    calls += wigner_calls()
     calls += cg_calls()
     calls += perm_calls()
     calls += beam_calls()

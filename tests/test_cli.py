@@ -93,8 +93,9 @@ def test_ledger_matches_this_tree(tmp_path, monkeypatch, capsys):
 def test_ledger_check_skips_the_numpy_beams_where_numpy_is_missing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(make_ledger, "HAVE_NUMPY", False)
     assert make_ledger.main(["--check"]) == 0
-    # The beams above SMALL_BEAM, and each failing ISC check: 4 tags, 2 check sets, 2 rates, 2 grids.
-    skipped = 2 * sum(n > SMALL_BEAM for n in make_ledger.BEAM_ATOMS) + 4 * 2 * 2 * 2
+    # The beams above SMALL_BEAM, and each failing ISC check: 4 tags, with 2 check sets at
+    # 5 rate and grid pairs, and with both checks in CSV.
+    skipped = 2 * sum(n > SMALL_BEAM for n in make_ledger.BEAM_ATOMS) + 4 * (2 * 5 + 1)
     n = len(make_ledger.corpus()) - skipped
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"skipped {skipped} calls that need numpy, which cannot be imported"
