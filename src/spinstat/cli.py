@@ -37,7 +37,7 @@ SCHEMA_VERSION = "1.0"
 
 
 def _plain(value: Any, mode: str) -> Any:
-    """The printed form of an exact or complex leaf; other values pass through.
+    """The printed form of an exact leaf; other values pass through.
 
     An exact number prints as ``{"exact": text, "value": float}``, or as the
     bare float in float mode.
@@ -48,8 +48,6 @@ def _plain(value: Any, mode: str) -> Any:
         except OverflowError:
             raise InvalidValueError("an exact result is too large to print as a float") from None
         return number if mode == FLOAT else {"exact": str(value), "value": number}
-    if isinstance(value, complex):
-        return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
     return value
 
 
@@ -485,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="build a cataloged state and run checks")
     p.add_argument("tag", type=state_tag_arg, help="a state of the catalog; an unknown tag lists them")
-    p.add_argument("--j", type=fraction_arg, default=None, help="spin for spin_j_singlet")
+    p.add_argument("--j", type=fraction_arg, help="spin for spin_j_singlet")
     p.add_argument("--check-invariance", action="store_true")
     p.add_argument("--check-isc", action="store_true")
     p.add_argument("--decompose", action="store_true", help="two-level components (spin_j_singlet)")
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_state)
 
     p = sub.add_parser("bell", help="evaluate the angle-gap inequality")
-    p.add_argument("--gaps", type=angle_list_arg, default=None, help="e.g. pi/3,pi/3,2pi/3")
+    p.add_argument("--gaps", type=angle_list_arg, help="e.g. pi/3,pi/3,2pi/3")
     p.add_argument("--formula", choices=("half", "full"), default="half")
     p.add_argument("--search", action="store_true", help="scan the angle grid")
     p.add_argument("--denominator", type=positive_int_arg, help="search step pi/denominator (default: 12)")
@@ -503,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bell)
 
     p = sub.add_parser("wigner", help="three-angle set-inclusion argument")
-    p.add_argument("--angles", type=angle_list_arg, required=True, help="e.g. 0,pi/3,2pi/3")
+    p.add_argument("--angles", type=angle_list_arg, help="e.g. 0,pi/3,2pi/3")
     p.add_argument("--variant", choices=("same-state", "singlet-inclusive"), default="same-state")
     p.add_argument("--formula", choices=("half", "full"), default="half")
     _add_common(p)
@@ -511,23 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm", help="permutation sums and classification")
     p.add_argument("op", choices=("antisymmetrize", "symmetrize", "classify", "signature", "energy"))
-    p.add_argument("--states", default=None, help="state spec file")
+    p.add_argument("--states", help="state spec file")
     p.add_argument("--construction", choices=("fd", "be", "mixed"), help="classify expansion (default: fd)")
-    p.add_argument("--levels", type=fraction_list_arg, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--levels", type=fraction_list_arg)
+    p.add_argument("--count", type=int)
     _add_common(p)
     p.set_defaults(handler=cmd_perm)
 
     p = sub.add_parser("cg", help="coupling tables")
-    p.add_argument("--j1", type=fraction_arg, default=None)
-    p.add_argument("--j2", type=fraction_arg, default=None)
+    p.add_argument("--j1", type=fraction_arg)
+    p.add_argument("--j2", type=fraction_arg)
     p.add_argument("--photon", action="store_true", help="two-valued pair via n=2 ladders")
     _add_common(p)
     p.set_defaults(handler=cmd_cg)
 
     p = sub.add_parser("algebra", help="rescaled commutator residuals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=fraction_arg, required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--j", type=fraction_arg)
     _add_common(p)
     p.set_defaults(handler=cmd_algebra)
 
@@ -540,13 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_condprob)
 
     p = sub.add_parser("beam", help="simulate a beam and test a null")
-    p.add_argument("--atoms", type=int, required=True)
+    p.add_argument("--atoms", type=int)
     p.add_argument("--hypothesis", choices=("uniform", "paper"), default="paper")
-    p.add_argument("--test-null", choices=("uniform", "paper"), default=None)
+    p.add_argument("--test-null", choices=("uniform", "paper"))
     p.add_argument(
         "--critical",
         type=positive_float_arg,
-        default=None,
         help="chi-square critical value (default: the 5%% point for 2 degrees of freedom)",
     )
     # argparse converts a string default with ``type`` only when the flag is
@@ -565,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The options that a mode reads only where a condition on the parsed values
 # holds, per subcommand, and whether the mode also needs them there; every
-# other option is read in every mode.
+# other option is read in every mode.  A needed option of every mode has a
+# row whose condition always holds.  argparse checks only types, choices
+# and list lengths, so this table alone decides whether an option is missing.
 _READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[str, ...], bool], ...]] = {
     "state": (
         (lambda a: a.check_invariance or a.check_isc, ("c", "grid"), False),
@@ -573,14 +572,16 @@ _READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[s
         (lambda a: a.tag == "spin_j_singlet", ("j",), True),
     ),
     "bell": ((lambda a: a.search, ("denominator",), False), (lambda a: not a.search, ("gaps",), True)),
+    "wigner": ((lambda a: True, ("angles",), True),),
     "perm": (
         (lambda a: a.op == "energy", ("levels", "count"), True),
         (lambda a: a.op != "energy", ("states",), True),
         (lambda a: a.op == "classify", ("construction",), False),
     ),
     "cg": ((lambda a: not a.photon, ("j1", "j2"), True),),
+    "algebra": ((lambda a: True, ("n", "j"), True),),
     "condprob": ((lambda a: True, ("prior",), True), (lambda a: a.compare_cg, ("s",), False)),
-    "beam": ((lambda a: a.test_null is not None, ("critical",), False),),
+    "beam": ((lambda a: True, ("atoms",), True), (lambda a: a.test_null is not None, ("critical",), False)),
 }
 
 

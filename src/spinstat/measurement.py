@@ -83,7 +83,7 @@ def angle_to_radians(angle: Angle) -> float:
 _COS_SIXTHS = (1, None, "1/2", 0, "-1/2", None, -1, None, "-1/2", 0, "1/2", None)
 #: (1 - cos(k*pi/6))/4, the Bell gap term: k/8 for an integer 0 <= k <= 4.
 _GAP_TERM_SIXTHS = tuple(None if c is None else (1 - Fraction(c)) / 4 for c in _COS_SIXTHS)
-#: The term's period in pi multiples of gap: its angle x is 2*pi*gap/period.
+#: The term's period in pi multiples of gap, per Bell mode: its angle x is 2*pi*gap/period.
 _PERIOD = {"half": 2, "full": 1}
 
 #: Margin a float left side must clear where no sign rule decides.
@@ -191,12 +191,9 @@ def joint_distribution(
 
 
 BellMode = Literal["half", "full"]
-_BELL_MODES = ("half", "full")
-
-
 def _check_mode(mode: BellMode) -> None:
-    if mode not in _BELL_MODES:
-        raise InvalidValueError(f"unknown Bell mode {mode!r}; use one of {', '.join(_BELL_MODES)}")
+    if mode not in _PERIOD:
+        raise InvalidValueError(f"unknown Bell mode {mode!r}; use one of {', '.join(_PERIOD)}")
 
 
 class BellEvaluation(NamedTuple):

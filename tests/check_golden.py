@@ -115,8 +115,7 @@ BAD_INPUTS = {
         ["beam", "--atoms", str(MAX_ATOMS + 1), "--critical", "3"], "invalid-value"
     ),
     "critical-with-negative-atoms": (["beam", "--atoms", "-1", "--critical", "3"], "invalid-value"),
-    # argparse refuses a missing --atoms before the table sees the unread --critical.
-    "critical-without-atoms": (["beam", "--critical", "3"], 2),
+    "critical-without-atoms": (["beam", "--critical", "3"], "invalid-value"),
     "decompose-of-singlet-grid-above-limit": (
         ["state", "singlet", "--decompose", "--check-isc", "--grid", str(MAX_GRID + 1)], "invalid-value"
     ),
@@ -136,14 +135,13 @@ BAD_INPUTS = {
     "signature-without-states": (["perm", "signature"], "error"),
     "condprob-without-prior": (["condprob"], "error"),
     "prior-of-two-values": (["condprob", "--prior", "1/2,1/2"], 2),
-    # argparse refuses a missing --angles, --n, --j or --atoms as a usage error.
-    "wigner-without-angles": (["wigner"], 2),
-    "wigner-options-without-angles": (["wigner", "--variant", "singlet-inclusive", "--formula", "full"], 2),
-    "algebra-without-n-or-j": (["algebra"], 2),
-    "algebra-without-j": (["algebra", "--n", "2"], 2),
-    "algebra-without-n": (["algebra", "--j", "1"], 2),
-    "beam-without-atoms": (["beam"], 2),
-    "beam-options-without-atoms": (["beam", "--hypothesis", "uniform", "--seed", "3"], 2),
+    "wigner-without-angles": (["wigner"], "error"),
+    "wigner-options-without-angles": (["wigner", "--variant", "singlet-inclusive", "--formula", "full"], "error"),
+    "algebra-without-n-or-j": (["algebra"], "error"),
+    "algebra-without-j": (["algebra", "--n", "2"], "error"),
+    "algebra-without-n": (["algebra", "--j", "1"], "error"),
+    "beam-without-atoms": (["beam"], "error"),
+    "beam-options-without-atoms": (["beam", "--hypothesis", "uniform", "--seed", "3"], "error"),
     "exact-value-beyond-float": (
         ["perm", "energy", "--levels", "1e400,1e401", "--count", "1"], "invalid-value"
     ),

@@ -808,7 +808,14 @@ def test_each_handler_reads_exactly_the_options_that_the_table_declares(base, op
 
 # The options that some mode of each subcommand needs.
 NEEDED = {
-    "state": {"j"}, "bell": {"gaps"}, "perm": {"levels", "count", "states"}, "cg": {"j1", "j2"}, "condprob": {"prior"}
+    "state": {"j"},
+    "bell": {"gaps"},
+    "wigner": {"angles"},
+    "perm": {"levels", "count", "states"},
+    "cg": {"j1", "j2"},
+    "algebra": {"n", "j"},
+    "condprob": {"prior"},
+    "beam": {"atoms"},
 }
 
 
