@@ -562,9 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The options that a mode reads only where a condition on the parsed values
 # holds, per subcommand, and whether the mode also needs them there; every
-# other option is read in every mode.  A needed option of every mode has a
-# row whose condition always holds.  argparse checks only types, choices
-# and list lengths, so this table alone decides whether an option is missing.
+# other option is read in every mode.  argparse checks no option's presence,
+# so this table alone decides whether a needed option is missing.
 _READ_WHERE: dict[str, tuple[tuple[Callable[[argparse.Namespace], bool], tuple[str, ...], bool], ...]] = {
     "state": (
         (lambda a: a.check_invariance or a.check_isc, ("c", "grid"), False),

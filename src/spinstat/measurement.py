@@ -191,6 +191,8 @@ def joint_distribution(
 
 
 BellMode = Literal["half", "full"]
+
+
 def _check_mode(mode: BellMode) -> None:
     if mode not in _PERIOD:
         raise InvalidValueError(f"unknown Bell mode {mode!r}; use one of {', '.join(_PERIOD)}")
